@@ -64,8 +64,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.base_population, int) or self.base_population < 1:
             raise ValueError(f"base_population must be a positive integer, got {self.base_population}")
-        if not self.congestion > 0:
-            raise ValueError(f"congestion must be > 0, got {self.congestion}")
+        if not (self.congestion > 0 and math.isfinite(self.congestion)):
+            raise ValueError(f"congestion must be a finite number > 0, got {self.congestion}")
         if not 0.0 <= self.cav_share <= 1.0:
             raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share}")
         if self.strategy not in STRATEGY_NAMES:
@@ -163,6 +163,14 @@ class SimulationState:
         self.est_b = np.full(total, config.network.route_b.free_flow_time)
         self.last_route = np.full(total, -1, dtype=np.int8)
 
+        # Run constants, read once here rather than through the config's
+        # derived properties on every day.
+        self.total_days = config.total_days
+        self.fleet_size = config.fleet_size
+        self.survivor_count = config.survivor_count
+        self.learning_rate = hp.learning_rate
+        self.explore_rate = hp.explore_rate
+
         self.n_hdv = total
         self.fleet_active = False
         self.fleet_weights: StrategyWeights = strategy_weights(config.strategy)
@@ -202,55 +210,51 @@ def apply_mday(state: SimulationState) -> SimulationState:
     if state.mday_applied:
         raise RuntimeError("fleet replacement was already applied to this run")
     state.mday_applied = True
-    state.n_hdv = state.config.survivor_count
-    state.fleet_active = state.config.fleet_size > 0
+    state.n_hdv = state.survivor_count
+    state.fleet_active = state.fleet_size > 0
     return state
 
 
 def step_day(state: SimulationState) -> DayRecord:
     """Simulate the next day and append its record to the state."""
-    config = state.config
-    if state.day > config.total_days:
-        raise RuntimeError(f"run is complete after day {config.total_days}")
-    hp = config.human_params
+    day = state.day
+    if day > state.total_days:
+        raise RuntimeError(f"run is complete after day {state.total_days}")
     n = state.n_hdv
+    est_a = state.est_a[:n]
+    est_b = state.est_b[:n]
 
     # Two draws per driver, exploration coin then route coin, id order.
+    # The day's single route mask: True = route B.
     draws = state.rng.random((n, 2))
-    if state.day == 1:
-        routes = (draws[:, 1] >= 0.5).astype(np.int8)
-    else:
-        util_a = state.taste_a[:n] - state.est_a[:n]
-        util_b = state.taste_b[:n] - state.est_b[:n]
-        greedy = (util_a < util_b).astype(np.int8)  # ties go to route A
-        uniform = (draws[:, 1] >= 0.5).astype(np.int8)
-        routes = np.where(draws[:, 0] < hp.explore_rate, uniform, greedy)
+    on_b = draws[:, 1] >= 0.5
+    if day > 1:
+        greedy_b = (state.taste_a[:n] - est_a) < (state.taste_b[:n] - est_b)  # ties go to A
+        on_b = np.where(draws[:, 0] < state.explore_rate, on_b, greedy_b)
 
-    q_hdv_a = int(np.sum(routes == 0))
-    q_hdv_b = n - q_hdv_a
+    q_hdv_b = int(np.count_nonzero(on_b))
+    q_hdv_a = n - q_hdv_b
 
+    network = state.config.network
     if state.fleet_active:
-        decision = fleet_optimize(
-            state.fleet_weights, q_hdv_a, q_hdv_b, config.fleet_size, config.network
-        )
+        decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, state.fleet_size, network)
         q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
     else:
         q_cav_a = q_cav_b = 0
 
-    t_a, t_b = network_travel_times(config.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
+    t_a, t_b = network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
 
-    on_a = routes == 0
-    alpha = hp.learning_rate
-    state.est_a[:n] = np.where(on_a, (1 - alpha) * state.est_a[:n] + alpha * t_a, state.est_a[:n])
-    state.est_b[:n] = np.where(on_a, state.est_b[:n], (1 - alpha) * state.est_b[:n] + alpha * t_b)
-    state.last_route[:n] = routes
+    alpha = state.learning_rate
+    est_a[:] = np.where(on_b, est_a, (1 - alpha) * est_a + alpha * t_a)
+    est_b[:] = np.where(on_b, (1 - alpha) * est_b + alpha * t_b, est_b)
+    state.last_route[:n] = on_b
 
     mean_hdv, mean_perceived, mean_cav = day_statistics(
-        routes, config.survivor_count, state.taste_a, state.taste_b,
+        on_b, state.survivor_count, state.taste_a, state.taste_b,
         q_cav_a, q_cav_b, t_a, t_b,
     )
     record = DayRecord(
-        day=state.day,
+        day=day,
         q_hdv_a=q_hdv_a,
         q_hdv_b=q_hdv_b,
         q_cav_a=q_cav_a,
@@ -262,7 +266,7 @@ def step_day(state: SimulationState) -> DayRecord:
         mean_cav_time=mean_cav,
     )
     state.records.append(record)
-    state.day += 1
+    state.day = day + 1
     return record
 
 
@@ -274,8 +278,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationLog:
     logs.
     """
     state = init_simulation(config)
-    for day in range(1, config.total_days + 1):
-        if day == config.m_day + 1 and not state.mday_applied:
+    handover_day = config.m_day + 1
+    for day in range(1, state.total_days + 1):
+        if day == handover_day and not state.mday_applied:
             apply_mday(state)
         step_day(state)
     return SimulationLog(config=config, records=state.records)

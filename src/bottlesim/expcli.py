@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -153,7 +154,13 @@ def _point_digest(config: ScenarioConfig) -> str:
 def _as_number(fieldname: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(fieldname, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(fieldname, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_axis(fieldname: str, value) -> tuple[float, ...]:
@@ -504,11 +511,7 @@ def _ttest_metric(rows: list[dict], metric: str) -> TTestResult:
         raise ConfigError("metric", "the two config points carry different seed sets")
     rows_a.sort(key=lambda r: int(r["seed"]))
     rows_b.sort(key=lambda r: int(r["seed"]))
-    return _ttest_columns_paired(rows_a, rows_b, metric)
-
-
-def _ttest_columns_paired(rows_a: list[dict], rows_b: list[dict], column: str) -> TTestResult:
-    return paired_t_test(_column_values(rows_a, column), _column_values(rows_b, column))
+    return paired_t_test(_column_values(rows_a, metric), _column_values(rows_b, metric))
 
 
 def _print_ttest(result: TTestResult) -> None:

@@ -89,8 +89,9 @@ def day_statistics(
 ) -> tuple[float | None, float | None, float | None]:
     """Per-day group means from one completed day.
 
-    ``hdv_routes`` holds the committed route (0 = A, 1 = B) of every
-    current human driver in index order; drivers below
+    ``hdv_routes`` holds the committed route of every current human
+    driver in index order: 0 = A and 1 = B, or a boolean mask with
+    True = B (any nonzero entry is route B).  Drivers below
     ``survivor_count`` are the ones that stay human for the whole run.
     Returns (mean human time, mean perceived time over survivors, mean
     fleet time), each None when its group is empty.  Perceived time of a
@@ -98,17 +99,16 @@ def day_statistics(
     """
     n_hdv = len(hdv_routes)
     if n_hdv > 0:
-        on_a = int(np.sum(hdv_routes == 0))
+        on_a = n_hdv - int(np.count_nonzero(hdv_routes))
         mean_hdv = (on_a * t_a + (n_hdv - on_a) * t_b) / n_hdv
     else:
         mean_hdv = None
 
-    n_sur = min(survivor_count, n_hdv)
-    if survivor_count > 0 and n_sur == survivor_count:
-        routes_s = hdv_routes[:n_sur]
-        t_taken = np.where(routes_s == 0, t_a, t_b)
-        eps_taken = np.where(routes_s == 0, taste_a[:n_sur], taste_b[:n_sur])
-        mean_perceived = float(np.mean(t_taken + eps_taken))
+    if 0 < survivor_count <= n_hdv:
+        n_sur = survivor_count
+        perceived = np.where(hdv_routes[:n_sur], t_b + taste_b[:n_sur], t_a + taste_a[:n_sur])
+        # np.mean's own reduction and division, without its dispatch layers.
+        mean_perceived = float(np.add.reduce(perceived)) / n_sur
     else:
         mean_perceived = None
 

@@ -60,8 +60,18 @@ def bpr_travel_time(params: RouteParams, flow):
 
     Accepts a nonnegative scalar or ndarray of flows; integer counts are
     the normal case but real values are allowed so optimizers and tests
-    can probe the curve continuously.
+    can probe the curve continuously.  A Python ``int`` or ``float`` is
+    evaluated on Python floats, which gives the same bits as the 0-d
+    numpy evaluation at a fraction of its cost; a result too large for a
+    float falls back to numpy, which returns inf.
     """
+    if type(flow) is int or type(flow) is float:
+        if flow < 0:
+            raise ValueError("flow must be nonnegative")
+        try:
+            return params.free_flow_time * (1.0 + (flow / params.capacity) ** params.exponent)
+        except OverflowError:
+            pass
     flow = np.asarray(flow, dtype=np.float64)
     if np.any(flow < 0):
         raise ValueError("flow must be nonnegative")

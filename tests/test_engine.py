@@ -1,9 +1,15 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottlesim import (
     ROUTE_A,
     ROUTE_B,
+    STRATEGY_NAMES,
     EstimateVector,
     HumanAgent,
     HumanParams,
@@ -47,6 +53,11 @@ class TestScenarioConfig:
     def test_named_field_rejections(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("congestion", [math.inf, -math.inf, math.nan])
+    def test_non_finite_congestion_rejected(self, congestion):
+        with pytest.raises(ValueError, match="congestion"):
+            ScenarioConfig(congestion=congestion)
 
     def test_population_scales_with_congestion(self):
         assert ScenarioConfig(congestion=0.25).total_population == 250
@@ -203,6 +214,94 @@ class TestRunScenario:
         assert record.mean_perceived_hdv_time == pytest.approx(sum(perceived) / 2)
 
 
+def scalar_oracle(config):
+    """Replay a config on the per-driver scalar model, one day at a time.
+
+    Yields, per day: the number of human drivers, the committed route of
+    each, the four counts, the two travel times and every human driver's
+    estimates after learning.  Draw order is the documented one: two taste
+    draws per driver in id order, then per day an exploration coin and a
+    route coin per current human driver in id order.
+    """
+    total = config.total_population
+    params = config.human_params
+    rng = np.random.default_rng(config.seed)
+    tastes = []
+    for _ in range(total):
+        eps_a = sample_taste(rng.random(), params.taste_spread)
+        eps_b = sample_taste(rng.random(), params.taste_spread)
+        tastes.append((eps_a, eps_b))
+    estimates = {
+        i: (config.network.route_a.free_flow_time, config.network.route_b.free_flow_time)
+        for i in range(total)
+    }
+
+    n_hdv = total
+    fleet_on = False
+    for day in range(1, config.total_days + 1):
+        if day == config.m_day + 1:
+            n_hdv = config.survivor_count
+            fleet_on = config.fleet_size > 0
+        routes = {}
+        for i in range(n_hdv):
+            explore_draw = rng.random()
+            route_draw = rng.random()
+            if day == 1:
+                routes[i] = ROUTE_A if route_draw < 0.5 else ROUTE_B
+            else:
+                agent = HumanAgent(
+                    id=i,
+                    tastes=TasteProfile(*tastes[i]),
+                    estimates=EstimateVector(*estimates[i]),
+                )
+                routes[i] = choose_route(agent, explore_draw, route_draw, params)
+        q_hdv_a = sum(1 for r in routes.values() if r == ROUTE_A)
+        q_hdv_b = n_hdv - q_hdv_a
+        if fleet_on:
+            decision = fleet_optimize(
+                strategy_weights(config.strategy), q_hdv_a, q_hdv_b,
+                config.fleet_size, config.network,
+            )
+            q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
+        else:
+            q_cav_a = q_cav_b = 0
+        t_a, t_b = network_travel_times(config.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
+        for i in range(n_hdv):
+            experienced = t_a if routes[i] == ROUTE_A else t_b
+            updated = update_estimate(
+                EstimateVector(*estimates[i]), routes[i], experienced, params.learning_rate
+            )
+            estimates[i] = (updated.t_a_hat, updated.t_b_hat)
+        yield SimpleNamespace(
+            n_hdv=n_hdv,
+            routes=routes,
+            counts=(q_hdv_a, q_hdv_b, q_cav_a, q_cav_b),
+            times=(t_a, t_b),
+            estimates=dict(estimates),
+            tastes=tastes,
+        )
+
+
+def assert_engine_replays_oracle(config):
+    """Step the engine beside the scalar oracle and compare every day exactly.
+
+    Returns the engine's final state and the oracle's days.
+    """
+    state = init_simulation(config)
+    days = list(scalar_oracle(config))
+    for day, expected in enumerate(days, start=1):
+        if day == config.m_day + 1:
+            apply_mday(state)
+        record = step_day(state)
+        assert (record.q_hdv_a, record.q_hdv_b, record.q_cav_a, record.q_cav_b) == expected.counts
+        assert (record.t_a, record.t_b) == expected.times
+        for i in range(expected.n_hdv):
+            agent = state.agent(i)
+            assert agent.last_route == expected.routes[i]
+            assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == expected.estimates[i]
+    return state, days
+
+
 class TestScalarReconstruction:
     """The vectorized engine must replay the per-driver reference model exactly."""
 
@@ -214,67 +313,62 @@ class TestScalarReconstruction:
             phase_lengths=(2, 2, 2, 2),
             seed=31,
         )
-        total = config.total_population
-        params = config.human_params
-        state = init_simulation(config)
+        assert_engine_replays_oracle(config)
 
-        rng = np.random.default_rng(config.seed)
-        tastes = []
-        for _ in range(total):
-            eps_a = sample_taste(rng.random(), params.taste_spread)
-            eps_b = sample_taste(rng.random(), params.taste_spread)
-            tastes.append((eps_a, eps_b))
-        estimates = {
-            i: (config.network.route_a.free_flow_time, config.network.route_b.free_flow_time)
-            for i in range(total)
-        }
 
-        n_hdv = total
-        fleet_on = False
-        for day in range(1, config.total_days + 1):
-            if day == config.m_day + 1:
-                apply_mday(state)
-                n_hdv = config.survivor_count
-                fleet_on = config.fleet_size > 0
-            # exploration coin then route coin, per driver in id order
-            routes = {}
-            for i in range(n_hdv):
-                explore_draw = rng.random()
-                route_draw = rng.random()
-                if day == 1:
-                    routes[i] = ROUTE_A if route_draw < 0.5 else ROUTE_B
-                else:
-                    agent = HumanAgent(
-                        id=i,
-                        tastes=TasteProfile(*tastes[i]),
-                        estimates=EstimateVector(*estimates[i]),
-                    )
-                    routes[i] = choose_route(agent, explore_draw, route_draw, params)
-            q_hdv_a = sum(1 for r in routes.values() if r == ROUTE_A)
-            q_hdv_b = n_hdv - q_hdv_a
-            if fleet_on:
-                decision = fleet_optimize(
-                    strategy_weights(config.strategy), q_hdv_a, q_hdv_b,
-                    config.fleet_size, config.network,
-                )
-                q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
+def _unit_interval():
+    """Floats in [0, 1] with the endpoints drawn often."""
+    return st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def small_configs(draw):
+    return ScenarioConfig(
+        human_params=HumanParams(
+            learning_rate=draw(_unit_interval()),
+            explore_rate=draw(_unit_interval()),
+            taste_spread=draw(st.sampled_from([1e-9, 0.5, 5.0, 50.0])),
+        ),
+        congestion=draw(st.sampled_from([0.5, 1.0, 2.6])),
+        cav_share=draw(_unit_interval()),
+        strategy=draw(st.sampled_from(STRATEGY_NAMES)),
+        phase_lengths=tuple(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))),
+        base_population=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestEngineProperties:
+    """Invariants of the vectorized day loop over random small valid configs."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(config=small_configs())
+    def test_run_scenario_equals_scalar_oracle(self, config):
+        state, oracle = assert_engine_replays_oracle(config)
+        log = run_scenario(config)
+        assert log.records == state.records
+
+        survivors = config.survivor_count
+        for record, expected in zip(log.records, oracle, strict=True):
+            humans = config.total_population if record.day <= config.m_day else survivors
+            fleet = 0 if record.day <= config.m_day else config.fleet_size
+            assert record.q_hdv_a + record.q_hdv_b == humans
+            assert record.q_cav_a + record.q_cav_b == fleet
+            assert math.isfinite(record.t_a) and math.isfinite(record.t_b)
+
+            q_a, q_b = record.q_hdv_a, record.q_hdv_b
+            if humans:
+                assert record.mean_hdv_time == (q_a * record.t_a + q_b * record.t_b) / humans
             else:
-                q_cav_a = q_cav_b = 0
-            t_a, t_b = network_travel_times(
-                config.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b
-            )
-            for i in range(n_hdv):
-                experienced = t_a if routes[i] == ROUTE_A else t_b
-                updated = update_estimate(
-                    EstimateVector(*estimates[i]), routes[i], experienced, params.learning_rate
+                assert record.mean_hdv_time is None
+            if survivors:
+                taken = [0 if expected.routes[i] == ROUTE_A else 1 for i in range(survivors)]
+                perceived = [expected.times[k] + expected.tastes[i][k] for i, k in enumerate(taken)]
+                # The engine sums pairwise; on a mean of at most 65 terms below
+                # 1e4 in magnitude its rounding error is under 1e-11.
+                assert record.mean_perceived_hdv_time == pytest.approx(
+                    math.fsum(perceived) / survivors, rel=0, abs=1e-10
                 )
-                estimates[i] = (updated.t_a_hat, updated.t_b_hat)
-
-            record = step_day(state)
-            assert (record.q_hdv_a, record.q_hdv_b) == (q_hdv_a, q_hdv_b)
-            assert (record.q_cav_a, record.q_cav_b) == (q_cav_a, q_cav_b)
-            assert (record.t_a, record.t_b) == (t_a, t_b)
-            for i in range(n_hdv):
-                agent = state.agent(i)
-                assert agent.last_route == routes[i]
-                assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == estimates[i]
+            else:
+                assert record.mean_perceived_hdv_time is None
+            assert (record.mean_cav_time is None) == (fleet == 0)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bottlesim
 from bottlesim import ScenarioConfig
 from bottlesim.expcli import (
     DAILY_HEADER,
@@ -245,3 +250,52 @@ class TestCli:
         assert (
             main(["ttest", str(out / "summary.csv"), "--metric", "tau", "--pair", "tau,tau_b"]) == 1
         )
+
+
+class TestNonFiniteNumbers:
+    """Python's json accepts Infinity and NaN; the CLI must reject them as config errors."""
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"congestion": float("inf")}, "congestion"),
+            ({"cav_share": float("nan")}, "cav_share"),
+            ({"alpha": float("-inf")}, "alpha"),
+            ({"beta": [5.0, float("inf")]}, "beta"),
+            ({"congestion": 10**400}, "congestion"),
+        ],
+    )
+    def test_load_config_names_the_field(self, tmp_path, doc, field):
+        with pytest.raises(ConfigError, match=field):
+            load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"congestion": float("inf")}, "congestion"),
+            (
+                {
+                    "network": {
+                        "route_a": {"free_flow_time": float("inf"), "capacity": 500, "exponent": 2},
+                        "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2},
+                    }
+                },
+                "network.route_a.free_flow_time",
+            ),
+        ],
+    )
+    def test_cli_exits_one_without_traceback(self, tmp_path, doc, field):
+        config = write_config(tmp_path, dict(FAST, **doc))
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        src = str(Path(bottlesim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out"
+        entry = "import sys; from bottlesim.expcli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, "run", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "summary.csv").exists()

@@ -93,3 +93,61 @@ class TestNetworkTravelTimes:
     def test_propagates_negative_flow_rejection(self):
         with pytest.raises(ValueError):
             network_travel_times(TwoRouteNetwork.default(), -5, 10)
+
+
+def zero_d_reference(params, flow):
+    """The curve on a 0-d float64 array: how scalar flows were evaluated before."""
+    q = np.asarray(flow, dtype=np.float64)
+    return float(params.free_flow_time * (1.0 + (q / params.capacity) ** params.exponent))
+
+
+class TestScalarBprPath:
+    """Python ``int``/``float`` flows take a Python-float path; it must match the 0-d form.
+
+    The reference is the 0-d numpy evaluation, not a 1-D array.  numpy's
+    vectorized power differs from the scalar one in the last bit on some
+    flows: with numpy 2.4.6 on an AVX-512 CPU, 136 (route A) and 144
+    (route B) of the 200,001 default-route flows 0..200000 differ.  So
+    ``fleet._objective_curve``'s array BPR and the engine's scalar times
+    are not bit-identical, and one shared BPR kernel must not route the
+    engine's scalar times through the array path.
+    """
+
+    @pytest.mark.parametrize("route", ["route_a", "route_b"])
+    def test_every_integer_flow_on_the_default_routes(self, route):
+        params = getattr(TwoRouteNetwork.default(), route)
+        mismatches = [
+            q for q in range(200_001) if bpr_travel_time(params, q) != zero_d_reference(params, q)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("exponent", [1.5, 2.5, 4.0])
+    def test_sampled_flows_at_other_exponents(self, exponent):
+        rng = np.random.default_rng(int(exponent * 10))
+        ints = [int(q) for q in rng.integers(0, 5000, size=5000)]
+        floats = [float(q) for q in rng.uniform(0.0, 5000.0, size=5000)]
+        for t0, capacity in ((5.0, 500.0), (15.0, 800.0)):
+            params = RouteParams(free_flow_time=t0, capacity=capacity, exponent=exponent)
+            for q in ints + floats:
+                assert bpr_travel_time(params, q) == zero_d_reference(params, q), q
+
+    @pytest.mark.parametrize("flow", [-1, -0.5])
+    def test_negative_scalars_still_rejected(self, route_a, flow):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bpr_travel_time(route_a, flow)
+
+    @pytest.mark.parametrize("flow", [np.float64(317.25), np.int64(317), np.asarray(317.25)])
+    def test_numpy_scalar_flows_still_work(self, route_a, flow):
+        result = bpr_travel_time(route_a, flow)
+        assert type(result) is float
+        assert result == zero_d_reference(route_a, flow)
+
+    def test_python_scalar_flows_return_floats(self, route_a):
+        assert type(bpr_travel_time(route_a, 317)) is float
+        assert type(bpr_travel_time(route_a, 317.25)) is float
+
+    def test_overflowing_scalar_gives_inf_like_the_array_path(self):
+        steep = RouteParams(free_flow_time=5.0, capacity=500.0, exponent=400.0)
+        with np.errstate(over="ignore"):
+            assert bpr_travel_time(steep, 5000) == np.inf
+            assert bpr_travel_time(steep, 5000.0) == zero_d_reference(steep, 5000.0)
