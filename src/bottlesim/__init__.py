@@ -6,26 +6,13 @@ experience, while an optional centrally coordinated vehicle fleet picks
 its daily split to optimize a configurable collective objective.
 """
 
-from .agents import (
-    ROUTE_A,
-    ROUTE_B,
-    EstimateVector,
-    HumanAgent,
-    HumanParams,
-    TasteProfile,
-    choose_route,
-    logit_probability,
-    perceived_utility,
-    sample_taste,
-    update_estimate,
-)
 from .engine import (
     DayRecord,
+    HumanParams,
     ScenarioConfig,
     SimulationLog,
     SimulationState,
     apply_mday,
-    init_simulation,
     run_scenario,
     step_day,
 )
@@ -33,7 +20,6 @@ from .fleet import (
     STRATEGY_NAMES,
     FleetDecision,
     StrategyWeights,
-    fleet_objective,
     fleet_optimize,
     strategy_weights,
 )
@@ -60,14 +46,10 @@ from .expcli import (
 from .network import RouteParams, TwoRouteNetwork, bpr_travel_time, network_travel_times
 
 __all__ = [
-    "ROUTE_A",
-    "ROUTE_B",
     "ConfigError",
     "DayRecord",
-    "EstimateVector",
     "ExperimentSpec",
     "FleetDecision",
-    "HumanAgent",
     "HumanParams",
     "RatioReport",
     "RouteParams",
@@ -77,32 +59,24 @@ __all__ = [
     "SimulationState",
     "StrategyWeights",
     "TTestResult",
-    "TasteProfile",
     "TwoRouteNetwork",
     "WindowAverages",
     "apply_mday",
     "bpr_travel_time",
-    "choose_route",
     "compute_window_averages",
     "day_statistics",
-    "fleet_objective",
     "fleet_optimize",
-    "init_simulation",
     "load_config",
-    "logit_probability",
     "network_travel_times",
     "optimality_and_equity",
     "paired_t_test",
-    "perceived_utility",
     "ratio_report",
     "replicate_and_test",
     "run_experiment",
     "run_scenario",
-    "sample_taste",
     "step_day",
     "strategy_weights",
     "system_optimum",
-    "update_estimate",
     "window_average",
     "write_outputs",
 ]

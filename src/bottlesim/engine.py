@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import ROUTE_A, ROUTE_B, EstimateVector, HumanAgent, HumanParams, TasteProfile
 from .fleet import STRATEGY_NAMES, StrategyWeights, fleet_optimize, strategy_weights
 from .metrics import day_statistics
 from .network import TwoRouteNetwork, network_travel_times
@@ -44,6 +43,34 @@ from .network import TwoRouteNetwork, network_travel_times
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+@dataclass(frozen=True)
+class HumanParams:
+    """Behavioural knobs shared by the whole human population.
+
+    Each driver draws two fixed tastes, one per route, from a zero-mean
+    max-Gumbel distribution with scale ``taste_spread``.  Every day it
+    takes the route with the higher ``taste - estimate`` (ties to A),
+    except that with probability ``explore_rate`` it picks uniformly.
+    Only the estimate of the route taken moves, to
+    ``(1 - learning_rate) * old + learning_rate * experienced``.
+    """
+
+    # Weight of the most recent experience in the estimate update.
+    learning_rate: float = 0.2
+    # Probability of ignoring utility and picking a route uniformly.
+    explore_rate: float = 0.1
+    # Gumbel scale of the taste distribution; larger = more subjective.
+    taste_spread: float = 5.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.learning_rate <= 1.0:
+            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
+        if not 0.0 <= self.explore_rate <= 1.0:
+            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
+        if not (self.taste_spread > 0 and math.isfinite(self.taste_spread)):
+            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +182,7 @@ class SimulationState:
         # random() can return exactly 0.0, outside the open interval the
         # inverse-CDF transform needs; nudge to the smallest positive double.
         draws[draws == 0.0] = np.nextafter(0.0, 1.0)
-        mu = -hp.taste_spread * 0.5772156649015329
+        mu = -hp.taste_spread * 0.5772156649015329  # Euler-Mascheroni: zero-mean tastes
         self.taste_a = mu - hp.taste_spread * np.log(-np.log(draws[:, 0]))
         self.taste_b = mu - hp.taste_spread * np.log(-np.log(draws[:, 1]))
 
@@ -177,27 +204,6 @@ class SimulationState:
         self.mday_applied = False
         self.day = 1  # next day to simulate
         self.records: list[DayRecord] = []
-
-    def agent(self, agent_id: int) -> HumanAgent:
-        """Snapshot of one driver's stored state, for inspection and tests."""
-        last = self.last_route[agent_id]
-        return HumanAgent(
-            id=agent_id,
-            tastes=TasteProfile(
-                eps_a=float(self.taste_a[agent_id]),
-                eps_b=float(self.taste_b[agent_id]),
-            ),
-            estimates=EstimateVector(
-                t_a_hat=float(self.est_a[agent_id]),
-                t_b_hat=float(self.est_b[agent_id]),
-            ),
-            last_route=None if last < 0 else (ROUTE_A if last == 0 else ROUTE_B),
-        )
-
-
-def init_simulation(config: ScenarioConfig) -> SimulationState:
-    """Fresh state: free-flow estimates, tastes drawn in index order, no fleet."""
-    return SimulationState(config)
 
 
 def apply_mday(state: SimulationState) -> SimulationState:
@@ -277,7 +283,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationLog:
     day's choices.  Equal configs (same seed included) produce equal
     logs.
     """
-    state = init_simulation(config)
+    state = SimulationState(config)
     handover_day = config.m_day + 1
     for day in range(1, state.total_days + 1):
         if day == handover_day and not state.mday_applied:

@@ -29,9 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import DayRecord, ScenarioConfig, SimulationLog, run_scenario
+from .engine import DayRecord, HumanParams, ScenarioConfig, SimulationLog, run_scenario
 from .fleet import STRATEGY_NAMES
-from .agents import HumanParams
 from .metrics import (
     RatioReport,
     TTestResult,
@@ -155,12 +154,9 @@ def _as_number(fieldname: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(fieldname, f"expected a number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(fieldname, f"expected a finite number, got {value!r}")
-    return number
+        return math.inf  # an int too large for a float; the validators reject it
 
 
 def _as_axis(fieldname: str, value) -> tuple[float, ...]:
@@ -176,6 +172,14 @@ def _as_int(fieldname: str, value) -> int:
     return value
 
 
+def _checked(fieldname: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, reporting a ValueError as a ConfigError on ``fieldname``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(fieldname, str(exc)) from None
+
+
 def _canon_strategy(value) -> str:
     if isinstance(value, str):
         for name in STRATEGY_NAMES:
@@ -189,24 +193,20 @@ def _canon_strategy(value) -> str:
 def _parse_network(doc) -> TwoRouteNetwork:
     if not isinstance(doc, dict) or set(doc) != {"route_a", "route_b"}:
         raise ConfigError("network", "expected an object with route_a and route_b")
+    # Each field is checked alone on a valid route, so an error names that field.
+    valid = TwoRouteNetwork.default().route_a
     routes = {}
     for key in ("route_a", "route_b"):
         sub = doc[key]
-        expected = {"free_flow_time", "capacity", "exponent"}
-        if not isinstance(sub, dict) or set(sub) != expected:
+        expected = ("free_flow_time", "capacity", "exponent")
+        if not isinstance(sub, dict) or set(sub) != set(expected):
             raise ConfigError(
                 f"network.{key}", f"expected an object with {', '.join(sorted(expected))}"
             )
-        try:
-            routes[key] = RouteParams(
-                free_flow_time=_as_number(f"network.{key}.free_flow_time", sub["free_flow_time"]),
-                capacity=_as_number(f"network.{key}.capacity", sub["capacity"]),
-                exponent=_as_number(f"network.{key}.exponent", sub["exponent"]),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"network.{key}", str(exc)) from None
+        values = {name: _as_number(f"network.{key}.{name}", sub[name]) for name in expected}
+        for name, value in values.items():
+            _checked(f"network.{key}.{name}", dataclasses.replace, valid, **{name: value})
+        routes[key] = RouteParams(**values)
     return TwoRouteNetwork(route_a=routes["route_a"], route_b=routes["route_b"])
 
 
@@ -241,18 +241,19 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError("strategy", "axis list must not be empty")
     strategies = tuple(_canon_strategy(s) for s in raw_strategies)
 
+    base_population = _as_int("base_population", doc.get("base_population", 1000))
+    _checked("base_population", ScenarioConfig, base_population=base_population)
+
+    # Every value is built through the validator of the dataclass that holds it.
     shares = _as_axis("cav_share", doc.get("cav_share", 0.0))
     for share in shares:
-        if not 0.0 <= share <= 1.0:
-            raise ConfigError("cav_share", f"must be in [0, 1], got {share}")
+        _checked("cav_share", ScenarioConfig, cav_share=share)
     betas = _as_axis("beta", doc.get("beta", 5.0))
     for beta in betas:
-        if not beta > 0:
-            raise ConfigError("beta", f"must be > 0, got {beta}")
+        _checked("beta", HumanParams, taste_spread=beta)
     congestions = _as_axis("congestion", doc.get("congestion", 1.0))
     for congestion in congestions:
-        if not congestion > 0:
-            raise ConfigError("congestion", f"must be > 0, got {congestion}")
+        _checked("congestion", ScenarioConfig, congestion=congestion, base_population=base_population)
 
     if "seed" in doc and "seeds" in doc:
         raise ConfigError("seeds", "give either seed or seeds, not both")
@@ -268,22 +269,15 @@ def load_config(path: str | Path) -> ExperimentSpec:
             raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
 
     alpha = _as_number("alpha", doc.get("alpha", 0.2))
+    _checked("alpha", HumanParams, learning_rate=alpha)
     epsilon = _as_number("epsilon", doc.get("epsilon", 0.1))
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("alpha", f"must be in [0, 1], got {alpha}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError("epsilon", f"must be in [0, 1], got {epsilon}")
+    _checked("epsilon", HumanParams, explore_rate=epsilon)
 
     raw_phases = doc.get("phase_lengths", [100, 100, 100, 100])
-    if not isinstance(raw_phases, list) or len(raw_phases) != 4:
+    if not isinstance(raw_phases, list):
         raise ConfigError("phase_lengths", f"expected four integers, got {raw_phases!r}")
     phases = tuple(_as_int("phase_lengths", p) for p in raw_phases)
-    if any(p < 0 for p in phases):
-        raise ConfigError("phase_lengths", f"lengths must be nonnegative, got {raw_phases!r}")
-
-    base_population = _as_int("base_population", doc.get("base_population", 1000))
-    if base_population < 1:
-        raise ConfigError("base_population", f"must be positive, got {base_population}")
+    _checked("phase_lengths", ScenarioConfig, phase_lengths=phases)
 
     if "network" in doc:
         network = _parse_network(doc["network"])
@@ -303,12 +297,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
         network=network,
         out_dir=Path(doc.get("out_dir", "results")),
     )
-    try:
-        spec.run_points()  # surfaces cross-field problems (e.g. empty population)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("config", str(exc)) from None
+    _checked("config", spec.run_points)  # surfaces what no single field shows (seed range)
     return spec
 
 
@@ -393,6 +382,8 @@ def write_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.csv"
     summary_path.unlink(missing_ok=True)
+    for stale in out_dir.glob("daily_*.csv"):
+        stale.unlink()
 
     results = sorted(results, key=lambda item: _canonical_key(item[0].config))
     summary_rows = []
@@ -491,10 +482,6 @@ def _column_values(rows: list[dict], column: str) -> list[float]:
     return values
 
 
-def _ttest_columns(rows: list[dict], col_a: str, col_b: str) -> TTestResult:
-    return paired_t_test(_column_values(rows, col_a), _column_values(rows, col_b))
-
-
 def _ttest_metric(rows: list[dict], metric: str) -> TTestResult:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
@@ -571,7 +558,8 @@ def main(argv: list[str] | None = None) -> int:
                 parts = args.pair.split(",")
                 if len(parts) != 2:
                     raise ConfigError("pair", f"expected colA,colB, got {args.pair!r}")
-                result = _ttest_columns(rows, parts[0].strip(), parts[1].strip())
+                col_a, col_b = (part.strip() for part in parts)
+                result = paired_t_test(_column_values(rows, col_a), _column_values(rows, col_b))
             else:
                 result = _ttest_metric(rows, args.metric)
             _print_ttest(result)

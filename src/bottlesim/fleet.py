@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TwoRouteNetwork
+from .network import TwoRouteNetwork, _bpr
 
 # Strategy name -> (lambda_cav, lambda_hdv).
 STRATEGY_TABLE: dict[str, tuple[float, float]] = {
@@ -82,36 +82,11 @@ def _objective_curve(
     x = np.arange(q_cav + 1, dtype=np.float64)
     q_a = q_hdv_a + x
     q_b = q_hdv_b + (q_cav - x)
-    ra, rb = network.route_a, network.route_b
-    t_a = ra.free_flow_time * (1.0 + (q_a / ra.capacity) ** ra.exponent)
-    t_b = rb.free_flow_time * (1.0 + (q_b / rb.capacity) ** rb.exponent)
+    t_a = _bpr(network.route_a, q_a)
+    t_b = _bpr(network.route_b, q_b)
     t_cav = x * t_a + (q_cav - x) * t_b
     t_hdv = q_hdv_a * t_a + q_hdv_b * t_b
     return weights.lambda_cav * t_cav + weights.lambda_hdv * t_hdv
-
-
-def fleet_objective(
-    weights: StrategyWeights,
-    q_hdv_a: int,
-    q_hdv_b: int,
-    q_cav_a: int,
-    q_cav: int,
-    network: TwoRouteNetwork,
-) -> float:
-    """Evaluate the fleet objective for one candidate split."""
-    if q_hdv_a < 0 or q_hdv_b < 0:
-        raise ValueError("HDV counts must be nonnegative")
-    if not 0 <= q_cav_a <= q_cav:
-        raise ValueError(f"q_cav_a must lie in [0, {q_cav}], got {q_cav_a}")
-    q_cav_b = q_cav - q_cav_a
-    q_a = q_hdv_a + q_cav_a
-    q_b = q_hdv_b + q_cav_b
-    ra, rb = network.route_a, network.route_b
-    t_a = ra.free_flow_time * (1.0 + (q_a / ra.capacity) ** ra.exponent)
-    t_b = rb.free_flow_time * (1.0 + (q_b / rb.capacity) ** rb.exponent)
-    t_cav = q_cav_a * t_a + q_cav_b * t_b
-    t_hdv = q_hdv_a * t_a + q_hdv_b * t_b
-    return float(weights.lambda_cav * t_cav + weights.lambda_hdv * t_hdv)
 
 
 def fleet_optimize(

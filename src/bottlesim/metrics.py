@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .network import TwoRouteNetwork, bpr_travel_time
+from .fleet import fleet_optimize, strategy_weights
+from .network import TwoRouteNetwork
 
 if TYPE_CHECKING:
     from .engine import DayRecord, SimulationLog
@@ -152,18 +153,14 @@ def window_average(
 def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     """Split of ``q_total`` vehicles that minimizes the mean travel time.
 
-    Scans every integer assignment to route A and returns
-    (best_q_a, minimal mean time); ties resolve to the smallest q_a.
-    Cached because the engine asks for the same total on every day.
+    This is the Social fleet split on empty roads: returns (best_q_a,
+    minimal mean time), ties resolving to the smallest q_a.  Cached
+    because the engine asks for the same total on every day.
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
-    q_a = np.arange(q_total + 1, dtype=np.float64)
-    t_a = bpr_travel_time(network.route_a, q_a)
-    t_b = bpr_travel_time(network.route_b, q_total - q_a)
-    mean_time = (q_a * t_a + (q_total - q_a) * t_b) / q_total
-    best = int(np.argmin(mean_time))
-    return best, float(mean_time[best])
+    decision = fleet_optimize(strategy_weights("Social"), 0, 0, q_total, network)
+    return decision.cav_on_a, decision.objective_value / q_total
 
 
 def _day_mean_and_spread(rec: "DayRecord") -> tuple[int, float, float]:

@@ -14,6 +14,7 @@ cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,12 @@ class RouteParams:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not self.free_flow_time > 0:
-            raise ValueError(f"free_flow_time must be > 0, got {self.free_flow_time}")
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if not self.exponent > 1:
-            raise ValueError(f"exponent must be > 1, got {self.exponent}")
+        if not (self.free_flow_time > 0 and math.isfinite(self.free_flow_time)):
+            raise ValueError(f"free_flow_time must be a finite number > 0, got {self.free_flow_time}")
+        if not (self.capacity > 0 and math.isfinite(self.capacity)):
+            raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
+        if not (self.exponent > 1 and math.isfinite(self.exponent)):
+            raise ValueError(f"exponent must be a finite number > 1, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ class TwoRouteNetwork:
         )
 
 
+def _bpr(params: RouteParams, flow):
+    """The BPR curve on a float or float64 array, without input checks."""
+    return params.free_flow_time * (1.0 + (flow / params.capacity) ** params.exponent)
+
+
 def bpr_travel_time(params: RouteParams, flow):
     """Travel time in minutes for the given flow.
 
@@ -69,13 +75,13 @@ def bpr_travel_time(params: RouteParams, flow):
         if flow < 0:
             raise ValueError("flow must be nonnegative")
         try:
-            return params.free_flow_time * (1.0 + (flow / params.capacity) ** params.exponent)
+            return _bpr(params, flow)
         except OverflowError:
             pass
     flow = np.asarray(flow, dtype=np.float64)
     if np.any(flow < 0):
         raise ValueError("flow must be nonnegative")
-    result = params.free_flow_time * (1.0 + (flow / params.capacity) ** params.exponent)
+    result = _bpr(params, flow)
     if result.ndim == 0:
         return float(result)
     return result

@@ -1,4 +1,4 @@
-"""Human driver model: fixed tastes, noisy route choice, experience learning.
+"""Scalar per-driver human model: the oracle the vectorized engine is checked against.
 
 Each driver carries a pair of taste constants, one per route, drawn once
 from a max-Gumbel distribution with scale ``beta`` and location
@@ -15,14 +15,16 @@ actually used is updated, by an exponential filter with learning rate
 ``alpha``; the unused route's estimate is left untouched.
 
 The functions here are scalar, per-driver reference implementations.
-The simulation engine vectorizes the same arithmetic over the whole
-population; the test suite asserts both paths agree.
+``bottlesim.engine`` vectorizes the same arithmetic over the whole
+population; the tests assert that both agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from bottlesim import HumanParams, SimulationState
 
 ROUTE_A = "A"
 ROUTE_B = "B"
@@ -54,26 +56,6 @@ class HumanAgent:
     tastes: TasteProfile
     estimates: EstimateVector
     last_route: str | None = None
-
-
-@dataclass(frozen=True)
-class HumanParams:
-    """Behavioural knobs shared by the whole human population."""
-
-    # Weight of the most recent experience in the estimate update.
-    learning_rate: float = 0.2
-    # Probability of ignoring utility and picking a route uniformly.
-    explore_rate: float = 0.1
-    # Gumbel scale of the taste distribution; larger = more subjective.
-    taste_spread: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
-        if not 0.0 <= self.explore_rate <= 1.0:
-            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
-        if not self.taste_spread > 0:
-            raise ValueError(f"taste_spread must be > 0, got {self.taste_spread}")
 
 
 def sample_taste(random_draw: float, taste_spread: float) -> float:
@@ -164,3 +146,20 @@ def logit_probability(t_a_hat: float, t_b_hat: float, taste_spread: float) -> fl
     if e_a <= e_b:
         return e_a / s
     return 1.0 - e_b / s
+
+
+def agent_snapshot(state: SimulationState, agent_id: int) -> HumanAgent:
+    """Snapshot of one driver's stored state in the engine's arrays."""
+    last = state.last_route[agent_id]
+    return HumanAgent(
+        id=agent_id,
+        tastes=TasteProfile(
+            eps_a=float(state.taste_a[agent_id]),
+            eps_b=float(state.taste_b[agent_id]),
+        ),
+        estimates=EstimateVector(
+            t_a_hat=float(state.est_a[agent_id]),
+            t_b_hat=float(state.est_b[agent_id]),
+        ),
+        last_route=None if last < 0 else (ROUTE_A if last == 0 else ROUTE_B),
+    )

@@ -20,16 +20,20 @@ from bottlesim import (
     bpr_travel_time,
     compute_window_averages,
     fleet_optimize,
-    logit_probability,
     paired_t_test,
     ratio_report,
     run_scenario,
     strategy_weights,
     system_optimum,
+)
+from bottlesim.expcli import load_config, main, replicate_and_test, run_experiment
+from scalar_model import (
+    EULER_MASCHERONI,
+    ROUTE_A,
+    EstimateVector,
+    logit_probability,
     update_estimate,
 )
-from bottlesim.agents import EULER_MASCHERONI, ROUTE_A, ROUTE_B, EstimateVector
-from bottlesim.expcli import load_config, main, replicate_and_test, run_experiment
 
 NET = TwoRouteNetwork.default()
 

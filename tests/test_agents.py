@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bottlesim import (
+from bottlesim import HumanParams
+from scalar_model import (
+    EULER_MASCHERONI,
     ROUTE_A,
     ROUTE_B,
     EstimateVector,
     HumanAgent,
-    HumanParams,
     TasteProfile,
     choose_route,
     logit_probability,
@@ -16,7 +17,6 @@ from bottlesim import (
     sample_taste,
     update_estimate,
 )
-from bottlesim.agents import EULER_MASCHERONI
 
 
 def make_agent(t_a=10.0, t_b=15.0, eps_a=0.0, eps_b=0.0):
@@ -40,6 +40,9 @@ class TestHumanParams:
             {"explore_rate": 2.0},
             {"taste_spread": 0.0},
             {"taste_spread": -3.0},
+            # An infinite spread made every perceived mean nan.
+            {"taste_spread": math.inf},
+            {"taste_spread": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -7,23 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottlesim import (
-    ROUTE_A,
-    ROUTE_B,
     STRATEGY_NAMES,
-    EstimateVector,
-    HumanAgent,
     HumanParams,
     ScenarioConfig,
-    TasteProfile,
+    SimulationState,
     apply_mday,
-    choose_route,
     fleet_optimize,
-    init_simulation,
     network_travel_times,
     run_scenario,
-    sample_taste,
     step_day,
     strategy_weights,
+)
+from scalar_model import (
+    ROUTE_A,
+    ROUTE_B,
+    EstimateVector,
+    HumanAgent,
+    TasteProfile,
+    agent_snapshot,
+    choose_route,
+    sample_taste,
     update_estimate,
 )
 
@@ -79,34 +82,34 @@ class TestScenarioConfig:
 
 class TestInitSimulation:
     def test_population_starts_at_free_flow_knowledge(self):
-        state = init_simulation(ScenarioConfig(seed=4))
+        state = SimulationState(ScenarioConfig(seed=4))
         assert state.n_hdv == 1000
-        agent = state.agent(0)
+        agent = agent_snapshot(state, 0)
         assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == (5.0, 15.0)
         assert agent.last_route is None
         assert not state.fleet_active
 
     def test_tastes_drawn_in_index_order_route_a_first(self):
         config = small_config(seed=99)
-        state = init_simulation(config)
+        state = SimulationState(config)
         rng = np.random.default_rng(99)
         beta = config.human_params.taste_spread
         for i in range(config.total_population):
             expected_a = sample_taste(rng.random(), beta)
             expected_b = sample_taste(rng.random(), beta)
-            agent = state.agent(i)
+            agent = agent_snapshot(state, i)
             assert agent.tastes.eps_a == expected_a
             assert agent.tastes.eps_b == expected_b
 
     def test_ids_cover_population(self):
-        state = init_simulation(small_config())
-        ids = [state.agent(i).id for i in range(40)]
+        state = SimulationState(small_config())
+        ids = [agent_snapshot(state, i).id for i in range(40)]
         assert ids == list(range(40))
 
 
 class TestStepDay:
     def test_day_one_matches_pinned_realization(self):
-        state = init_simulation(ScenarioConfig(seed=1))
+        state = SimulationState(ScenarioConfig(seed=1))
         record = step_day(state)
         assert record.q_hdv_a == 518  # binomial(1000, 0.5) at this seed and generator
         assert record.q_cav_a == record.q_cav_b == 0
@@ -114,7 +117,7 @@ class TestStepDay:
         assert record.t_a == pytest.approx(5.0 * (1.0 + (518 / 500.0) ** 2))
 
     def test_day_two_matches_pinned_realization(self):
-        state = init_simulation(ScenarioConfig(seed=1))
+        state = SimulationState(ScenarioConfig(seed=1))
         step_day(state)
         assert step_day(state).q_hdv_a == 850
 
@@ -131,7 +134,7 @@ class TestStepDay:
 
     def test_stepping_past_the_last_day_raises(self):
         config = ScenarioConfig(base_population=10, phase_lengths=(1, 0, 0, 0))
-        state = init_simulation(config)
+        state = SimulationState(config)
         step_day(state)
         with pytest.raises(RuntimeError, match="complete"):
             step_day(state)
@@ -139,25 +142,25 @@ class TestStepDay:
 
 class TestApplyMday:
     def test_share_zero_changes_nothing(self):
-        state = init_simulation(small_config(cav_share=0.0))
+        state = SimulationState(small_config(cav_share=0.0))
         apply_mday(state)
         assert state.n_hdv == 40
         assert not state.fleet_active
 
     def test_highest_indices_removed_survivors_untouched(self):
         config = ScenarioConfig(cav_share=0.1, seed=5)
-        state = init_simulation(config)
+        state = SimulationState(config)
         for _ in range(3):
             step_day(state)
-        before = [state.agent(i) for i in range(900)]
+        before = [agent_snapshot(state, i) for i in range(900)]
         apply_mday(state)
         assert state.n_hdv == 900
         assert state.fleet_active
         for i, snapshot in enumerate(before):
-            assert state.agent(i) == snapshot
+            assert agent_snapshot(state, i) == snapshot
 
     def test_double_invocation_rejected(self):
-        state = init_simulation(small_config(cav_share=0.5))
+        state = SimulationState(small_config(cav_share=0.5))
         apply_mday(state)
         with pytest.raises(RuntimeError, match="already"):
             apply_mday(state)
@@ -202,12 +205,12 @@ class TestRunScenario:
     def test_survivor_perceived_mean_ignores_future_fleet_members(self):
         # four drivers, two become fleet: perceived means use ids 0 and 1 only
         config = ScenarioConfig(base_population=4, cav_share=0.5, phase_lengths=(1, 0, 0, 0), seed=2)
-        state = init_simulation(config)
+        state = SimulationState(config)
         record = step_day(state)
         t = {ROUTE_A: record.t_a, ROUTE_B: record.t_b}
         perceived = []
         for i in range(2):
-            agent = state.agent(i)
+            agent = agent_snapshot(state, i)
             taken = agent.last_route
             eps = agent.tastes.eps_a if taken == ROUTE_A else agent.tastes.eps_b
             perceived.append(t[taken] + eps)
@@ -287,7 +290,7 @@ def assert_engine_replays_oracle(config):
 
     Returns the engine's final state and the oracle's days.
     """
-    state = init_simulation(config)
+    state = SimulationState(config)
     days = list(scalar_oracle(config))
     for day, expected in enumerate(days, start=1):
         if day == config.m_day + 1:
@@ -296,7 +299,7 @@ def assert_engine_replays_oracle(config):
         assert (record.q_hdv_a, record.q_hdv_b, record.q_cav_a, record.q_cav_b) == expected.counts
         assert (record.t_a, record.t_b) == expected.times
         for i in range(expected.n_hdv):
-            agent = state.agent(i)
+            agent = agent_snapshot(state, i)
             assert agent.last_route == expected.routes[i]
             assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == expected.estimates[i]
     return state, days

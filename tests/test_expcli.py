@@ -155,6 +155,17 @@ class TestRunExperiment:
         parallel = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
         assert sequential == parallel
 
+    def test_rerun_with_other_seeds_leaves_no_stale_daily_files(self, tmp_path):
+        out = tmp_path / "out"
+        for seeds in ([1, 2], [3]):
+            spec = load_config(write_config(tmp_path, dict(FAST, seeds=seeds)))
+            spec.out_dir = out
+            run_experiment(spec, jobs=1)
+        daily = sorted(p.name for p in out.glob("daily_*.csv"))
+        assert len(daily) == 1 and daily[0].endswith("_3.csv")
+        summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert len(summary) == 2
+
     def test_rows_sorted_by_canonical_key(self, tmp_path):
         doc = dict(FAST, cav_share=[0.4, 0.1], strategy=["Social", "Altruistic"], seeds=[2, 1])
         spec = load_config(write_config(tmp_path, doc))

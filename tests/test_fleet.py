@@ -6,7 +6,6 @@ from bottlesim import (
     RouteParams,
     StrategyWeights,
     TwoRouteNetwork,
-    fleet_objective,
     fleet_optimize,
     strategy_weights,
     system_optimum,
@@ -67,14 +66,21 @@ class TestStrategyWeights:
 
 
 class TestFleetObjective:
+    """The objective value that fleet_optimize reports at its chosen split."""
+
     def test_empty_fleet_selfish_objective_is_zero(self):
         weights = strategy_weights("Selfish")
-        assert fleet_objective(weights, 400, 600, 0, 0, NET) == 0.0
+        assert fleet_optimize(weights, 400, 600, 0, NET).objective_value == 0.0
 
     def test_hand_evaluated_selfish_value(self):
         # all 100 fleet vehicles on A: q_A = 500, t_A = 10, so 100 * 10
         weights = strategy_weights("Selfish")
-        assert fleet_objective(weights, 400, 500, 100, 100, NET) == pytest.approx(1000.0)
+        decision = fleet_optimize(weights, 400, 500, 100, NET)
+        assert decision.cav_on_a == 100
+        assert decision.objective_value == pytest.approx(1000.0)
+        assert decision.objective_value == pytest.approx(
+            reference_objective(1.0, 0.0, 400, 500, 100, 100, NET)
+        )
 
     def test_social_equals_total_vehicle_minutes(self):
         weights = strategy_weights("Social")
@@ -82,21 +88,17 @@ class TestFleetObjective:
         for _ in range(100):
             q_hdv_a, q_hdv_b = (int(v) for v in rng.integers(0, 1500, size=2))
             q_cav = int(rng.integers(0, 300))
-            q_cav_a = int(rng.integers(0, q_cav + 1))
-            q_a = q_hdv_a + q_cav_a
-            q_b = q_hdv_b + q_cav - q_cav_a
+            decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, NET)
+            q_a = q_hdv_a + decision.cav_on_a
+            q_b = q_hdv_b + decision.cav_on_b
             ra, rb = NET.route_a, NET.route_b
             t_a = ra.free_flow_time * (1 + (q_a / ra.capacity) ** ra.exponent)
             t_b = rb.free_flow_time * (1 + (q_b / rb.capacity) ** rb.exponent)
             total = q_a * t_a + q_b * t_b
-            assert fleet_objective(weights, q_hdv_a, q_hdv_b, q_cav_a, q_cav, NET) == pytest.approx(total)
-
-    def test_rejects_split_outside_fleet(self):
-        weights = strategy_weights("Selfish")
-        with pytest.raises(ValueError, match="q_cav_a"):
-            fleet_objective(weights, 100, 100, 51, 50, NET)
-        with pytest.raises(ValueError, match="q_cav_a"):
-            fleet_objective(weights, 100, 100, -1, 50, NET)
+            assert decision.objective_value == pytest.approx(total)
+            assert decision.objective_value == pytest.approx(
+                reference_objective(1.0, 1.0, q_hdv_a, q_hdv_b, decision.cav_on_a, q_cav, NET)
+            )
 
 
 class TestFleetOptimize:
@@ -106,7 +108,7 @@ class TestFleetOptimize:
         assert decision == FleetDecision(
             cav_on_a=0,
             cav_on_b=0,
-            objective_value=fleet_objective(weights, 400, 600, 0, 0, NET),
+            objective_value=reference_objective(0.0, 1.0, 400, 600, 0, 0, NET),
         )
 
     def test_social_empty_roads_matches_system_optimum(self):

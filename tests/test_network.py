@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ class TestRouteParams:
     def test_rejects_exponent_not_above_one(self):
         with pytest.raises(ValueError, match="exponent"):
             RouteParams(free_flow_time=5.0, capacity=500.0, exponent=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["free_flow_time", "capacity", "exponent"])
+    def test_rejects_non_finite_values(self, field, value):
+        kwargs = dict(free_flow_time=5.0, capacity=500.0, exponent=2.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            RouteParams(**kwargs)
 
     def test_default_network(self):
         net = TwoRouteNetwork.default()
