@@ -13,6 +13,7 @@ from .engine import (
     SimulationLog,
     SimulationState,
     apply_mday,
+    run_branches,
     run_scenario,
     step_day,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "paired_t_test",
     "ratio_report",
     "replicate_and_test",
+    "run_branches",
     "run_experiment",
     "run_scenario",
     "step_day",

@@ -27,18 +27,27 @@ coin first, route coin second).  Day 1 consumes the exploration coin
 too, even though it is ignored, so later days never depend on day-1
 semantics.  Runs with equal configs are therefore identical; fleet
 vehicles consume no randomness at all.
+
+Days 1..m_day have no fleet, so runs that differ only in strategy and
+cav_share repeat them bit for bit, except for the perceived mean, which
+each run takes over its own survivors.  ``run_branches`` simulates those
+days once and gives every run its own copy of the state at the
+hand-over; ``run_scenario`` is its one-run case.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fleet import STRATEGY_NAMES, StrategyWeights, fleet_optimize, strategy_weights
-from .metrics import day_statistics
-from .network import TwoRouteNetwork, network_travel_times
+from .metrics import day_statistics, survivor_perceived_mean
+from .network import TwoRouteNetwork, is_finite, network_travel_times
 
 
 def _round_half_up(x: float) -> int:
@@ -69,7 +78,7 @@ class HumanParams:
             raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
         if not 0.0 <= self.explore_rate <= 1.0:
             raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
-        if not (self.taste_spread > 0 and math.isfinite(self.taste_spread)):
+        if not (self.taste_spread > 0 and is_finite(self.taste_spread)):
             raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread}")
 
 
@@ -89,9 +98,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_population, int) or self.base_population < 1:
-            raise ValueError(f"base_population must be a positive integer, got {self.base_population}")
-        if not (self.congestion > 0 and math.isfinite(self.congestion)):
+        if not isinstance(self.base_population, int) or not 1 <= self.base_population < 2**63:
+            raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population}")
+        if not (self.congestion > 0 and is_finite(self.congestion)):
             raise ValueError(f"congestion must be a finite number > 0, got {self.congestion}")
         if not 0.0 <= self.cav_share <= 1.0:
             raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share}")
@@ -107,6 +116,11 @@ class ScenarioConfig:
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not is_finite(self.base_population * self.congestion):
+            raise ValueError(
+                f"congestion {self.congestion} with base_population {self.base_population} "
+                "yields an infinite population"
+            )
         if self.total_population < 1:
             raise ValueError(
                 f"congestion {self.congestion} with base_population {self.base_population} "
@@ -193,17 +207,40 @@ class SimulationState:
         # Run constants, read once here rather than through the config's
         # derived properties on every day.
         self.total_days = config.total_days
-        self.fleet_size = config.fleet_size
-        self.survivor_count = config.survivor_count
         self.learning_rate = hp.learning_rate
         self.explore_rate = hp.explore_rate
+        self._set_fleet(config)
 
         self.n_hdv = total
         self.fleet_active = False
-        self.fleet_weights: StrategyWeights = strategy_weights(config.strategy)
         self.mday_applied = False
         self.day = 1  # next day to simulate
         self.records: list[DayRecord] = []
+
+    def _set_fleet(self, config: ScenarioConfig) -> None:
+        """Take the fleet constants of ``config``, the knobs a fork may change."""
+        self.config = config
+        self.fleet_size = config.fleet_size
+        self.survivor_count = config.survivor_count
+        self.fleet_weights: StrategyWeights = strategy_weights(config.strategy)
+
+    def fork(self, config: ScenarioConfig) -> SimulationState:
+        """An independent copy of this pre-hand-over state that continues as ``config``.
+
+        ``config`` may differ from this state's config only in strategy and
+        cav_share.  The copy owns its estimates, last routes, generator and
+        record list; the tastes are shared, as no day writes them.
+        """
+        if self.mday_applied:
+            raise RuntimeError("cannot fork a run after the fleet hand-over")
+        branch = copy.copy(self)
+        branch.rng = copy.deepcopy(self.rng)
+        branch.est_a = self.est_a.copy()
+        branch.est_b = self.est_b.copy()
+        branch.last_route = self.last_route.copy()
+        branch.records = list(self.records)
+        branch._set_fleet(config)
+        return branch
 
 
 def apply_mday(state: SimulationState) -> SimulationState:
@@ -276,6 +313,63 @@ def step_day(state: SimulationState) -> DayRecord:
     return record
 
 
+def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` without its fleet knobs: runs with equal keys share days 1..m_day."""
+    return dataclasses.replace(config, strategy=STRATEGY_NAMES[0], cav_share=0.0)
+
+
+def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
+    """Run configs that differ only in strategy and cav_share; yield their logs in order.
+
+    Days 1..m_day are stepped once, on the first config's state.  The
+    perceived means of those days are taken once more for every other
+    survivor count, by the same expression.  At the hand-over each
+    config continues on its own fork of that state (the last one on the
+    state itself), so every log equals the one the config gives alone.
+    Each log is complete when it is yielded.
+    """
+    configs = list(configs)
+    if not configs:
+        return
+    key = prefix_key(configs[0])
+    if any(prefix_key(c) != key for c in configs[1:]):
+        raise ValueError("configs of one run_branches call may differ only in strategy and cav_share")
+    state = SimulationState(configs[0])
+    handover_day = configs[0].m_day + 1
+    own_count = state.survivor_count
+    perceived: dict[int, list[float | None]] = {
+        c.survivor_count: [] for c in configs if c.survivor_count != own_count
+    }
+    for _ in range(min(handover_day - 1, state.total_days)):
+        record = step_day(state)
+        for count, means in perceived.items():
+            means.append(survivor_perceived_mean(
+                state.last_route, count, state.taste_a, state.taste_b, record.t_a, record.t_b,
+            ))
+
+    prefix = state.records
+    for i, config in enumerate(configs):
+        if i < len(configs) - 1:
+            branch = state.fork(config)
+        else:
+            branch, state = state, None
+            branch._set_fleet(config)
+        if config.survivor_count != own_count:
+            branch.records = [
+                dataclasses.replace(record, mean_perceived_hdv_time=mean)
+                for record, mean in zip(prefix, perceived[config.survivor_count])
+            ]
+        while branch.day <= branch.total_days:
+            if branch.day == handover_day:
+                apply_mday(branch)
+            step_day(branch)
+        log = SimulationLog(config=config, records=branch.records)
+        # Drop the branch's arrays before the caller evaluates the log: at
+        # N=10^5 they would add to the peak memory of the metrics' fleet curve.
+        branch = None
+        yield log
+
+
 def run_scenario(config: ScenarioConfig) -> SimulationLog:
     """Run all four phases and return the full log.
 
@@ -283,10 +377,4 @@ def run_scenario(config: ScenarioConfig) -> SimulationLog:
     day's choices.  Equal configs (same seed included) produce equal
     logs.
     """
-    state = SimulationState(config)
-    handover_day = config.m_day + 1
-    for day in range(1, state.total_days + 1):
-        if day == handover_day and not state.mday_applied:
-            apply_mday(state)
-        step_day(state)
-    return SimulationLog(config=config, records=state.records)
+    return next(run_branches([config]))

@@ -16,7 +16,6 @@ configured seeds with that single seed.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import hashlib
@@ -28,8 +27,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .engine import DayRecord, HumanParams, ScenarioConfig, SimulationLog, run_scenario
+from .engine import (
+    DayRecord,
+    HumanParams,
+    ScenarioConfig,
+    prefix_key,
+    run_branches,
+    run_scenario,
+)
 from .fleet import STRATEGY_NAMES
 from .metrics import (
     RatioReport,
@@ -40,6 +47,9 @@ from .metrics import (
     ratio_report,
 )
 from .network import RouteParams, TwoRouteNetwork
+
+if TYPE_CHECKING:
+    import argparse
 
 DAILY_HEADER = (
     "day,q_hdv_a,q_hdv_b,q_cav_a,q_cav_b,t_a,t_b,"
@@ -150,20 +160,19 @@ def _point_digest(config: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
 
 
-def _as_number(fieldname: str, value) -> float:
+def _as_number(fieldname: str, value, check) -> float:
+    """A JSON number as a float, once the validator ``check(value)`` accepted it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(fieldname, f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf  # an int too large for a float; the validators reject it
+    _checked(fieldname, check, value)
+    return float(value)
 
 
-def _as_axis(fieldname: str, value) -> tuple[float, ...]:
+def _as_axis(fieldname: str, value, check) -> tuple[float, ...]:
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(fieldname, "axis list must not be empty")
-    return tuple(_as_number(fieldname, v) for v in values)
+    return tuple(_as_number(fieldname, v, check) for v in values)
 
 
 def _as_int(fieldname: str, value) -> int:
@@ -203,9 +212,13 @@ def _parse_network(doc) -> TwoRouteNetwork:
             raise ConfigError(
                 f"network.{key}", f"expected an object with {', '.join(sorted(expected))}"
             )
-        values = {name: _as_number(f"network.{key}.{name}", sub[name]) for name in expected}
-        for name, value in values.items():
-            _checked(f"network.{key}.{name}", dataclasses.replace, valid, **{name: value})
+        values = {
+            name: _as_number(
+                f"network.{key}.{name}", sub[name],
+                lambda v, name=name: dataclasses.replace(valid, **{name: v}),
+            )
+            for name in expected
+        }
         routes[key] = RouteParams(**values)
     return TwoRouteNetwork(route_a=routes["route_a"], route_b=routes["route_b"])
 
@@ -245,15 +258,12 @@ def load_config(path: str | Path) -> ExperimentSpec:
     _checked("base_population", ScenarioConfig, base_population=base_population)
 
     # Every value is built through the validator of the dataclass that holds it.
-    shares = _as_axis("cav_share", doc.get("cav_share", 0.0))
-    for share in shares:
-        _checked("cav_share", ScenarioConfig, cav_share=share)
-    betas = _as_axis("beta", doc.get("beta", 5.0))
-    for beta in betas:
-        _checked("beta", HumanParams, taste_spread=beta)
-    congestions = _as_axis("congestion", doc.get("congestion", 1.0))
-    for congestion in congestions:
-        _checked("congestion", ScenarioConfig, congestion=congestion, base_population=base_population)
+    shares = _as_axis("cav_share", doc.get("cav_share", 0.0), lambda v: ScenarioConfig(cav_share=v))
+    betas = _as_axis("beta", doc.get("beta", 5.0), lambda v: HumanParams(taste_spread=v))
+    congestions = _as_axis(
+        "congestion", doc.get("congestion", 1.0),
+        lambda v: ScenarioConfig(congestion=v, base_population=base_population),
+    )
 
     if "seed" in doc and "seeds" in doc:
         raise ConfigError("seeds", "give either seed or seeds, not both")
@@ -268,10 +278,8 @@ def load_config(path: str | Path) -> ExperimentSpec:
         except ValueError:
             raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
 
-    alpha = _as_number("alpha", doc.get("alpha", 0.2))
-    _checked("alpha", HumanParams, learning_rate=alpha)
-    epsilon = _as_number("epsilon", doc.get("epsilon", 0.1))
-    _checked("epsilon", HumanParams, explore_rate=epsilon)
+    alpha = _as_number("alpha", doc.get("alpha", 0.2), lambda v: HumanParams(learning_rate=v))
+    epsilon = _as_number("epsilon", doc.get("epsilon", 0.1), lambda v: HumanParams(explore_rate=v))
 
     raw_phases = doc.get("phase_lengths", [100, 100, 100, 100])
     if not isinstance(raw_phases, list):
@@ -309,13 +317,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+def _csv_text(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows, ""])
+
+
+def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -359,24 +369,84 @@ def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: Ratio
     }
 
 
-def _execute_run(config: ScenarioConfig) -> tuple[SimulationLog, WindowAverages, RatioReport]:
-    log = run_scenario(config)
-    averages = compute_window_averages(log)
-    return log, averages, ratio_report(averages)
+def _point_label(config: ScenarioConfig) -> str:
+    return (
+        f"strategy={config.strategy} cav_share={config.cav_share} "
+        f"beta={config.human_params.taste_spread} congestion={config.congestion} seed={config.seed}"
+    )
 
 
-def write_outputs(
-    results: list[tuple[SimulationLog, WindowAverages, RatioReport]],
-    out_dir: str | Path,
-) -> list[dict]:
+def _check_finite(*stats) -> None:
+    """Raise RuntimeError unless every field of the window ``stats`` is finite or absent."""
+    for stat in stats:
+        for name, value in vars(stat).items():
+            if value is not None and not math.isfinite(value):
+                raise RuntimeError(f"{name} is {value}")
+
+
+def _check_finite_rows(rows: list[str]) -> None:
+    """Raise RuntimeError if a formatted daily row holds a non-finite number.
+
+    ``_fmt`` writes a non-finite float as inf, -inf or nan, and nothing
+    else in a row as a lowercase letter but the e of an exponent, so this
+    scans the text the run writes instead of every record field again.
+    """
+    for row in rows:
+        if "inf" in row or "nan" in row:
+            raise RuntimeError(f"non-finite value on day {row.split(',', 1)[0]}: {row}")
+
+
+Result = tuple[ScenarioConfig, str, WindowAverages, RatioReport]
+
+
+def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
+    """Run configs that share their human-only days: (config, daily CSV, averages, ratios) each.
+
+    A failing run raises RuntimeError naming its config point, also from a
+    pool worker, where the traceback alone would not show it.
+    """
+    results = []
+    logs = run_branches(configs)
+    for config in configs:
+        try:
+            log = next(logs)
+            averages = compute_window_averages(log)
+            ratios = ratio_report(averages)
+            rows = _daily_rows(log.records)
+            _check_finite_rows(rows)
+            _check_finite(averages, ratios)
+        except Exception as exc:
+            raise RuntimeError(f"run {_point_label(config)} failed: {exc}") from exc
+        results.append((config, _csv_text(DAILY_HEADER, rows), averages, ratios))
+    return results
+
+
+def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig]]:
+    """The configs grouped by shared human-only days, one task per group.
+
+    With fewer groups than jobs, each group is dealt round-robin into
+    enough chunks to occupy every job; each chunk repeats the shared days.
+    """
+    groups: dict[ScenarioConfig, list[ScenarioConfig]] = {}
+    for config in configs:
+        groups.setdefault(prefix_key(config), []).append(config)
+    tasks = list(groups.values())
+    if 0 < len(tasks) < jobs:
+        parts = -(-jobs // len(tasks))
+        tasks = [group[i::parts] for group in tasks for i in range(min(parts, len(group)))]
+    return tasks
+
+
+def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
     """Write one daily CSV per run plus a consolidated summary.csv.
 
-    Files are UTF-8 with LF line endings and a leading header row; each
-    daily file is named by the hash of its config point and the seed.
-    Rows are sorted by (strategy, cav_share, beta, congestion, seed), so
-    the output is independent of the runs' completion order, and the
-    summary is written last: its presence marks a complete experiment.
-    Returns the summary rows.
+    ``results`` holds (config, daily CSV text, window averages, ratios)
+    per run.  Files are UTF-8 with LF line endings and a leading header
+    row; each daily file is named by the hash of its config point and the
+    seed.  Rows are sorted by (strategy, cav_share, beta, congestion,
+    seed), so the output is independent of the runs' completion order,
+    and the summary is written last: its presence marks a complete
+    experiment.  Returns the summary rows.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,38 +455,39 @@ def write_outputs(
     for stale in out_dir.glob("daily_*.csv"):
         stale.unlink()
 
-    results = sorted(results, key=lambda item: _canonical_key(item[0].config))
+    results = sorted(results, key=lambda item: _canonical_key(item[0]))
     summary_rows = []
-    for log, averages, ratios in results:
-        config = log.config
-        daily_path = out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv"
-        _write_csv(daily_path, DAILY_HEADER, _daily_rows(log.records))
+    for config, daily, averages, ratios in results:
+        _write_text(out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv", daily)
         summary_rows.append(_summary_row(config, averages, ratios))
 
     lines = [
         ",".join(_fmt(row[col]) for col in SUMMARY_HEADER.split(","))
         for row in summary_rows
     ]
-    _write_csv(summary_path, SUMMARY_HEADER, lines)
+    _write_text(summary_path, _csv_text(SUMMARY_HEADER, lines))
     return summary_rows
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     """Execute every run of the spec and write its output files.
 
-    Independent runs execute concurrently when jobs > 1 (default: the
-    machine's CPU count); outputs do not depend on the execution order.
-    Returns the summary rows.
+    Runs that differ only in strategy and cav_share share their
+    human-only days (see ``engine.run_branches``).  With jobs > 1
+    (default: the machine's CPU count) a process pool hands out those
+    groups, and its workers also format the daily CSVs; outputs do not
+    depend on the execution order.  Returns the summary rows.
     """
     configs = spec.run_points()
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            results = list(pool.map(_execute_run, configs))
+    tasks = _tasks(configs, jobs)
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            chunks = list(pool.map(_run_group, tasks))
     else:
-        results = [_execute_run(config) for config in configs]
-    return write_outputs(results, spec.out_dir)
+        chunks = [_run_group(task) for task in tasks]
+    return write_outputs([result for chunk in chunks for result in chunk], spec.out_dir)
 
 
 def replicate_and_test(
@@ -444,7 +515,12 @@ def replicate_and_test(
     def averages_for(config: ScenarioConfig, seed: int) -> WindowAverages:
         seeded = dataclasses.replace(config, seed=seed)
         if seeded not in cache:
-            cache[seeded] = compute_window_averages(run_scenario(seeded))
+            averages = compute_window_averages(run_scenario(seeded))
+            try:
+                _check_finite(averages)  # the t-test reads only the window averages
+            except RuntimeError as exc:
+                raise RuntimeError(f"run {_point_label(seeded)} failed: {exc}") from None
+            cache[seeded] = averages
         return cache[seeded]
 
     values_a = []
@@ -516,6 +592,10 @@ def _print_ttest(result: TTestResult) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Imported here, so that a library import of bottlesim does not pay
+    # for argparse and gettext (about 3 ms).
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bottlesim",
         description="Two-route bottleneck day-to-day route choice experiments",

@@ -105,17 +105,32 @@ def day_statistics(
     else:
         mean_hdv = None
 
-    if 0 < survivor_count <= n_hdv:
-        n_sur = survivor_count
-        perceived = np.where(hdv_routes[:n_sur], t_b + taste_b[:n_sur], t_a + taste_a[:n_sur])
-        # np.mean's own reduction and division, without its dispatch layers.
-        mean_perceived = float(np.add.reduce(perceived)) / n_sur
-    else:
-        mean_perceived = None
-
+    mean_perceived = survivor_perceived_mean(hdv_routes, survivor_count, taste_a, taste_b, t_a, t_b)
     q_cav = q_cav_a + q_cav_b
     mean_cav = (q_cav_a * t_a + q_cav_b * t_b) / q_cav if q_cav > 0 else None
     return mean_hdv, mean_perceived, mean_cav
+
+
+def survivor_perceived_mean(
+    hdv_routes: np.ndarray,
+    survivor_count: int,
+    taste_a: np.ndarray,
+    taste_b: np.ndarray,
+    t_a: float,
+    t_b: float,
+) -> float | None:
+    """Mean perceived time of the drivers below ``survivor_count``, or None.
+
+    ``hdv_routes`` is as in :func:`day_statistics`; None means no
+    survivor committed a route that day (none left, or fewer current
+    drivers than survivors).
+    """
+    if not 0 < survivor_count <= len(hdv_routes):
+        return None
+    n_sur = survivor_count
+    perceived = np.where(hdv_routes[:n_sur], t_b + taste_b[:n_sur], t_a + taste_a[:n_sur])
+    # np.mean's own reduction and division, without its dispatch layers.
+    return float(np.add.reduce(perceived)) / n_sur
 
 
 def _check_window(log: "SimulationLog", day_range: tuple[int, int]) -> tuple[int, int]:

@@ -20,6 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_finite(x) -> bool:
+    """``math.isfinite(x)``, but False rather than OverflowError for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RouteParams:
     """BPR parameters of a single route."""
@@ -32,11 +40,11 @@ class RouteParams:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not (self.free_flow_time > 0 and math.isfinite(self.free_flow_time)):
+        if not (self.free_flow_time > 0 and is_finite(self.free_flow_time)):
             raise ValueError(f"free_flow_time must be a finite number > 0, got {self.free_flow_time}")
-        if not (self.capacity > 0 and math.isfinite(self.capacity)):
+        if not (self.capacity > 0 and is_finite(self.capacity)):
             raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
-        if not (self.exponent > 1 and math.isfinite(self.exponent)):
+        if not (self.exponent > 1 and is_finite(self.exponent)):
             raise ValueError(f"exponent must be a finite number > 1, got {self.exponent}")
 
 

@@ -43,10 +43,12 @@ class TestHumanParams:
             # An infinite spread made every perceived mean nan.
             {"taste_spread": math.inf},
             {"taste_spread": math.nan},
+            # An int too large for a float.
+            {"taste_spread": 10**400},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             HumanParams(**kwargs)
 
 

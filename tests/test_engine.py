@@ -1,9 +1,10 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bottlesim import (
@@ -14,10 +15,12 @@ from bottlesim import (
     apply_mday,
     fleet_optimize,
     network_travel_times,
+    run_branches,
     run_scenario,
     step_day,
     strategy_weights,
 )
+from bottlesim.engine import prefix_key
 from scalar_model import (
     ROUTE_A,
     ROUTE_B,
@@ -57,10 +60,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**kwargs)
 
-    @pytest.mark.parametrize("congestion", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("congestion", [math.inf, -math.inf, math.nan, 10**400, 1e308])
     def test_non_finite_congestion_rejected(self, congestion):
+        # 10**400 is too large for a float; 1e308 makes the population infinite.
         with pytest.raises(ValueError, match="congestion"):
             ScenarioConfig(congestion=congestion)
+
+    def test_population_too_large_for_an_array_rejected(self):
+        with pytest.raises(ValueError, match="base_population"):
+            ScenarioConfig(base_population=10**400)
 
     def test_population_scales_with_congestion(self):
         assert ScenarioConfig(congestion=0.25).total_population == 250
@@ -375,3 +383,98 @@ class TestEngineProperties:
             else:
                 assert record.mean_perceived_hdv_time is None
             assert (record.mean_cav_time is None) == (fleet == 0)
+
+
+def stepped_log(config):
+    """The config's records from a plain day loop on one state: the reference for run_branches."""
+    state = SimulationState(config)
+    for day in range(1, config.total_days + 1):
+        if day == config.m_day + 1:
+            apply_mday(state)
+        step_day(state)
+    return state.records
+
+
+@st.composite
+def branch_groups(draw):
+    """Configs sharing everything but strategy and cav_share, in random order."""
+    base = draw(small_configs())
+    fleets = draw(st.lists(
+        st.tuples(st.sampled_from(STRATEGY_NAMES), _unit_interval()), min_size=1, max_size=6,
+    ))
+    return [dataclasses.replace(base, strategy=s, cav_share=share) for s, share in fleets]
+
+
+def _group(phases, fleets, base_population=12, seed=3):
+    base = ScenarioConfig(base_population=base_population, phase_lengths=phases, seed=seed)
+    return [dataclasses.replace(base, strategy=s, cav_share=share) for s, share in fleets]
+
+
+_EVERY_FLEET = [(s, share) for s in STRATEGY_NAMES for share in (0.0, 1.0, 0.5)]
+
+
+class TestRunBranches:
+    """Runs that share their human-only days equal the same runs stepped alone."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(configs=branch_groups())
+    # Every strategy at shares 0 and 1 (survivor count 0) and between.
+    @example(configs=_group((2, 2, 2, 2), _EVERY_FLEET))
+    # m_day = 0: the fleet takes over before day 1, nothing is shared.
+    @example(configs=_group((0, 0, 2, 3), _EVERY_FLEET))
+    # A hand-over past the last day: the whole run is shared.
+    @example(configs=_group((2, 3, 0, 0), _EVERY_FLEET))
+    # Long enough after the hand-over for learning to change choices.
+    @example(configs=_group((3, 3, 8, 8), [("Malicious", 0.3), ("Social", 0.6), ("Selfish", 0.3)],
+                            base_population=200))
+    def test_logs_equal_each_config_stepped_alone(self, configs):
+        logs = list(run_branches(configs))
+        assert [log.config for log in logs] == configs
+        for log, config in zip(logs, configs, strict=True):
+            # repr is exact for floats, so this compares every value bit for bit.
+            assert repr(log.records) == repr(stepped_log(config))
+
+    def test_run_scenario_is_the_one_branch_case(self):
+        config = small_config(cav_share=0.3, strategy="Disruptive")
+        assert repr(run_scenario(config).records) == repr(stepped_log(config))
+
+    def test_branch_logs_share_no_state(self):
+        configs = _group((2, 2, 2, 2), [("Social", 0.5), ("Selfish", 0.5)])
+        first, second = run_branches(configs)
+        assert first.records[:4] == second.records[:4]
+        assert first.records is not second.records
+        first.records.clear()
+        assert len(second.records) == 8
+
+    def test_rejects_configs_that_differ_before_the_hand_over(self):
+        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, seed=8)]
+        with pytest.raises(ValueError, match="strategy and cav_share"):
+            list(run_branches(configs))
+
+    def test_no_configs_no_logs(self):
+        assert list(run_branches([])) == []
+
+    def test_prefix_key_ignores_only_the_fleet_knobs(self):
+        config = small_config(cav_share=0.4, strategy="Malicious")
+        assert prefix_key(config) == prefix_key(small_config())
+        assert prefix_key(config) != prefix_key(small_config(congestion=2.0))
+        assert prefix_key(config) != prefix_key(small_config(phase_lengths=(3, 3, 3, 4)))
+
+    def test_fork_owns_its_mutable_state(self):
+        state = SimulationState(small_config())
+        step_day(state)
+        branch = state.fork(small_config(cav_share=0.5, strategy="Social"))
+        for name in ("est_a", "est_b", "last_route"):
+            assert not np.shares_memory(getattr(branch, name), getattr(state, name))
+            assert np.array_equal(getattr(branch, name), getattr(state, name))
+        assert branch.rng is not state.rng
+        assert branch.rng.random() == state.rng.random()
+        assert branch.records == state.records and branch.records is not state.records
+        assert (branch.fleet_size, branch.survivor_count) == (20, 20)
+        assert (state.fleet_size, state.survivor_count) == (0, 40)
+
+    def test_fork_after_the_hand_over_rejected(self):
+        state = SimulationState(small_config(cav_share=0.5))
+        apply_mday(state)
+        with pytest.raises(RuntimeError, match="hand-over"):
+            state.fork(small_config())

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from bottlesim.expcli import (
     DAILY_HEADER,
     SUMMARY_HEADER,
     ConfigError,
+    _tasks,
     load_config,
     main,
     replicate_and_test,
@@ -166,6 +168,36 @@ class TestRunExperiment:
         summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert len(summary) == 2
 
+    def test_group_split_across_workers_matches_serial(self, tmp_path):
+        doc = dict(FAST, strategy=list(bottlesim.STRATEGY_NAMES), cav_share=[0.0, 0.3, 1.0], seeds=[4])
+        spec = load_config(write_config(tmp_path, doc))
+        tasks = _tasks(spec.run_points(), 2)
+        assert len(tasks) == 2  # one group of 15 runs, dealt to two workers
+        spec.out_dir = tmp_path / "seq"
+        run_experiment(spec, jobs=1)
+        sequential = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
+        spec.out_dir = tmp_path / "par"
+        run_experiment(spec, jobs=2)
+        parallel = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
+        assert len(sequential) == 16
+        assert sequential == parallel
+
+    def test_tasks_group_runs_by_shared_days(self, tmp_path):
+        doc = dict(FAST, cav_share=[0.1, 0.5], strategy=["Selfish", "Social"],
+                   congestion=[0.5, 1.0], seeds=[1, 2])
+        configs = load_config(write_config(tmp_path, doc)).run_points()
+        for jobs in (1, 2, 4):
+            tasks = _tasks(configs, jobs)
+            assert len(tasks) == 4
+            assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
+            for task in tasks:
+                assert len({(c.congestion, c.seed) for c in task}) == 1
+                assert len(task) == 4
+        # Fewer groups than jobs: each group is dealt round-robin, at most one run per chunk.
+        one_group = [c for c in configs if c.congestion == 0.5 and c.seed == 1]
+        assert _tasks(one_group, 2) == [one_group[0::2], one_group[1::2]]
+        assert _tasks(one_group, 8) == [[c] for c in one_group]
+
     def test_rows_sorted_by_canonical_key(self, tmp_path):
         doc = dict(FAST, cav_share=[0.4, 0.1], strategy=["Social", "Altruistic"], seeds=[2, 1])
         spec = load_config(write_config(tmp_path, doc))
@@ -274,6 +306,17 @@ class TestNonFiniteNumbers:
             ({"alpha": float("-inf")}, "alpha"),
             ({"beta": [5.0, float("inf")]}, "beta"),
             ({"congestion": 10**400}, "congestion"),
+            ({"base_population": 10**400}, "base_population"),
+            ({"alpha": 10**400}, "alpha"),
+            (
+                {
+                    "network": {
+                        "route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 2},
+                        "route_b": {"free_flow_time": 15, "capacity": 10**400, "exponent": 2},
+                    }
+                },
+                "network.route_b.capacity",
+            ),
         ],
     )
     def test_load_config_names_the_field(self, tmp_path, doc, field):
@@ -308,5 +351,65 @@ class TestNonFiniteNumbers:
         )
         assert proc.returncode == 1
         assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "summary.csv").exists()
+
+
+# Route A's exponent 2000 overflows the fleet's objective curve once more than
+# about 717 vehicles could use it: 0 * inf makes the optimality gap nan.
+OVERFLOWING = {
+    "base_population": 1000,
+    "phase_lengths": [5, 5, 5, 5],
+    "cav_share": 0.2,
+    "congestion": [0.5, 1.0],
+    "seeds": [1],
+    "network": {
+        "route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 2000},
+        "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2},
+    },
+}
+FAILING_POINT = "strategy=Selfish cav_share=0.2 beta=5.0 congestion=1.0 seed=1"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteOutputs:
+    """A run with a non-finite output fails with its config point instead of writing nan."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_experiment_names_the_failing_point(self, tmp_path, jobs):
+        spec = load_config(write_config(tmp_path, OVERFLOWING))
+        spec.out_dir = tmp_path / "out"
+        assert len(_tasks(spec.run_points(), jobs)) == 2  # with jobs=2 the failure is in a worker
+        with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
+            run_experiment(spec, jobs=jobs)
+        assert not (spec.out_dir / "summary.csv").exists()
+
+    def test_non_finite_daily_value_fails_the_run(self, tmp_path):
+        # Tastes near 1e307 overflow the survivors' perceived-time sum on day 2.
+        spec = load_config(write_config(tmp_path, dict(FAST, beta=1e307, seeds=[1])))
+        spec.out_dir = tmp_path / "out"
+        point = "strategy=Selfish cav_share=0.0 beta=1e+307 congestion=1.0 seed=1"
+        with pytest.raises(RuntimeError, match=re.escape(f"{point} failed: non-finite value on day 2: 2,")):
+            run_experiment(spec, jobs=1)
+        assert not (spec.out_dir / "summary.csv").exists()
+
+    def test_replicate_and_test_names_the_failing_point(self, tmp_path):
+        config = load_config(write_config(tmp_path, dict(OVERFLOWING, congestion=1.0))).run_points()[0]
+        with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
+            replicate_and_test(config, "tau", config, "tau_b", seeds=[1, 2])
+
+    def test_cli_exits_two_naming_the_point(self, tmp_path):
+        config = write_config(tmp_path, OVERFLOWING)
+        src = str(Path(bottlesim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out"
+        entry = "import sys; from bottlesim.expcli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", entry, "sweep", str(config), "--out", str(out),
+             "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert FAILING_POINT in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "summary.csv").exists()

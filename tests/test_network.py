@@ -24,7 +24,8 @@ class TestRouteParams:
         with pytest.raises(ValueError, match="exponent"):
             RouteParams(free_flow_time=5.0, capacity=500.0, exponent=1.0)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # 10**400 is an int too large for a float: a ValueError, not an OverflowError.
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
     @pytest.mark.parametrize("field", ["free_flow_time", "capacity", "exponent"])
     def test_rejects_non_finite_values(self, field, value):
         kwargs = dict(free_flow_time=5.0, capacity=500.0, exponent=2.0)
