@@ -12,7 +12,6 @@ from .engine import (
     ScenarioConfig,
     SimulationLog,
     SimulationState,
-    apply_mday,
     run_branches,
     run_scenario,
     step_day,
@@ -62,7 +61,6 @@ __all__ = [
     "TTestResult",
     "TwoRouteNetwork",
     "WindowAverages",
-    "apply_mday",
     "bpr_travel_time",
     "compute_window_averages",
     "day_statistics",

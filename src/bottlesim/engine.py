@@ -3,10 +3,11 @@
 A scenario runs for four consecutive phases (default 100 days each):
 human-only warm-up, human-only observation, re-stabilization after a
 share of drivers is handed to the coordinated fleet, and a final
-observation phase.  The hand-over happens between phases two and three:
-the drivers with the highest indices stop acting individually and
-become fleet vehicles, while the survivors keep their tastes, travel
-time estimates and last routes.
+observation phase.  The hand-over happens between phases two and three,
+inside ``step_day``: from day ``m_day + 1`` on, the drivers with the
+highest indices stop acting individually and become fleet vehicles,
+while the survivors keep their tastes, travel time estimates and last
+routes.
 
 Each simulated day executes in a fixed order:
 
@@ -182,8 +183,9 @@ class SimulationLog:
 class SimulationState:
     """Mutable per-run state: driver arrays, RNG and the day counter.
 
-    Driver attributes live in flat arrays indexed by driver id; the
-    first ``n_hdv`` entries are the drivers still acting individually.
+    Driver attributes live in flat arrays indexed by driver id.
+    ``step_day`` hands the fleet over before day ``m_day + 1``: from
+    then on only the first ``survivor_count`` entries act individually.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -206,14 +208,13 @@ class SimulationState:
 
         # Run constants, read once here rather than through the config's
         # derived properties on every day.
+        self.total_population = total
+        self.m_day = config.m_day
         self.total_days = config.total_days
         self.learning_rate = hp.learning_rate
         self.explore_rate = hp.explore_rate
         self._set_fleet(config)
 
-        self.n_hdv = total
-        self.fleet_active = False
-        self.mday_applied = False
         self.day = 1  # next day to simulate
         self.records: list[DayRecord] = []
 
@@ -231,7 +232,7 @@ class SimulationState:
         cav_share.  The copy owns its estimates, last routes, generator and
         record list; the tastes are shared, as no day writes them.
         """
-        if self.mday_applied:
+        if self.day > self.m_day + 1:
             raise RuntimeError("cannot fork a run after the fleet hand-over")
         branch = copy.copy(self)
         branch.rng = copy.deepcopy(self.rng)
@@ -243,27 +244,20 @@ class SimulationState:
         return branch
 
 
-def apply_mday(state: SimulationState) -> SimulationState:
-    """Hand the highest-index drivers over to the coordinated fleet.
-
-    The survivors keep their estimates, tastes and last routes; the
-    replaced drivers stop choosing and learning and become pure count
-    mass routed by the fleet.  May be applied only once per run.
-    """
-    if state.mday_applied:
-        raise RuntimeError("fleet replacement was already applied to this run")
-    state.mday_applied = True
-    state.n_hdv = state.survivor_count
-    state.fleet_active = state.fleet_size > 0
-    return state
-
-
 def step_day(state: SimulationState) -> DayRecord:
-    """Simulate the next day and append its record to the state."""
+    """Simulate the next day and append its record to the state.
+
+    From day ``m_day + 1`` on the highest-index drivers are fleet
+    vehicles: they stop choosing and learning and become count mass
+    routed by the fleet, while the survivors carry on unchanged.
+    """
     day = state.day
     if day > state.total_days:
         raise RuntimeError(f"run is complete after day {state.total_days}")
-    n = state.n_hdv
+    if day > state.m_day:
+        n, fleet_size = state.survivor_count, state.fleet_size
+    else:
+        n, fleet_size = state.total_population, 0
     est_a = state.est_a[:n]
     est_b = state.est_b[:n]
 
@@ -279,8 +273,8 @@ def step_day(state: SimulationState) -> DayRecord:
     q_hdv_a = n - q_hdv_b
 
     network = state.config.network
-    if state.fleet_active:
-        decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, state.fleet_size, network)
+    if fleet_size:
+        decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, fleet_size, network)
         q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
     else:
         q_cav_a = q_cav_b = 0
@@ -335,12 +329,11 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
     if any(prefix_key(c) != key for c in configs[1:]):
         raise ValueError("configs of one run_branches call may differ only in strategy and cav_share")
     state = SimulationState(configs[0])
-    handover_day = configs[0].m_day + 1
     own_count = state.survivor_count
     perceived: dict[int, list[float | None]] = {
         c.survivor_count: [] for c in configs if c.survivor_count != own_count
     }
-    for _ in range(min(handover_day - 1, state.total_days)):
+    for _ in range(min(state.m_day, state.total_days)):
         record = step_day(state)
         for count, means in perceived.items():
             means.append(survivor_perceived_mean(
@@ -360,8 +353,6 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
                 for record, mean in zip(prefix, perceived[config.survivor_count])
             ]
         while branch.day <= branch.total_days:
-            if branch.day == handover_day:
-                apply_mday(branch)
             step_day(branch)
         log = SimulationLog(config=config, records=branch.records)
         # Drop the branch's arrays before the caller evaluates the log: at
@@ -373,8 +364,6 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
 def run_scenario(config: ScenarioConfig) -> SimulationLog:
     """Run all four phases and return the full log.
 
-    The fleet hand-over happens after the second phase, before that
-    day's choices.  Equal configs (same seed included) produce equal
-    logs.
+    Equal configs (same seed included) produce equal logs.
     """
     return next(run_branches([config]))

@@ -1,13 +1,14 @@
 """Experiment harness: JSON configs, sweep grids, CSV output, CLI.
 
 A config file describes a grid of scenario runs: the axes ``strategy``,
-``cav_share``, ``beta`` and ``congestion`` accept a scalar or a list,
-and the cartesian product of the axes with ``seeds`` defines the run
-set.  Every run writes one per-day CSV, and the whole experiment writes
-a single ``summary.csv`` with one row per run, sorted by
-(strategy, cav_share, beta, congestion, seed) regardless of execution
-order.  Reruns of the same config reproduce the output files byte for
-byte; ``summary.csv`` is written last and marks a complete experiment.
+``cav_share``, ``beta`` and ``congestion`` accept a scalar or a list of
+distinct values, and the cartesian product of the axes with the
+distinct ``seeds`` defines the run set.  Every run writes one per-day
+CSV, and the whole experiment writes a single ``summary.csv`` with one
+row per run, sorted by (strategy, cav_share, beta, congestion, seed)
+regardless of execution order.  Reruns of the same config reproduce the
+output files byte for byte; ``summary.csv`` is written last and marks a
+complete experiment.
 
 Absent statistics (empty group) are written as the literal token NA.
 The environment variable BOTTLESIM_SEED, when set, overrides the
@@ -16,6 +17,7 @@ configured seeds with that single seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -33,9 +35,10 @@ from .engine import (
     DayRecord,
     HumanParams,
     ScenarioConfig,
+    SimulationLog,
     prefix_key,
     run_branches,
-    run_scenario,
+    run_scenario,  # not called here; bench/spans.py wraps expcli.run_scenario
 )
 from .fleet import STRATEGY_NAMES
 from .metrics import (
@@ -129,17 +132,6 @@ def _canonical_key(config: ScenarioConfig):
     )
 
 
-def _network_as_dict(network: TwoRouteNetwork) -> dict:
-    def route(params: RouteParams) -> dict:
-        return {
-            "free_flow_time": params.free_flow_time,
-            "capacity": params.capacity,
-            "exponent": params.exponent,
-        }
-
-    return {"route_a": route(network.route_a), "route_b": route(network.route_b)}
-
-
 def _point_descriptor(config: ScenarioConfig) -> dict:
     """Every knob of a config except the seed, as plain JSON data."""
     return {
@@ -151,7 +143,7 @@ def _point_descriptor(config: ScenarioConfig) -> dict:
         "epsilon": config.human_params.explore_rate,
         "phase_lengths": list(config.phase_lengths),
         "base_population": config.base_population,
-        "network": _network_as_dict(config.network),
+        "network": dataclasses.asdict(config.network),
     }
 
 
@@ -168,11 +160,19 @@ def _as_number(fieldname: str, value, check) -> float:
     return float(value)
 
 
+def _distinct(fieldname: str, values: tuple) -> tuple:
+    """``values``, unless one repeats: a repeated axis value would run the same point twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
+    return values
+
+
 def _as_axis(fieldname: str, value, check) -> tuple[float, ...]:
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(fieldname, "axis list must not be empty")
-    return tuple(_as_number(fieldname, v, check) for v in values)
+    return _distinct(fieldname, tuple(_as_number(fieldname, v, check) for v in values))
 
 
 def _as_int(fieldname: str, value) -> int:
@@ -252,7 +252,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raw_strategies = [raw_strategies]
     if not raw_strategies:
         raise ConfigError("strategy", "axis list must not be empty")
-    strategies = tuple(_canon_strategy(s) for s in raw_strategies)
+    strategies = _distinct("strategy", tuple(_canon_strategy(s) for s in raw_strategies))
 
     base_population = _as_int("base_population", doc.get("base_population", 1000))
     _checked("base_population", ScenarioConfig, base_population=base_population)
@@ -270,7 +270,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
     raw_seeds = doc.get("seeds", [doc.get("seed", 0)])
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds", "expected a nonempty list of integers")
-    seeds = tuple(_as_int("seeds", s) for s in raw_seeds)
+    seeds = _distinct("seeds", tuple(_as_int("seeds", s) for s in raw_seeds))
     env_seed = os.environ.get("BOTTLESIM_SEED")
     if env_seed is not None:
         try:
@@ -353,19 +353,8 @@ def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: Ratio
         "beta": config.human_params.taste_spread,
         "congestion": config.congestion,
         "seed": config.seed,
-        "tau_b": averages.tau_b,
-        "tau": averages.tau,
-        "u_b": averages.u_b,
-        "u": averages.u,
-        "rho": averages.rho,
-        "frac_a_hdv": averages.frac_a_hdv,
-        "frac_a_cav": averages.frac_a_cav,
-        "opt_gap": averages.opt_gap,
-        "equity_gap": averages.equity_gap,
-        "cav_advantage": ratios.cav_advantage,
-        "effect_change_to_cav": ratios.effect_change_to_cav,
-        "effect_remaining_hdv": ratios.effect_remaining_hdv,
-        "perceived_effect_remaining_hdv": ratios.perceived_effect_remaining_hdv,
+        **dataclasses.asdict(averages),
+        **dataclasses.asdict(ratios),
     }
 
 
@@ -396,29 +385,50 @@ def _check_finite_rows(rows: list[str]) -> None:
             raise RuntimeError(f"non-finite value on day {row.split(',', 1)[0]}: {row}")
 
 
+@contextlib.contextmanager
+def _failing_point(config: ScenarioConfig):
+    """Re-raise a failure of ``config``'s run as a RuntimeError naming its config point.
+
+    The name survives a pool worker, where the traceback alone would not show it.
+    """
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"run {_point_label(config)} failed: {exc}") from exc
+
+
+def _checked_averages(log: SimulationLog) -> WindowAverages:
+    """The window averages of ``log``, which must all be finite or absent."""
+    averages = compute_window_averages(log)
+    _check_finite(averages)
+    return averages
+
+
 Result = tuple[ScenarioConfig, str, WindowAverages, RatioReport]
 
 
 def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
-    """Run configs that share their human-only days: (config, daily CSV, averages, ratios) each.
-
-    A failing run raises RuntimeError naming its config point, also from a
-    pool worker, where the traceback alone would not show it.
-    """
+    """Run configs that share their human-only days: (config, daily CSV, averages, ratios) each."""
     results = []
     logs = run_branches(configs)
     for config in configs:
-        try:
+        with _failing_point(config):
             log = next(logs)
-            averages = compute_window_averages(log)
-            ratios = ratio_report(averages)
             rows = _daily_rows(log.records)
             _check_finite_rows(rows)
-            _check_finite(averages, ratios)
-        except Exception as exc:
-            raise RuntimeError(f"run {_point_label(config)} failed: {exc}") from exc
+            averages = _checked_averages(log)
+            ratios = ratio_report(averages)
+            _check_finite(ratios)
         results.append((config, _csv_text(DAILY_HEADER, rows), averages, ratios))
     return results
+
+
+def _groups(configs: list[ScenarioConfig]) -> list[list[ScenarioConfig]]:
+    """The configs grouped by shared human-only days, in first-seen order."""
+    groups: dict[ScenarioConfig, list[ScenarioConfig]] = {}
+    for config in configs:
+        groups.setdefault(prefix_key(config), []).append(config)
+    return list(groups.values())
 
 
 def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig]]:
@@ -427,10 +437,7 @@ def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig
     With fewer groups than jobs, each group is dealt round-robin into
     enough chunks to occupy every job; each chunk repeats the shared days.
     """
-    groups: dict[ScenarioConfig, list[ScenarioConfig]] = {}
-    for config in configs:
-        groups.setdefault(prefix_key(config), []).append(config)
-    tasks = list(groups.values())
+    tasks = _groups(configs)
     if 0 < len(tasks) < jobs:
         parts = -(-jobs // len(tasks))
         tasks = [group[i::parts] for group in tasks for i in range(min(parts, len(group)))]
@@ -503,31 +510,34 @@ def replicate_and_test(
     ``config_a`` against ``metric_b`` of ``config_b`` at that seed.
     The two configs may be equal (the runs are then shared), which
     compares two statistics of the same scenario, e.g. the baseline
-    window against the evaluation window.
+    window against the evaluation window.  At each seed the two runs
+    share their human-only days as a sweep's runs do (see
+    ``run_experiment``).  Seeds must be distinct.
     """
     for metric in (metric_a, metric_b):
         if metric not in WINDOW_METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {WINDOW_METRICS}")
     if not seeds:
         raise ValueError("need at least one seed")
-    cache: dict[ScenarioConfig, WindowAverages] = {}
-
-    def averages_for(config: ScenarioConfig, seed: int) -> WindowAverages:
-        seeded = dataclasses.replace(config, seed=seed)
-        if seeded not in cache:
-            averages = compute_window_averages(run_scenario(seeded))
-            try:
-                _check_finite(averages)  # the t-test reads only the window averages
-            except RuntimeError as exc:
-                raise RuntimeError(f"run {_point_label(seeded)} failed: {exc}") from None
-            cache[seeded] = averages
-        return cache[seeded]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+    pairs = [
+        (dataclasses.replace(config_a, seed=seed), dataclasses.replace(config_b, seed=seed))
+        for seed in seeds
+    ]
+    # The t-test reads only the window averages, so no daily CSV is formatted.
+    averages: dict[ScenarioConfig, WindowAverages] = {}
+    for group in _groups(list(dict.fromkeys(config for pair in pairs for config in pair))):
+        logs = run_branches(group)
+        for config in group:
+            with _failing_point(config):
+                averages[config] = _checked_averages(next(logs))
 
     values_a = []
     values_b = []
-    for seed in seeds:
-        va = getattr(averages_for(config_a, seed), metric_a)
-        vb = getattr(averages_for(config_b, seed), metric_b)
+    for seed, (run_a, run_b) in zip(seeds, pairs):
+        va = getattr(averages[run_a], metric_a)
+        vb = getattr(averages[run_b], metric_b)
         if va is None or vb is None:
             raise ValueError(f"metric absent at seed {seed}; cannot pair")
         values_a.append(va)

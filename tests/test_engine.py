@@ -12,7 +12,6 @@ from bottlesim import (
     HumanParams,
     ScenarioConfig,
     SimulationState,
-    apply_mday,
     fleet_optimize,
     network_travel_times,
     run_branches,
@@ -91,11 +90,11 @@ class TestScenarioConfig:
 class TestInitSimulation:
     def test_population_starts_at_free_flow_knowledge(self):
         state = SimulationState(ScenarioConfig(seed=4))
-        assert state.n_hdv == 1000
+        assert state.total_population == 1000 and state.day == 1
         agent = agent_snapshot(state, 0)
         assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == (5.0, 15.0)
         assert agent.last_route is None
-        assert not state.fleet_active
+        assert state.fleet_size == 0
 
     def test_tastes_drawn_in_index_order_route_a_first(self):
         config = small_config(seed=99)
@@ -149,29 +148,31 @@ class TestStepDay:
 
 
 class TestApplyMday:
+    """The hand-over that step_day applies before day m_day + 1."""
+
     def test_share_zero_changes_nothing(self):
-        state = SimulationState(small_config(cav_share=0.0))
-        apply_mday(state)
-        assert state.n_hdv == 40
-        assert not state.fleet_active
+        config = small_config(cav_share=0.0)
+        state = SimulationState(config)
+        for _ in range(config.m_day + 1):
+            record = step_day(state)
+        assert record.day == config.m_day + 1
+        assert record.q_hdv_a + record.q_hdv_b == 40
+        assert record.q_cav_a == record.q_cav_b == 0
+        assert record.mean_cav_time is None
 
     def test_highest_indices_removed_survivors_untouched(self):
-        config = ScenarioConfig(cav_share=0.1, seed=5)
-        state = SimulationState(config)
-        for _ in range(3):
-            step_day(state)
-        before = [agent_snapshot(state, i) for i in range(900)]
-        apply_mday(state)
-        assert state.n_hdv == 900
-        assert state.fleet_active
-        for i, snapshot in enumerate(before):
-            assert agent_snapshot(state, i) == snapshot
-
-    def test_double_invocation_rejected(self):
-        state = SimulationState(small_config(cav_share=0.5))
-        apply_mday(state)
-        with pytest.raises(RuntimeError, match="already"):
-            apply_mday(state)
+        # The scalar oracle steps the survivors across the hand-over on their own.
+        config = ScenarioConfig(cav_share=0.1, seed=5, phase_lengths=(1, 2, 1, 0))
+        state, _ = assert_engine_replays_oracle(config)
+        handover = state.records[config.m_day]
+        assert handover.q_hdv_a + handover.q_hdv_b == 900
+        assert handover.q_cav_a + handover.q_cav_b == 100
+        # The replaced drivers stop choosing and learning.
+        before = SimulationState(config)
+        for _ in range(config.m_day):
+            step_day(before)
+        for i in range(900, 1000):
+            assert agent_snapshot(state, i) == agent_snapshot(before, i)
 
     def test_full_share_leaves_no_humans(self):
         config = ScenarioConfig(
@@ -300,9 +301,7 @@ def assert_engine_replays_oracle(config):
     """
     state = SimulationState(config)
     days = list(scalar_oracle(config))
-    for day, expected in enumerate(days, start=1):
-        if day == config.m_day + 1:
-            apply_mday(state)
+    for expected in days:
         record = step_day(state)
         assert (record.q_hdv_a, record.q_hdv_b, record.q_cav_a, record.q_cav_b) == expected.counts
         assert (record.t_a, record.t_b) == expected.times
@@ -388,9 +387,7 @@ class TestEngineProperties:
 def stepped_log(config):
     """The config's records from a plain day loop on one state: the reference for run_branches."""
     state = SimulationState(config)
-    for day in range(1, config.total_days + 1):
-        if day == config.m_day + 1:
-            apply_mday(state)
+    for _ in range(config.total_days):
         step_day(state)
     return state.records
 
@@ -474,7 +471,11 @@ class TestRunBranches:
         assert (state.fleet_size, state.survivor_count) == (0, 40)
 
     def test_fork_after_the_hand_over_rejected(self):
-        state = SimulationState(small_config(cav_share=0.5))
-        apply_mday(state)
+        config = small_config(cav_share=0.5)
+        state = SimulationState(config)
+        for _ in range(config.m_day):
+            step_day(state)
+        state.fork(small_config())  # the hand-over is still ahead
+        step_day(state)
         with pytest.raises(RuntimeError, match="hand-over"):
             state.fork(small_config())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bottlesim
-from bottlesim import ScenarioConfig
+from bottlesim import ScenarioConfig, compute_window_averages, paired_t_test, run_scenario
 from bottlesim.expcli import (
     DAILY_HEADER,
     SUMMARY_HEADER,
@@ -66,6 +67,12 @@ class TestLoadConfig:
             ({"schema": 2}, "schema"),
             ({"typo_field": 1}, "typo_field"),
             ({"network": {"route_a": {}}}, "network"),
+            # A repeated axis value would run the same point twice.
+            ({"cav_share": [0.1, 0.1]}, "cav_share: value 0.1 repeats"),
+            ({"strategy": ["Selfish", "selfish"]}, "strategy: value 'Selfish' repeats"),
+            ({"beta": [5, 5.0]}, "beta: value 5.0 repeats"),
+            ({"congestion": [1.0, 2.0, 1]}, "congestion: value 1.0 repeats"),
+            ({"seeds": [1, 2, 1]}, "seeds: value 1 repeats"),
         ],
     )
     def test_field_level_rejections(self, tmp_path, doc, field):
@@ -224,6 +231,35 @@ class TestReplicateAndTest:
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
         with pytest.raises(ValueError, match="unknown metric"):
             replicate_and_test(config, "velocity", config, "tau", seeds=[1, 2])
+
+    def test_repeated_seed_rejected(self):
+        config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
+        with pytest.raises(ValueError, match="distinct"):
+            replicate_and_test(config, "tau_b", config, "tau", seeds=[1, 2, 1])
+
+    def test_configs_share_their_human_only_days_at_each_seed(self, monkeypatch):
+        selfish = ScenarioConfig(base_population=100, cav_share=0.1, strategy="Selfish")
+        social = dataclasses.replace(selfish, strategy="Social")
+        step_day = bottlesim.engine.step_day
+        calls = []
+
+        def counted(state):
+            calls.append(state.day)
+            return step_day(state)
+
+        monkeypatch.setattr(bottlesim.engine, "step_day", counted)
+        result = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2])
+        # Per seed: 200 shared days, then 200 days for each of the two fleets.
+        assert len(calls) == 2 * (200 + 2 * 200)
+        monkeypatch.undo()
+
+        def alone(config, metric):
+            runs = [run_scenario(dataclasses.replace(config, seed=seed)) for seed in (1, 2)]
+            return [getattr(compute_window_averages(log), metric) for log in runs]
+
+        expected = paired_t_test(alone(selfish, "tau_b"), alone(social, "tau"))
+        assert expected.t_statistic is not None
+        assert result == expected
 
 
 class TestCli:
