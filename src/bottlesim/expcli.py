@@ -21,7 +21,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -33,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from .engine import (
     DayRecord,
-    HumanParams,
     ScenarioConfig,
     SimulationLog,
     prefix_key,
@@ -49,7 +47,7 @@ from .metrics import (
     paired_t_test,
     ratio_report,
 )
-from .network import RouteParams, TwoRouteNetwork
+from .network import TwoRouteNetwork
 
 if TYPE_CHECKING:
     import argparse
@@ -64,11 +62,28 @@ SUMMARY_HEADER = (
     "effect_change_to_cav,effect_remaining_hdv,perceived_effect_remaining_hdv"
 )
 
+# The columns that name a config point; _point_key gives their values.
+POINT_COLUMNS = tuple(SUMMARY_HEADER.split(",")[:5])
+
 WINDOW_METRICS = tuple(f.name for f in dataclasses.fields(WindowAverages))
 
+
+def _with_human(config: ScenarioConfig, **changes) -> ScenarioConfig:
+    return dataclasses.replace(config, human_params=dataclasses.replace(config.human_params, **changes))
+
+
+# How a config takes a value on each sweep axis, by the axis's JSON name.
+_AXES = {
+    "strategy": lambda config, value: dataclasses.replace(config, strategy=value),
+    "cav_share": lambda config, value: dataclasses.replace(config, cav_share=value),
+    "beta": lambda config, value: _with_human(config, taste_spread=value),
+    "congestion": lambda config, value: dataclasses.replace(config, congestion=value),
+    "seeds": lambda config, value: dataclasses.replace(config, seed=value),
+}
+
 _KNOWN_KEYS = {
-    "schema", "strategy", "cav_share", "beta", "congestion", "alpha", "epsilon",
-    "seeds", "seed", "phase_lengths", "base_population", "network", "out_dir",
+    *_AXES, "schema", "seed", "alpha", "epsilon", "phase_lengths", "base_population", "network",
+    "out_dir",
 }
 
 
@@ -84,67 +99,32 @@ class ConfigError(ValueError):
 class ExperimentSpec:
     """A validated grid of scenario runs plus the output location."""
 
-    strategies: tuple[str, ...]
-    cav_shares: tuple[float, ...]
-    betas: tuple[float, ...]
-    congestions: tuple[float, ...]
-    seeds: tuple[int, ...]
-    learning_rate: float
-    explore_rate: float
-    phase_lengths: tuple[int, int, int, int]
-    base_population: int
-    network: TwoRouteNetwork
+    points: tuple[ScenarioConfig, ...]  # one per run, sorted by _point_key
     out_dir: Path
 
     def run_points(self) -> list[ScenarioConfig]:
         """One config per run of the grid, in canonical order."""
-        configs = []
-        grid = itertools.product(self.strategies, self.cav_shares, self.betas, self.congestions)
-        for strategy, share, beta, congestion in grid:
-            for seed in self.seeds:
-                configs.append(
-                    ScenarioConfig(
-                        human_params=HumanParams(
-                            learning_rate=self.learning_rate,
-                            explore_rate=self.explore_rate,
-                            taste_spread=beta,
-                        ),
-                        network=self.network,
-                        congestion=congestion,
-                        cav_share=share,
-                        strategy=strategy,
-                        phase_lengths=self.phase_lengths,
-                        base_population=self.base_population,
-                        seed=seed,
-                    )
-                )
-        configs.sort(key=_canonical_key)
-        return configs
+        return list(self.points)
 
 
-def _canonical_key(config: ScenarioConfig):
-    return (
-        config.strategy,
-        config.cav_share,
-        config.human_params.taste_spread,
-        config.congestion,
-        config.seed,
-    )
+def _point_key(config: ScenarioConfig) -> tuple:
+    """The values of POINT_COLUMNS for ``config``; runs are sorted by it."""
+    params = config.human_params
+    return (config.strategy, config.cav_share, params.taste_spread, config.congestion, config.seed)
 
 
 def _point_descriptor(config: ScenarioConfig) -> dict:
     """Every knob of a config except the seed, as plain JSON data."""
-    return {
-        "strategy": config.strategy,
-        "cav_share": config.cav_share,
-        "beta": config.human_params.taste_spread,
-        "congestion": config.congestion,
+    descriptor = {
+        **dict(zip(POINT_COLUMNS, _point_key(config))),
         "alpha": config.human_params.learning_rate,
         "epsilon": config.human_params.explore_rate,
         "phase_lengths": list(config.phase_lengths),
         "base_population": config.base_population,
         "network": dataclasses.asdict(config.network),
     }
+    del descriptor["seed"]
+    return descriptor
 
 
 def _point_digest(config: ScenarioConfig) -> str:
@@ -152,27 +132,18 @@ def _point_digest(config: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
 
 
-def _as_number(fieldname: str, value, check) -> float:
-    """A JSON number as a float, once the validator ``check(value)`` accepted it."""
+def _as_number(fieldname: str, value) -> float:
+    """A JSON number as a float, as the point digests need: they tell 1 from 1.0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(fieldname, f"expected a number, got {value!r}")
-    _checked(fieldname, check, value)
-    return float(value)
+    return _checked(fieldname, float, value)
 
 
-def _distinct(fieldname: str, values: tuple) -> tuple:
-    """``values``, unless one repeats: a repeated axis value would run the same point twice."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
-    return values
-
-
-def _as_axis(fieldname: str, value, check) -> tuple[float, ...]:
+def _as_list(fieldname: str, value) -> list:
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(fieldname, "axis list must not be empty")
-    return _distinct(fieldname, tuple(_as_number(fieldname, v, check) for v in values))
+    return values
 
 
 def _as_int(fieldname: str, value) -> int:
@@ -182,11 +153,32 @@ def _as_int(fieldname: str, value) -> int:
 
 
 def _checked(fieldname: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, reporting a ValueError as a ConfigError on ``fieldname``."""
+    """``build(*args, **kwargs)``; a ValueError or OverflowError becomes a ConfigError."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(fieldname, str(exc)) from None
+
+
+def _axis_values(fieldname: str, setter, base: ScenarioConfig, values: list) -> tuple:
+    """``values``, each accepted by ``setter`` on ``base`` and none repeated.
+
+    A repeated value would run the same point twice.
+    """
+    for i, value in enumerate(values):
+        _checked(fieldname, setter, base, value)
+        if value in values[:i]:
+            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
+    return tuple(values)
+
+
+def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig, ...]:
+    """Every combination of the axes' values set on ``base``, sorted by _point_key."""
+    points = [base]
+    # Longest axis last: the fewest partial configs are built on the way.
+    for name in sorted(_AXES, key=lambda name: len(axes[name])):
+        points = [_AXES[name](point, value) for point in points for value in axes[name]]
+    return tuple(sorted(points, key=_point_key))
 
 
 def _canon_strategy(value) -> str:
@@ -202,25 +194,23 @@ def _canon_strategy(value) -> str:
 def _parse_network(doc) -> TwoRouteNetwork:
     if not isinstance(doc, dict) or set(doc) != {"route_a", "route_b"}:
         raise ConfigError("network", "expected an object with route_a and route_b")
-    # Each field is checked alone on a valid route, so an error names that field.
-    valid = TwoRouteNetwork.default().route_a
+    expected = ("free_flow_time", "capacity", "exponent")
     routes = {}
     for key in ("route_a", "route_b"):
         sub = doc[key]
-        expected = ("free_flow_time", "capacity", "exponent")
         if not isinstance(sub, dict) or set(sub) != set(expected):
             raise ConfigError(
                 f"network.{key}", f"expected an object with {', '.join(sorted(expected))}"
             )
-        values = {
-            name: _as_number(
-                f"network.{key}.{name}", sub[name],
-                lambda v, name=name: dataclasses.replace(valid, **{name: v}),
+        # Each field is set on a route whose other fields are valid, so an error names it.
+        route = TwoRouteNetwork.default().route_a
+        for name in expected:
+            fieldname = f"network.{key}.{name}"
+            route = _checked(
+                fieldname, dataclasses.replace, route, **{name: _as_number(fieldname, sub[name])}
             )
-            for name in expected
-        }
-        routes[key] = RouteParams(**values)
-    return TwoRouteNetwork(route_a=routes["route_a"], route_b=routes["route_b"])
+        routes[key] = route
+    return TwoRouteNetwork(**routes)
 
 
 def load_config(path: str | Path) -> ExperimentSpec:
@@ -247,66 +237,48 @@ def load_config(path: str | Path) -> ExperimentSpec:
     if _as_int("schema", doc.get("schema", 1)) != 1:
         raise ConfigError("schema", f"unsupported schema version {doc['schema']!r}")
 
-    raw_strategies = doc.get("strategy", "Selfish")
-    if not isinstance(raw_strategies, list):
-        raw_strategies = [raw_strategies]
-    if not raw_strategies:
-        raise ConfigError("strategy", "axis list must not be empty")
-    strategies = _distinct("strategy", tuple(_canon_strategy(s) for s in raw_strategies))
+    # Every value is set on one base config, so its dataclass validators check it.
+    base = ScenarioConfig()
+    population = _as_int("base_population", doc.get("base_population", 1000))
+    base = _checked("base_population", dataclasses.replace, base, base_population=population)
+    alpha = _as_number("alpha", doc.get("alpha", 0.2))
+    base = _checked("alpha", _with_human, base, learning_rate=alpha)
+    epsilon = _as_number("epsilon", doc.get("epsilon", 0.1))
+    base = _checked("epsilon", _with_human, base, explore_rate=epsilon)
+    raw_phases = doc.get("phase_lengths", [100, 100, 100, 100])
+    if not isinstance(raw_phases, list):
+        raise ConfigError("phase_lengths", f"expected four integers, got {raw_phases!r}")
+    phases = tuple(_as_int("phase_lengths", p) for p in raw_phases)
+    base = _checked("phase_lengths", dataclasses.replace, base, phase_lengths=phases)
+    if "network" in doc:
+        base = dataclasses.replace(base, network=_parse_network(doc["network"]))
 
-    base_population = _as_int("base_population", doc.get("base_population", 1000))
-    _checked("base_population", ScenarioConfig, base_population=base_population)
-
-    # Every value is built through the validator of the dataclass that holds it.
-    shares = _as_axis("cav_share", doc.get("cav_share", 0.0), lambda v: ScenarioConfig(cav_share=v))
-    betas = _as_axis("beta", doc.get("beta", 5.0), lambda v: HumanParams(taste_spread=v))
-    congestions = _as_axis(
-        "congestion", doc.get("congestion", 1.0),
-        lambda v: ScenarioConfig(congestion=v, base_population=base_population),
-    )
+    strategies = [_canon_strategy(s) for s in _as_list("strategy", doc.get("strategy", "Selfish"))]
+    axes = {"strategy": _axis_values("strategy", _AXES["strategy"], base, strategies)}
+    for name, default in (("cav_share", 0.0), ("beta", 5.0), ("congestion", 1.0)):
+        numbers = [_as_number(name, v) for v in _as_list(name, doc.get(name, default))]
+        axes[name] = _axis_values(name, _AXES[name], base, numbers)
 
     if "seed" in doc and "seeds" in doc:
         raise ConfigError("seeds", "give either seed or seeds, not both")
     raw_seeds = doc.get("seeds", [doc.get("seed", 0)])
     if not isinstance(raw_seeds, list) or not raw_seeds:
         raise ConfigError("seeds", "expected a nonempty list of integers")
-    seeds = _distinct("seeds", tuple(_as_int("seeds", s) for s in raw_seeds))
+    seeds = [_as_int("seeds", s) for s in raw_seeds]
+    axes["seeds"] = _axis_values("seeds", _AXES["seeds"], base, seeds)
     env_seed = os.environ.get("BOTTLESIM_SEED")
     if env_seed is not None:
         try:
-            seeds = (int(env_seed),)
+            seeds = [int(env_seed)]
         except ValueError:
             raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
+        axes["seeds"] = _axis_values("BOTTLESIM_SEED", _AXES["seeds"], base, seeds)
 
-    alpha = _as_number("alpha", doc.get("alpha", 0.2), lambda v: HumanParams(learning_rate=v))
-    epsilon = _as_number("epsilon", doc.get("epsilon", 0.1), lambda v: HumanParams(explore_rate=v))
-
-    raw_phases = doc.get("phase_lengths", [100, 100, 100, 100])
-    if not isinstance(raw_phases, list):
-        raise ConfigError("phase_lengths", f"expected four integers, got {raw_phases!r}")
-    phases = tuple(_as_int("phase_lengths", p) for p in raw_phases)
-    _checked("phase_lengths", ScenarioConfig, phase_lengths=phases)
-
-    if "network" in doc:
-        network = _parse_network(doc["network"])
-    else:
-        network = TwoRouteNetwork.default()
-
-    spec = ExperimentSpec(
-        strategies=strategies,
-        cav_shares=shares,
-        betas=betas,
-        congestions=congestions,
-        seeds=seeds,
-        learning_rate=alpha,
-        explore_rate=epsilon,
-        phase_lengths=phases,  # type: ignore[arg-type]
-        base_population=base_population,
-        network=network,
-        out_dir=Path(doc.get("out_dir", "results")),
-    )
-    _checked("config", spec.run_points)  # surfaces what no single field shows (seed range)
-    return spec
+    out_dir = doc.get("out_dir", "results")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
+    # Building the points surfaces what no single value shows.
+    return ExperimentSpec(points=_checked("config", _grid, base, axes), out_dir=Path(out_dir))
 
 
 def _fmt(value) -> str:
@@ -348,21 +320,14 @@ def _daily_rows(records: list[DayRecord]) -> list[str]:
 
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
     return {
-        "strategy": config.strategy,
-        "cav_share": config.cav_share,
-        "beta": config.human_params.taste_spread,
-        "congestion": config.congestion,
-        "seed": config.seed,
+        **dict(zip(POINT_COLUMNS, _point_key(config))),
         **dataclasses.asdict(averages),
         **dataclasses.asdict(ratios),
     }
 
 
 def _point_label(config: ScenarioConfig) -> str:
-    return (
-        f"strategy={config.strategy} cav_share={config.cav_share} "
-        f"beta={config.human_params.taste_spread} congestion={config.congestion} seed={config.seed}"
-    )
+    return " ".join(f"{column}={value}" for column, value in zip(POINT_COLUMNS, _point_key(config)))
 
 
 def _check_finite(*stats) -> None:
@@ -462,7 +427,7 @@ def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
     for stale in out_dir.glob("daily_*.csv"):
         stale.unlink()
 
-    results = sorted(results, key=lambda item: _canonical_key(item[0]))
+    results = sorted(results, key=lambda item: _point_key(item[0]))
     summary_rows = []
     for config, daily, averages, ratios in results:
         _write_text(out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv", daily)
@@ -571,7 +536,7 @@ def _column_values(rows: list[dict], column: str) -> list[float]:
 def _ttest_metric(rows: list[dict], metric: str) -> TTestResult:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["strategy"], row["cav_share"], row["beta"], row["congestion"])
+        key = tuple(row[column] for column in POINT_COLUMNS if column != "seed")
         groups.setdefault(key, []).append(row)
     if len(groups) != 2:
         raise ConfigError(

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import bottlesim
-from bottlesim import ScenarioConfig, compute_window_averages, paired_t_test, run_scenario
+from bottlesim import (
+    HumanParams,
+    RouteParams,
+    ScenarioConfig,
+    TwoRouteNetwork,
+    compute_window_averages,
+    paired_t_test,
+    run_scenario,
+)
 from bottlesim.expcli import (
     DAILY_HEADER,
     SUMMARY_HEADER,
@@ -33,20 +41,55 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestLoadConfig:
     def test_empty_object_gives_defaults(self, tmp_path):
         spec = load_config(write_config(tmp_path, {}))
-        assert spec.strategies == ("Selfish",)
-        assert spec.cav_shares == (0.0,)
-        assert spec.betas == (5.0,)
-        assert spec.congestions == (1.0,)
-        assert spec.learning_rate == 0.2
-        assert spec.explore_rate == 0.1
-        assert spec.seeds == (0,)
-        assert spec.base_population == 1000
-        assert spec.phase_lengths == (100, 100, 100, 100)
-        assert len(spec.run_points()) == 1
+        (point,) = spec.run_points()
+        assert point.strategy == "Selfish"
+        assert point.cav_share == 0.0
+        assert point.human_params.taste_spread == 5.0
+        assert point.congestion == 1.0
+        assert point.human_params.learning_rate == 0.2
+        assert point.human_params.explore_rate == 0.1
+        assert point.seed == 0
+        assert point.base_population == 1000
+        assert point.phase_lengths == (100, 100, 100, 100)
+        assert point.network == TwoRouteNetwork.default()
+        assert spec.out_dir == Path("results")
 
     def test_axes_and_seeds_multiply(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"cav_share": [0.1, 0.4], "seeds": [1, 2]}))
         assert len(spec.run_points()) == 4
+
+    def test_points_are_exactly_the_hand_built_configs(self, tmp_path):
+        network = {
+            "route_a": {"free_flow_time": 3, "capacity": 100, "exponent": 2},
+            "route_b": {"free_flow_time": 9.5, "capacity": 300, "exponent": 3},
+        }
+        doc = {
+            "strategy": ["social", "Altruistic"], "cav_share": [0.4, 0], "beta": [2, 7.5],
+            "congestion": [1.5, 1], "seeds": [9, 3], "alpha": 0.35, "epsilon": 0.05,
+            "phase_lengths": [3, 4, 5, 6], "base_population": 70, "network": network,
+        }
+        points = load_config(write_config(tmp_path, doc)).run_points()
+        routes = {key: RouteParams(**{k: float(v) for k, v in route.items()})
+                  for key, route in network.items()}
+        expected = [
+            ScenarioConfig(
+                human_params=HumanParams(learning_rate=0.35, explore_rate=0.05, taste_spread=float(beta)),
+                network=TwoRouteNetwork(**routes),
+                congestion=float(congestion),
+                cav_share=float(share),
+                strategy=strategy,
+                phase_lengths=(3, 4, 5, 6),
+                base_population=70,
+                seed=seed,
+            )
+            for strategy in ("Social", "Altruistic") for share in (0.4, 0) for beta in (2, 7.5)
+            for congestion in (1.5, 1) for seed in (9, 3)
+        ]
+        expected.sort(key=lambda c: (c.strategy, c.cav_share, c.human_params.taste_spread,
+                                     c.congestion, c.seed))
+        assert points == expected
+        # JSON ints on an axis become floats, as the point digests need.
+        assert [repr(p) for p in points] == [repr(c) for c in expected]
 
     def test_negative_beta_rejected_with_field_name(self, tmp_path):
         with pytest.raises(ConfigError, match="beta"):
@@ -73,6 +116,10 @@ class TestLoadConfig:
             ({"beta": [5, 5.0]}, "beta: value 5.0 repeats"),
             ({"congestion": [1.0, 2.0, 1]}, "congestion: value 1.0 repeats"),
             ({"seeds": [1, 2, 1]}, "seeds: value 1 repeats"),
+            ({"seed": -1}, "seeds: seed must be an unsigned 64-bit integer"),
+            ({"seeds": [2**64]}, "seeds: seed must be an unsigned 64-bit integer"),
+            ({"out_dir": None}, "out_dir: expected a string"),
+            ({"out_dir": 5}, "out_dir: expected a string"),
         ],
     )
     def test_field_level_rejections(self, tmp_path, doc, field):
@@ -91,7 +138,7 @@ class TestLoadConfig:
 
     def test_strategy_names_are_case_insensitive(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"strategy": ["selfish", "SOCIAL"]}))
-        assert spec.strategies == ("Selfish", "Social")
+        assert [point.strategy for point in spec.run_points()] == ["Selfish", "Social"]
 
     def test_custom_network_parsed(self, tmp_path):
         doc = {
@@ -101,17 +148,18 @@ class TestLoadConfig:
             }
         }
         spec = load_config(write_config(tmp_path, doc))
-        assert spec.network.route_a.capacity == 100
+        assert spec.run_points()[0].network.route_a.capacity == 100
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOTTLESIM_SEED", "77")
         spec = load_config(write_config(tmp_path, {"seeds": [1, 2, 3]}))
-        assert spec.seeds == (77,)
+        assert [point.seed for point in spec.run_points()] == [77]
 
     def test_invalid_env_seed_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BOTTLESIM_SEED", "not-a-number")
-        with pytest.raises(ConfigError, match="BOTTLESIM_SEED"):
-            load_config(write_config(tmp_path, {}))
+        for value in ("not-a-number", "-1", str(2**64)):
+            monkeypatch.setenv("BOTTLESIM_SEED", value)
+            with pytest.raises(ConfigError, match="^BOTTLESIM_SEED: "):
+                load_config(write_config(tmp_path, {}))
 
 
 class TestRunExperiment:
@@ -288,6 +336,20 @@ class TestCli:
     def test_invalid_field_is_a_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"beta": -2})
         assert main(["run", str(config)]) == 1
+
+    def test_non_string_out_dir_exits_one_without_traceback(self, tmp_path):
+        config = write_config(tmp_path, dict(FAST, out_dir=None))
+        src = str(Path(bottlesim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        entry = "import sys; from bottlesim.expcli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, "run", str(config)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "out_dir" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_unwritable_output_directory_is_a_runtime_failure(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))
