@@ -29,11 +29,9 @@ from .metrics import (
     WindowAverages,
     compute_window_averages,
     day_statistics,
-    optimality_and_equity,
     paired_t_test,
     ratio_report,
     system_optimum,
-    window_average,
 )
 from .expcli import (
     ConfigError,
@@ -67,7 +65,6 @@ __all__ = [
     "fleet_optimize",
     "load_config",
     "network_travel_times",
-    "optimality_and_equity",
     "paired_t_test",
     "ratio_report",
     "replicate_and_test",
@@ -77,6 +74,5 @@ __all__ = [
     "step_day",
     "strategy_weights",
     "system_optimum",
-    "window_average",
     "write_outputs",
 ]

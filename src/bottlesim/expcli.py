@@ -595,6 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("run", "sweep"):
+            if args.jobs is not None and args.jobs < 1:
+                raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
             spec = load_config(args.config)
             if args.out is not None:
                 spec.out_dir = Path(args.out)
@@ -625,7 +627,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,11 +1,12 @@
 """Reported statistics: daily group means, window averages, gaps, ratios.
 
 A simulation produces one record per day.  The statistics of interest
-are arithmetic means of per-day quantities over two 100-day windows: a
-baseline window before the fleet is introduced and an evaluation window
-at the end of the run.  Group statistics over an empty group (no fleet,
-or no surviving human drivers) are reported as absent (None), never as
-zero, and absence propagates through window averages and ratios.
+are arithmetic means of per-day quantities over two windows of the
+run's phases: the baseline window (phase 2, before the fleet is
+introduced) and the evaluation window (phase 4, at the end of the run).
+Group statistics over an empty group (no fleet, or no surviving human
+drivers) are reported as absent (None), never as zero, and absence
+propagates through window averages and ratios.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .fleet import fleet_optimize, strategy_weights
 from .network import TwoRouteNetwork
 
 if TYPE_CHECKING:
-    from .engine import DayRecord, SimulationLog
+    from .engine import SimulationLog
 
 # Two-tailed critical values of Student's t at p = 0.001.  Degrees of
 # freedom above 30 conservatively reuse the df = 30 entry.
@@ -98,17 +99,12 @@ def day_statistics(
     fleet time), each None when its group is empty.  Perceived time of a
     driver is the experienced time plus the taste of the route taken.
     """
-    n_hdv = len(hdv_routes)
-    if n_hdv > 0:
-        on_a = n_hdv - int(np.count_nonzero(hdv_routes))
-        mean_hdv = (on_a * t_a + (n_hdv - on_a) * t_b) / n_hdv
-    else:
-        mean_hdv = None
-
-    mean_perceived = survivor_perceived_mean(hdv_routes, survivor_count, taste_a, taste_b, t_a, t_b)
-    q_cav = q_cav_a + q_cav_b
-    mean_cav = (q_cav_a * t_a + q_cav_b * t_b) / q_cav if q_cav > 0 else None
-    return mean_hdv, mean_perceived, mean_cav
+    q_hdv_b = int(np.count_nonzero(hdv_routes))
+    return (
+        _flow_mean(len(hdv_routes) - q_hdv_b, q_hdv_b, t_a, t_b),
+        survivor_perceived_mean(hdv_routes, survivor_count, taste_a, taste_b, t_a, t_b),
+        _flow_mean(q_cav_a, q_cav_b, t_a, t_b),
+    )
 
 
 def survivor_perceived_mean(
@@ -133,37 +129,6 @@ def survivor_perceived_mean(
     return float(np.add.reduce(perceived)) / n_sur
 
 
-def _check_window(log: "SimulationLog", day_range: tuple[int, int]) -> tuple[int, int]:
-    first, last = day_range
-    if last < first:
-        raise ValueError(f"empty day range {day_range}")
-    if first < 1 or last > len(log.records):
-        raise ValueError(
-            f"day range {day_range} outside the log (days 1..{len(log.records)})"
-        )
-    return first, last
-
-
-def window_average(
-    log: "SimulationLog",
-    day_range: tuple[int, int],
-    selector: str | Callable[["DayRecord"], float | None],
-) -> float | None:
-    """Arithmetic mean of a per-day statistic over an inclusive day range.
-
-    ``selector`` is a DayRecord attribute name or a callable on records.
-    A single absent (None) day makes the whole window absent.
-    """
-    first, last = _check_window(log, day_range)
-    if isinstance(selector, str):
-        name = selector
-        selector = lambda rec: getattr(rec, name)  # noqa: E731
-    values = [selector(rec) for rec in log.records[first - 1 : last]]
-    if any(v is None for v in values):
-        return None
-    return sum(values) / len(values)
-
-
 @lru_cache(maxsize=None)
 def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     """Split of ``q_total`` vehicles that minimizes the mean travel time.
@@ -178,85 +143,61 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     return decision.cav_on_a, decision.objective_value / q_total
 
 
-def _day_mean_and_spread(rec: "DayRecord") -> tuple[int, float, float]:
-    """Total flow, realized mean time S and equity spread sigma of one day."""
-    q_a = rec.q_hdv_a + rec.q_cav_a
-    q_b = rec.q_hdv_b + rec.q_cav_b
+def _mean(values: list) -> float | None:
+    """Mean of per-day values; None for an empty window or an absent day."""
+    if not values or any(v is None for v in values):
+        return None
+    return sum(values) / len(values)
+
+
+def _flow_mean(q_a: int, q_b: int, t_a: float, t_b: float) -> float | None:
+    """Flow-weighted mean of two per-route values; None for no flow."""
     total = q_a + q_b
-    s = (q_a * rec.t_a + q_b * rec.t_b) / total
-    sigma = math.sqrt((q_a * (rec.t_a - s) ** 2 + q_b * (rec.t_b - s) ** 2) / total)
-    return total, s, sigma
+    return (q_a * t_a + q_b * t_b) / total if total > 0 else None
 
 
-def optimality_and_equity(
-    log: "SimulationLog",
-    network: TwoRouteNetwork,
-    day_range: tuple[int, int],
-) -> tuple[float, float]:
-    """Window-averaged distance from system optimum and travel-time spread.
-
-    Per day the optimality gap is S - S_O, with S the realized mean time
-    of all vehicles and S_O the system optimum at that day's total; the
-    equity gap is the flow-weighted standard deviation of the two route
-    times.  Both are averaged over the window.
-    """
-    first, last = _check_window(log, day_range)
-    gaps = []
-    sigmas = []
-    for rec in log.records[first - 1 : last]:
-        total, s, sigma = _day_mean_and_spread(rec)
-        gaps.append(s - system_optimum(network, total)[1])
-        sigmas.append(sigma)
-    return sum(gaps) / len(gaps), sum(sigmas) / len(sigmas)
-
-
-def _frac_hdv_on_a(rec: "DayRecord") -> float | None:
-    n = rec.q_hdv_a + rec.q_hdv_b
-    return rec.q_hdv_a / n if n > 0 else None
-
-
-def _frac_cav_on_a(rec: "DayRecord") -> float | None:
-    n = rec.q_cav_a + rec.q_cav_b
-    return rec.q_cav_a / n if n > 0 else None
-
-
-def baseline_window(phase_lengths: Sequence[int]) -> tuple[int, int]:
-    """Inclusive day range of the pre-fleet observation phase."""
-    p1, p2 = phase_lengths[0], phase_lengths[1]
-    return p1 + 1, p1 + p2
-
-
-def evaluation_window(phase_lengths: Sequence[int]) -> tuple[int, int]:
-    """Inclusive day range of the final observation phase."""
-    p1, p2, p3, p4 = phase_lengths
-    return p1 + p2 + p3 + 1, p1 + p2 + p3 + p4
+def _share_a(q_a: int, q_b: int) -> float | None:
+    """Fraction of a group on route A; None for an empty group."""
+    total = q_a + q_b
+    return q_a / total if total > 0 else None
 
 
 def compute_window_averages(log: "SimulationLog") -> WindowAverages:
-    """All window statistics of one run, using the run's own phase windows."""
-    phases = log.config.phase_lengths
-    base = baseline_window(phases)
-    post = evaluation_window(phases)
+    """All window statistics of one run.
 
-    def averaged(day_range, selector):
-        if day_range[1] < day_range[0]:
-            return None
-        return window_average(log, day_range, selector)
-
-    if post[1] >= post[0]:
-        opt_gap, equity_gap = optimality_and_equity(log, log.config.network, post)
-    else:
-        opt_gap = equity_gap = None
+    ``tau_b`` and ``u_b`` average the baseline window (phase 2 of the
+    run's ``phase_lengths``), every other field the evaluation window
+    (phase 4).  Per day the optimality gap is S - S_O, with S the
+    flow-weighted mean time of all vehicles and S_O the system optimum
+    at that day's total flow; the equity gap is the flow-weighted
+    standard deviation of the two route times around S.
+    """
+    p1, p2, p3, p4 = log.config.phase_lengths
+    if len(log.records) < log.config.total_days:
+        raise ValueError(
+            f"phase windows reach day {log.config.total_days}, "
+            f"outside the log (days 1..{len(log.records)})"
+        )
+    base = log.records[p1 : p1 + p2]
+    post = log.records[p1 + p2 + p3 : p1 + p2 + p3 + p4]
+    gaps = []
+    sigmas = []
+    for rec in post:
+        q_a = rec.q_hdv_a + rec.q_cav_a
+        q_b = rec.q_hdv_b + rec.q_cav_b
+        s = _flow_mean(q_a, q_b, rec.t_a, rec.t_b)
+        gaps.append(s - system_optimum(log.config.network, q_a + q_b)[1])
+        sigmas.append(math.sqrt(_flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)))
     return WindowAverages(
-        tau_b=averaged(base, "mean_hdv_time"),
-        tau=averaged(post, "mean_hdv_time"),
-        u_b=averaged(base, "mean_perceived_hdv_time"),
-        u=averaged(post, "mean_perceived_hdv_time"),
-        rho=averaged(post, "mean_cav_time"),
-        frac_a_hdv=averaged(post, _frac_hdv_on_a),
-        frac_a_cav=averaged(post, _frac_cav_on_a),
-        opt_gap=opt_gap,
-        equity_gap=equity_gap,
+        tau_b=_mean([rec.mean_hdv_time for rec in base]),
+        tau=_mean([rec.mean_hdv_time for rec in post]),
+        u_b=_mean([rec.mean_perceived_hdv_time for rec in base]),
+        u=_mean([rec.mean_perceived_hdv_time for rec in post]),
+        rho=_mean([rec.mean_cav_time for rec in post]),
+        frac_a_hdv=_mean([_share_a(rec.q_hdv_a, rec.q_hdv_b) for rec in post]),
+        frac_a_cav=_mean([_share_a(rec.q_cav_a, rec.q_cav_b) for rec in post]),
+        opt_gap=_mean(gaps),
+        equity_gap=_mean(sigmas),
     )
 
 

@@ -324,12 +324,12 @@ def test_13_property_suites():
         assert social.objective_value / q_total == pytest.approx(minimal_mean)
 
     # equity spread is zero exactly when the route times coincide
-    from bottlesim import DayRecord, SimulationLog, optimality_and_equity
+    from bottlesim import DayRecord, SimulationLog
 
     def spread_of(t_a, t_b, q_a=400, q_b=600):
         record = DayRecord(1, q_a, q_b, 0, 0, t_a, t_b, None, None, None)
-        log = SimulationLog(ScenarioConfig(phase_lengths=(0, 0, 0, 1)), [record])
-        return optimality_and_equity(log, net, (1, 1))[1]
+        log = SimulationLog(ScenarioConfig(phase_lengths=(0, 0, 0, 1), network=net), [record])
+        return compute_window_averages(log).equity_gap
 
     assert spread_of(12.0, 12.0) == 0.0
     assert spread_of(12.0, 12.5) > 0.0

@@ -337,19 +337,37 @@ class TestCli:
         config = write_config(tmp_path, {"beta": -2})
         assert main(["run", str(config)]) == 1
 
-    def test_non_string_out_dir_exits_one_without_traceback(self, tmp_path):
-        config = write_config(tmp_path, dict(FAST, out_dir=None))
+    @staticmethod
+    def run_cli(args, cwd):
+        """Run ``python -W error::RuntimeWarning -m bottlesim ARGS`` in a fresh interpreter."""
         src = str(Path(bottlesim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        entry = "import sys; from bottlesim.expcli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", entry, "run", str(config)],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bottlesim", *args],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
         )
+
+    def test_non_string_out_dir_exits_one_without_traceback(self, tmp_path):
+        config = write_config(tmp_path, dict(FAST, out_dir=None))
+        proc = self.run_cli(["run", str(config)], tmp_path)
         assert proc.returncode == 1
         assert "out_dir" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        proc = self.run_cli(["ttest", "--help"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: bottlesim ttest")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "-3"])
+    def test_jobs_below_one_is_a_validation_error(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, dict(FAST))
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_directory_is_a_runtime_failure(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottlesim import (
     DayRecord,
@@ -14,12 +16,10 @@ from bottlesim import (
     bpr_travel_time,
     compute_window_averages,
     day_statistics,
-    optimality_and_equity,
     paired_t_test,
     ratio_report,
     run_scenario,
     system_optimum,
-    window_average,
 )
 
 NET = TwoRouteNetwork.default()
@@ -42,8 +42,8 @@ def make_record(day, q_hdv_a, q_hdv_b, q_cav_a=0, q_cav_b=0, mean_hdv=None, mean
     )
 
 
-def make_log(records, phase_lengths=(100, 100, 100, 100)):
-    config = ScenarioConfig(phase_lengths=phase_lengths)
+def make_log(records, phase_lengths=(100, 100, 100, 100), network=NET):
+    config = ScenarioConfig(phase_lengths=phase_lengths, network=network)
     return SimulationLog(config=config, records=records)
 
 
@@ -76,39 +76,39 @@ class TestDayStatistics:
 class TestWindowAverage:
     def test_constant_series(self):
         records = [make_record(d, 500, 500, mean_hdv=12.5) for d in range(1, 401)]
-        assert window_average(make_log(records), (101, 200), "mean_hdv_time") == 12.5
+        assert compute_window_averages(make_log(records)).tau_b == 12.5
 
     def test_mixed_series(self):
         records = [
             make_record(d, 500, 500, mean_hdv=10.0 if d <= 150 else 20.0) for d in range(1, 401)
         ]
-        assert window_average(make_log(records), (101, 200), "mean_hdv_time") == 15.0
+        assert compute_window_averages(make_log(records)).tau_b == 15.0
 
     def test_window_uses_exactly_the_named_days(self):
         records = [make_record(d, 500, 500, mean_hdv=float(d)) for d in range(1, 401)]
-        assert window_average(make_log(records), (301, 400), "mean_hdv_time") == pytest.approx(350.5)
+        assert compute_window_averages(make_log(records)).tau == pytest.approx(350.5)
 
     def test_absent_day_makes_window_absent(self):
         records = [
             make_record(d, 500, 500, mean_hdv=None if d == 350 else 1.0) for d in range(1, 401)
         ]
-        assert window_average(make_log(records), (301, 400), "mean_hdv_time") is None
+        assert compute_window_averages(make_log(records)).tau is None
 
-    def test_empty_range_rejected(self):
-        records = [make_record(d, 500, 500, mean_hdv=1.0) for d in range(1, 401)]
-        with pytest.raises(ValueError, match="empty"):
-            window_average(make_log(records), (200, 101), "mean_hdv_time")
+    def test_empty_window_is_absent(self):
+        records = [make_record(d, 500, 500, mean_hdv=1.0) for d in range(1, 11)]
+        averages = compute_window_averages(make_log(records, (5, 0, 5, 0)))
+        assert averages.tau_b is None and averages.tau is None
+        assert averages.opt_gap is None and averages.equity_gap is None
 
     def test_range_outside_log_rejected(self):
         records = [make_record(d, 500, 500, mean_hdv=1.0) for d in range(1, 11)]
         with pytest.raises(ValueError, match="outside"):
-            window_average(make_log(records, (5, 5, 0, 0)), (5, 11), "mean_hdv_time")
+            compute_window_averages(make_log(records, (5, 6, 0, 0)))
 
-    def test_callable_selector(self):
+    def test_route_a_share(self):
         records = [make_record(d, 600, 400, mean_hdv=1.0) for d in range(1, 11)]
-        log = make_log(records, (5, 5, 0, 0))
-        frac = window_average(log, (1, 10), lambda r: r.q_hdv_a / (r.q_hdv_a + r.q_hdv_b))
-        assert frac == pytest.approx(0.6)
+        log = make_log(records, (0, 0, 0, 10))
+        assert compute_window_averages(log).frac_a_hdv == pytest.approx(0.6)
 
 
 class TestSystemOptimum:
@@ -151,7 +151,7 @@ class TestOptimalityAndEquity:
     def test_day_at_exact_optimum_has_zero_gap(self):
         best, _ = system_optimum(NET, 1000)
         records = [make_record(1, best, 1000 - best)]
-        gap, _ = optimality_and_equity(make_log(records, (0, 0, 0, 1)), NET, (1, 1))
+        gap = compute_window_averages(make_log(records, (0, 0, 0, 1))).opt_gap
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_route_times_have_zero_spread(self):
@@ -159,14 +159,14 @@ class TestOptimalityAndEquity:
         twin = TwoRouteNetwork(route_a=route, route_b=route)
         t = bpr_travel_time(route, 200)
         record = DayRecord(1, 200, 200, 0, 0, t, t, None, None, None)
-        _, spread = optimality_and_equity(make_log([record], (0, 0, 0, 1)), twin, (1, 1))
+        spread = compute_window_averages(make_log([record], (0, 0, 0, 1), twin)).equity_gap
         assert spread == 0.0
 
     def test_hand_evaluated_spread(self):
         # q_a = q_b = 500, times 10 and 20.859375: spread is half the gap
         record = make_record(1, 500, 500)
         assert record.t_b == 20.859375
-        _, spread = optimality_and_equity(make_log([record], (0, 0, 0, 1)), NET, (1, 1))
+        spread = compute_window_averages(make_log([record], (0, 0, 0, 1))).equity_gap
         assert spread == pytest.approx(5.4296875)
 
     def test_gap_never_negative(self):
@@ -175,7 +175,7 @@ class TestOptimalityAndEquity:
             make_record(day, int(rng.integers(0, 1200)), int(rng.integers(1, 1200)))
             for day in range(1, 51)
         ]
-        gap, _ = optimality_and_equity(make_log(records, (0, 0, 0, 50)), NET, (1, 50))
+        gap = compute_window_averages(make_log(records, (0, 0, 0, 50))).opt_gap
         assert gap >= 0.0
 
 
@@ -206,6 +206,97 @@ class TestComputeWindowAverages:
         averages = compute_window_averages(run_scenario(config))
         assert averages.u_b == pytest.approx(averages.tau_b, abs=1e-6)
         assert averages.u == pytest.approx(averages.tau, abs=1e-6)
+
+
+def reference_window_mean(days, value_of):
+    """Mean of ``value_of`` over ``days``, summed left to right from 0.
+
+    None for no days or for a day whose value is None.
+    """
+    if not days:
+        return None
+    total = 0
+    for rec in days:
+        value = value_of(rec)
+        if value is None:
+            return None
+        total = total + value
+    return total / len(days)
+
+
+def reference_window_averages(log):
+    """Every WindowAverages field written out from its own definition."""
+    p1, p2, p3, p4 = log.config.phase_lengths
+    baseline = log.records[p1 : p1 + p2]
+    evaluation = log.records[p1 + p2 + p3 : p1 + p2 + p3 + p4]
+
+    def realized_mean(rec):
+        q_a, q_b = rec.q_hdv_a + rec.q_cav_a, rec.q_hdv_b + rec.q_cav_b
+        return (q_a * rec.t_a + q_b * rec.t_b) / (q_a + q_b)
+
+    def optimality_gap(rec):
+        total = rec.q_hdv_a + rec.q_cav_a + rec.q_hdv_b + rec.q_cav_b
+        return realized_mean(rec) - system_optimum(log.config.network, total)[1]
+
+    def equity_spread(rec):
+        q_a, q_b = rec.q_hdv_a + rec.q_cav_a, rec.q_hdv_b + rec.q_cav_b
+        s = realized_mean(rec)
+        return math.sqrt((q_a * (rec.t_a - s) ** 2 + q_b * (rec.t_b - s) ** 2) / (q_a + q_b))
+
+    def hdv_share(rec):
+        n = rec.q_hdv_a + rec.q_hdv_b
+        return rec.q_hdv_a / n if n > 0 else None
+
+    def cav_share(rec):
+        n = rec.q_cav_a + rec.q_cav_b
+        return rec.q_cav_a / n if n > 0 else None
+
+    return WindowAverages(
+        tau_b=reference_window_mean(baseline, lambda rec: rec.mean_hdv_time),
+        tau=reference_window_mean(evaluation, lambda rec: rec.mean_hdv_time),
+        u_b=reference_window_mean(baseline, lambda rec: rec.mean_perceived_hdv_time),
+        u=reference_window_mean(evaluation, lambda rec: rec.mean_perceived_hdv_time),
+        rho=reference_window_mean(evaluation, lambda rec: rec.mean_cav_time),
+        frac_a_hdv=reference_window_mean(evaluation, hdv_share),
+        frac_a_cav=reference_window_mean(evaluation, cav_share),
+        opt_gap=reference_window_mean(evaluation, optimality_gap),
+        equity_gap=reference_window_mean(evaluation, equity_spread),
+    )
+
+
+@st.composite
+def window_logs(draw):
+    """Logs with zero-length phases, empty groups and absent days.
+
+    A log may run past its phases; each day carries some flow, because
+    the realized mean time of a day without traffic is undefined.
+    """
+    phases = tuple(draw(st.lists(st.integers(0, 5), min_size=4, max_size=4)))
+    n_days = sum(phases) + draw(st.integers(0, 2))
+    empty = draw(st.sampled_from(["none", "hdv", "cav"]))
+    group = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 40), st.integers(0, 40)))
+    time = st.floats(0.0, 1e3, allow_nan=False)
+    mean = st.floats(-1e3, 1e3, allow_nan=False)
+    if draw(st.booleans()):
+        mean = st.one_of(st.none(), mean)
+    records = []
+    for day in range(1, n_days + 1):
+        q_hdv = (0, 0) if empty == "hdv" else draw(group)
+        q_cav = (0, 0) if empty == "cav" else draw(group)
+        if sum(q_hdv) + sum(q_cav) == 0:
+            q_hdv, q_cav = ((1, 0), q_cav) if empty == "cav" else (q_hdv, (0, 1))
+        records.append(DayRecord(
+            day, q_hdv[0], q_hdv[1], q_cav[0], q_cav[1], draw(time), draw(time),
+            draw(mean), draw(mean), draw(mean),
+        ))
+    return make_log(records, phases)
+
+
+class TestWindowStatisticsProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(log=window_logs())
+    def test_every_field_matches_its_definition_bit_for_bit(self, log):
+        assert repr(compute_window_averages(log)) == repr(reference_window_averages(log))
 
 
 class TestRatioReport:
