@@ -20,9 +20,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,39 +54,17 @@ from .network import TwoRouteNetwork
 if TYPE_CHECKING:
     import argparse
 
-DAILY_HEADER = (
-    "day,q_hdv_a,q_hdv_b,q_cav_a,q_cav_b,t_a,t_b,"
-    "mean_hdv_time,mean_perceived_hdv_time,mean_cav_time"
-)
-SUMMARY_HEADER = (
-    "strategy,cav_share,beta,congestion,seed,tau_b,tau,u_b,u,rho,"
-    "frac_a_hdv,frac_a_cav,opt_gap,equity_gap,cav_advantage,"
-    "effect_change_to_cav,effect_remaining_hdv,perceived_effect_remaining_hdv"
-)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
 
 # The columns that name a config point; _point_key gives their values.
-POINT_COLUMNS = tuple(SUMMARY_HEADER.split(",")[:5])
-
-WINDOW_METRICS = tuple(f.name for f in dataclasses.fields(WindowAverages))
-
-
-def _with_human(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    return dataclasses.replace(config, human_params=dataclasses.replace(config.human_params, **changes))
-
-
-# How a config takes a value on each sweep axis, by the axis's JSON name.
-_AXES = {
-    "strategy": lambda config, value: dataclasses.replace(config, strategy=value),
-    "cav_share": lambda config, value: dataclasses.replace(config, cav_share=value),
-    "beta": lambda config, value: _with_human(config, taste_spread=value),
-    "congestion": lambda config, value: dataclasses.replace(config, congestion=value),
-    "seeds": lambda config, value: dataclasses.replace(config, seed=value),
-}
-
-_KNOWN_KEYS = {
-    *_AXES, "schema", "seed", "alpha", "epsilon", "phase_lengths", "base_population", "network",
-    "out_dir",
-}
+POINT_COLUMNS = ("strategy", "cav_share", "beta", "congestion", "seed")
+WINDOW_METRICS = _field_names(WindowAverages)
+SUMMARY_COLUMNS = POINT_COLUMNS + WINDOW_METRICS + _field_names(RatioReport)
+SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
+DAILY_HEADER = ",".join(_field_names(DayRecord))
+_day_values = operator.attrgetter(*_field_names(DayRecord))
 
 
 class ConfigError(ValueError):
@@ -107,29 +87,15 @@ class ExperimentSpec:
         return list(self.points)
 
 
-def _point_key(config: ScenarioConfig) -> tuple:
-    """The values of POINT_COLUMNS for ``config``; runs are sorted by it."""
-    params = config.human_params
-    return (config.strategy, config.cav_share, params.taste_spread, config.congestion, config.seed)
+def _checked(fieldname: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError or OverflowError becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(fieldname, str(exc)) from None
 
 
-def _point_descriptor(config: ScenarioConfig) -> dict:
-    """Every knob of a config except the seed, as plain JSON data."""
-    descriptor = {
-        **dict(zip(POINT_COLUMNS, _point_key(config))),
-        "alpha": config.human_params.learning_rate,
-        "epsilon": config.human_params.explore_rate,
-        "phase_lengths": list(config.phase_lengths),
-        "base_population": config.base_population,
-        "network": dataclasses.asdict(config.network),
-    }
-    del descriptor["seed"]
-    return descriptor
-
-
-def _point_digest(config: ScenarioConfig) -> str:
-    canonical = json.dumps(_point_descriptor(config), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
+# The parsers of JSON values: each takes (fieldname, value) and names the field in its error.
 
 
 def _as_number(fieldname: str, value) -> float:
@@ -139,86 +105,118 @@ def _as_number(fieldname: str, value) -> float:
     return _checked(fieldname, float, value)
 
 
-def _as_list(fieldname: str, value) -> list:
-    values = value if isinstance(value, list) else [value]
-    if not values:
-        raise ConfigError(fieldname, "axis list must not be empty")
-    return values
-
-
 def _as_int(fieldname: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(fieldname, f"expected an integer, got {value!r}")
     return value
 
 
-def _checked(fieldname: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError or OverflowError becomes a ConfigError."""
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(fieldname, str(exc)) from None
+def _as_phases(fieldname: str, value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(fieldname, f"expected four integers, got {value!r}")
+    return tuple(_as_int(fieldname, p) for p in value)
 
 
-def _axis_values(fieldname: str, setter, base: ScenarioConfig, values: list) -> tuple:
-    """``values``, each accepted by ``setter`` on ``base`` and none repeated.
-
-    A repeated value would run the same point twice.
-    """
-    for i, value in enumerate(values):
-        _checked(fieldname, setter, base, value)
-        if value in values[:i]:
-            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
-    return tuple(values)
-
-
-def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig, ...]:
-    """Every combination of the axes' values set on ``base``, sorted by _point_key."""
-    points = [base]
-    # Longest axis last: the fewest partial configs are built on the way.
-    for name in sorted(_AXES, key=lambda name: len(axes[name])):
-        points = [_AXES[name](point, value) for point in points for value in axes[name]]
-    return tuple(sorted(points, key=_point_key))
-
-
-def _canon_strategy(value) -> str:
+def _canon_strategy(fieldname: str, value) -> str:
     if isinstance(value, str):
         for name in STRATEGY_NAMES:
             if value.lower() == name.lower():
                 return name
-    raise ConfigError(
-        "strategy", f"expected one of {', '.join(STRATEGY_NAMES)}, got {value!r}"
-    )
+    raise ConfigError(fieldname, f"expected one of {', '.join(STRATEGY_NAMES)}, got {value!r}")
 
 
-def _parse_network(doc) -> TwoRouteNetwork:
+def _parse_network(fieldname: str, doc) -> TwoRouteNetwork:
     if not isinstance(doc, dict) or set(doc) != {"route_a", "route_b"}:
-        raise ConfigError("network", "expected an object with route_a and route_b")
+        raise ConfigError(fieldname, "expected an object with route_a and route_b")
     expected = ("free_flow_time", "capacity", "exponent")
     routes = {}
     for key in ("route_a", "route_b"):
         sub = doc[key]
         if not isinstance(sub, dict) or set(sub) != set(expected):
             raise ConfigError(
-                f"network.{key}", f"expected an object with {', '.join(sorted(expected))}"
+                f"{fieldname}.{key}", f"expected an object with {', '.join(sorted(expected))}"
             )
         # Each field is set on a route whose other fields are valid, so an error names it.
         route = TwoRouteNetwork.default().route_a
         for name in expected:
-            fieldname = f"network.{key}.{name}"
+            subfield = f"{fieldname}.{key}.{name}"
             route = _checked(
-                fieldname, dataclasses.replace, route, **{name: _as_number(fieldname, sub[name])}
+                subfield, dataclasses.replace, route, **{name: _as_number(subfield, sub[name])}
             )
         routes[key] = route
     return TwoRouteNetwork(**routes)
 
 
+# The config format: each JSON field's parser and the path of the ScenarioConfig
+# attribute it sets.  An absent field keeps the ScenarioConfig default.
+# Single-valued fields, in the order they are checked:
+_FIELDS = {
+    "base_population": (_as_int, ("base_population",)),
+    "alpha": (_as_number, ("human_params", "learning_rate")),
+    "epsilon": (_as_number, ("human_params", "explore_rate")),
+    "phase_lengths": (_as_phases, ("phase_lengths",)),
+    "network": (_parse_network, ("network",)),
+}
+# Sweep axes, in POINT_COLUMNS order; the parser reads one value of the axis.
+_AXES = {
+    "strategy": (_canon_strategy, ("strategy",)),
+    "cav_share": (_as_number, ("cav_share",)),
+    "beta": (_as_number, ("human_params", "taste_spread")),
+    "congestion": (_as_number, ("congestion",)),
+    "seeds": (_as_int, ("seed",)),
+}
+
+
+def _get(config: ScenarioConfig, path: tuple[str, ...]):
+    return functools.reduce(getattr, path, config)
+
+
+def _set(obj, path: tuple[str, ...], value):
+    """``obj`` with the attribute at ``path`` replaced, its validators run on the way up."""
+    name, *rest = path
+    return dataclasses.replace(obj, **{name: _set(getattr(obj, name), rest, value) if rest else value})
+
+
+def _point_key(config: ScenarioConfig) -> tuple:
+    """The values of POINT_COLUMNS for ``config``; runs are sorted by it."""
+    return tuple(_get(config, path) for _, path in _AXES.values())
+
+
+def _point_digest(config: ScenarioConfig) -> str:
+    """Hash of every config field but the seed, as JSON; it names the daily files."""
+    knobs = {name: _get(config, path) for name, (_, path) in (*_FIELDS.items(), *_AXES.items())}
+    del knobs["seeds"]
+    canonical = json.dumps(knobs, sort_keys=True, default=dataclasses.asdict)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
+
+
+def _axis_values(fieldname: str, path: tuple[str, ...], base: ScenarioConfig, values: list) -> tuple:
+    """``values``, each accepted at ``path`` on ``base`` and none repeated.
+
+    A repeated value would run the same point twice.
+    """
+    for i, value in enumerate(values):
+        _checked(fieldname, _set, base, path, value)
+        if value in values[:i]:
+            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
+    return tuple(values)
+
+
+def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig, ...]:
+    """Every combination of the given axes' values set on ``base``, sorted by _point_key."""
+    points = [base]
+    # Longest axis last: the fewest partial configs are built on the way.
+    for name in sorted(axes, key=lambda name: len(axes[name])):
+        path = _AXES[name][1]
+        points = [_set(point, path, value) for point in points for value in axes[name]]
+    return tuple(sorted(points, key=_point_key))
+
+
 def load_config(path: str | Path) -> ExperimentSpec:
     """Parse and fully validate a JSON experiment config.
 
-    Omitted fields take the defaults: Selfish strategy, share 0.0,
-    beta 5.0, congestion 1.0, alpha 0.2, epsilon 0.1, phases
-    100/100/100/100, population 1000, seed 0, baseline network.
+    An omitted field keeps the ``ScenarioConfig`` default; ``out_dir``
+    defaults to ``results``.
     """
     path = Path(path)
     try:
@@ -231,48 +229,41 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError("config", f"malformed JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
+    known = {*_FIELDS, *_AXES, "schema", "seed", "out_dir"}
     for key in doc:
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise ConfigError(key, "unknown field")
     if _as_int("schema", doc.get("schema", 1)) != 1:
         raise ConfigError("schema", f"unsupported schema version {doc['schema']!r}")
 
     # Every value is set on one base config, so its dataclass validators check it.
     base = ScenarioConfig()
-    population = _as_int("base_population", doc.get("base_population", 1000))
-    base = _checked("base_population", dataclasses.replace, base, base_population=population)
-    alpha = _as_number("alpha", doc.get("alpha", 0.2))
-    base = _checked("alpha", _with_human, base, learning_rate=alpha)
-    epsilon = _as_number("epsilon", doc.get("epsilon", 0.1))
-    base = _checked("epsilon", _with_human, base, explore_rate=epsilon)
-    raw_phases = doc.get("phase_lengths", [100, 100, 100, 100])
-    if not isinstance(raw_phases, list):
-        raise ConfigError("phase_lengths", f"expected four integers, got {raw_phases!r}")
-    phases = tuple(_as_int("phase_lengths", p) for p in raw_phases)
-    base = _checked("phase_lengths", dataclasses.replace, base, phase_lengths=phases)
-    if "network" in doc:
-        base = dataclasses.replace(base, network=_parse_network(doc["network"]))
+    for name, (parse, attr) in _FIELDS.items():
+        if name in doc:
+            base = _checked(name, _set, base, attr, parse(name, doc[name]))
 
-    strategies = [_canon_strategy(s) for s in _as_list("strategy", doc.get("strategy", "Selfish"))]
-    axes = {"strategy": _axis_values("strategy", _AXES["strategy"], base, strategies)}
-    for name, default in (("cav_share", 0.0), ("beta", 5.0), ("congestion", 1.0)):
-        numbers = [_as_number(name, v) for v in _as_list(name, doc.get(name, default))]
-        axes[name] = _axis_values(name, _AXES[name], base, numbers)
-
-    if "seed" in doc and "seeds" in doc:
-        raise ConfigError("seeds", "give either seed or seeds, not both")
-    raw_seeds = doc.get("seeds", [doc.get("seed", 0)])
-    if not isinstance(raw_seeds, list) or not raw_seeds:
-        raise ConfigError("seeds", "expected a nonempty list of integers")
-    seeds = [_as_int("seeds", s) for s in raw_seeds]
-    axes["seeds"] = _axis_values("seeds", _AXES["seeds"], base, seeds)
+    axes = {}
+    for name, (parse, attr) in _AXES.items():
+        raw = doc.get(name)
+        if name == "seeds" and "seed" in doc:  # "seed" is the single-value form of "seeds"
+            if "seeds" in doc:
+                raise ConfigError("seeds", "give either seed or seeds, not both")
+            raw = [doc["seed"]]
+        elif name not in doc:
+            continue
+        if name == "seeds" and (not isinstance(raw, list) or not raw):
+            raise ConfigError("seeds", "expected a nonempty list of integers")
+        values = raw if isinstance(raw, list) else [raw]
+        if not values:
+            raise ConfigError(name, "axis list must not be empty")
+        axes[name] = _axis_values(name, attr, base, [parse(name, value) for value in values])
     env_seed = os.environ.get("BOTTLESIM_SEED")
     if env_seed is not None:
         try:
             seeds = [int(env_seed)]
         except ValueError:
             raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
-        axes["seeds"] = _axis_values("BOTTLESIM_SEED", _AXES["seeds"], base, seeds)
+        axes["seeds"] = _axis_values("BOTTLESIM_SEED", _AXES["seeds"][1], base, seeds)
 
     out_dir = doc.get("out_dir", "results")
     if not isinstance(out_dir, str):
@@ -305,17 +296,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _daily_rows(records: list[DayRecord]) -> list[str]:
-    return [
-        ",".join(
-            _fmt(v)
-            for v in (
-                rec.day, rec.q_hdv_a, rec.q_hdv_b, rec.q_cav_a, rec.q_cav_b,
-                rec.t_a, rec.t_b, rec.mean_hdv_time, rec.mean_perceived_hdv_time,
-                rec.mean_cav_time,
-            )
-        )
-        for rec in records
-    ]
+    return [",".join(map(_fmt, _day_values(rec))) for rec in records]
 
 
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
@@ -433,10 +414,7 @@ def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
         _write_text(out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv", daily)
         summary_rows.append(_summary_row(config, averages, ratios))
 
-    lines = [
-        ",".join(_fmt(row[col]) for col in SUMMARY_HEADER.split(","))
-        for row in summary_rows
-    ]
+    lines = [",".join(_fmt(row[col]) for col in SUMMARY_COLUMNS) for row in summary_rows]
     _write_text(summary_path, _csv_text(SUMMARY_HEADER, lines))
     return summary_rows
 
@@ -453,6 +431,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     configs = spec.run_points()
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = _tasks(configs, jobs)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -514,7 +494,7 @@ def _read_summary(path: Path) -> list[dict]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != SUMMARY_HEADER.split(","):
+            if reader.fieldnames != list(SUMMARY_COLUMNS):
                 raise ConfigError("summary", f"{path} does not look like a summary.csv")
             return list(reader)
     except OSError as exc:
@@ -522,7 +502,7 @@ def _read_summary(path: Path) -> list[dict]:
 
 
 def _column_values(rows: list[dict], column: str) -> list[float]:
-    if column not in SUMMARY_HEADER.split(","):
+    if column not in SUMMARY_COLUMNS:
         raise ConfigError("column", f"unknown summary column {column!r}")
     values = []
     for i, row in enumerate(rows, start=2):
@@ -534,21 +514,21 @@ def _column_values(rows: list[dict], column: str) -> list[float]:
 
 
 def _ttest_metric(rows: list[dict], metric: str) -> TTestResult:
+    *point_columns, seed_column = POINT_COLUMNS
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = tuple(row[column] for column in POINT_COLUMNS if column != "seed")
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[column] for column in point_columns), []).append(row)
     if len(groups) != 2:
         raise ConfigError(
             "metric", f"summary must contain exactly two config points, found {len(groups)}"
         )
     (_, rows_a), (_, rows_b) = sorted(groups.items())
-    seeds_a = sorted(int(r["seed"]) for r in rows_a)
-    seeds_b = sorted(int(r["seed"]) for r in rows_b)
+    seeds_a = sorted(int(r[seed_column]) for r in rows_a)
+    seeds_b = sorted(int(r[seed_column]) for r in rows_b)
     if seeds_a != seeds_b:
         raise ConfigError("metric", "the two config points carry different seed sets")
-    rows_a.sort(key=lambda r: int(r["seed"]))
-    rows_b.sort(key=lambda r: int(r["seed"]))
+    rows_a.sort(key=lambda r: int(r[seed_column]))
+    rows_b.sort(key=lambda r: int(r[seed_column]))
     return paired_t_test(_column_values(rows_a, metric), _column_values(rows_b, metric))
 
 

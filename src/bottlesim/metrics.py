@@ -187,7 +187,11 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
         q_b = rec.q_hdv_b + rec.q_cav_b
         s = _flow_mean(q_a, q_b, rec.t_a, rec.t_b)
         gaps.append(s - system_optimum(log.config.network, q_a + q_b)[1])
-        sigmas.append(math.sqrt(_flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)))
+        try:
+            spread = _flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)
+        except OverflowError:  # a float ** raises where a product would give inf
+            spread = math.inf
+        sigmas.append(math.sqrt(spread))
     return WindowAverages(
         tau_b=_mean([rec.mean_hdv_time for rec in base]),
         tau=_mean([rec.mean_hdv_time for rec in post]),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -19,8 +20,6 @@ from bottlesim import (
     run_scenario,
 )
 from bottlesim.expcli import (
-    DAILY_HEADER,
-    SUMMARY_HEADER,
     ConfigError,
     _tasks,
     load_config,
@@ -30,6 +29,7 @@ from bottlesim.expcli import (
 )
 
 FAST = {"base_population": 60, "phase_lengths": [5, 5, 5, 5]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -53,6 +53,14 @@ class TestLoadConfig:
         assert point.phase_lengths == (100, 100, 100, 100)
         assert point.network == TwoRouteNetwork.default()
         assert spec.out_dir == Path("results")
+        assert point == ScenarioConfig()
+
+    def test_readme_example_config_loads(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(example, encoding="utf-8")
+        assert len(load_config(path).run_points()) == 18  # 2 strategies x 3 shares x 3 seeds
 
     def test_axes_and_seeds_multiply(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"cav_share": [0.1, 0.4], "seeds": [1, 2]}))
@@ -120,6 +128,8 @@ class TestLoadConfig:
             ({"seeds": [2**64]}, "seeds: seed must be an unsigned 64-bit integer"),
             ({"out_dir": None}, "out_dir: expected a string"),
             ({"out_dir": 5}, "out_dir: expected a string"),
+            ({"seeds": 3}, "seeds: expected a nonempty list of integers"),
+            ({"seed": 1, "seeds": [1]}, "seeds: give either seed or seeds, not both"),
         ],
     )
     def test_field_level_rejections(self, tmp_path, doc, field):
@@ -170,12 +180,19 @@ class TestRunExperiment:
         assert len(rows) == 1
         summary = (spec.out_dir / "summary.csv").read_text(encoding="utf-8")
         lines = summary.splitlines()
-        assert lines[0] == SUMMARY_HEADER
+        assert lines[0] == (
+            "strategy,cav_share,beta,congestion,seed,tau_b,tau,u_b,u,rho,frac_a_hdv,frac_a_cav,"
+            "opt_gap,equity_gap,cav_advantage,effect_change_to_cav,effect_remaining_hdv,"
+            "perceived_effect_remaining_hdv"
+        )
         assert len(lines) == 2
         daily_files = sorted(spec.out_dir.glob("daily_*.csv"))
         assert len(daily_files) == 1
         daily = daily_files[0].read_text(encoding="utf-8").splitlines()
-        assert daily[0] == DAILY_HEADER
+        assert daily[0] == (
+            "day,q_hdv_a,q_hdv_b,q_cav_a,q_cav_b,t_a,t_b,mean_hdv_time,mean_perceived_hdv_time,"
+            "mean_cav_time"
+        )
         assert len(daily) == 21  # header + one row per day
 
     def test_absent_statistics_written_as_na(self, tmp_path):
@@ -252,6 +269,33 @@ class TestRunExperiment:
         one_group = [c for c in configs if c.congestion == 0.5 and c.seed == 1]
         assert _tasks(one_group, 2) == [one_group[0::2], one_group[1::2]]
         assert _tasks(one_group, 8) == [[c] for c in one_group]
+
+    def test_daily_file_names_hash_every_field_but_the_seed(self, tmp_path):
+        network = {
+            "route_a": {"free_flow_time": 3, "capacity": 100, "exponent": 2},
+            "route_b": {"free_flow_time": 9.5, "capacity": 300, "exponent": 3},
+        }
+        spec = load_config(write_config(tmp_path, dict(FAST, alpha=0.35, seeds=[1, 2], network=network)))
+        spec.out_dir = tmp_path / "out"
+        run_experiment(spec, jobs=1)
+        knobs = (
+            '{"alpha": 0.35, "base_population": 60, "beta": 5.0, "cav_share": 0.0, "congestion": 1.0, '
+            '"epsilon": 0.1, "network": {"route_a": {"capacity": 100.0, "exponent": 2.0, '
+            '"free_flow_time": 3.0}, "route_b": {"capacity": 300.0, "exponent": 3.0, '
+            '"free_flow_time": 9.5}}, "phase_lengths": [5, 5, 5, 5], "strategy": "Selfish"}'
+        )
+        digest = hashlib.sha256(knobs.encode("utf-8")).hexdigest()[:10]
+        assert digest == "f4f823dcf3"
+        daily = sorted(p.name for p in spec.out_dir.glob("daily_*.csv"))
+        assert daily == [f"daily_{digest}_1.csv", f"daily_{digest}_2.csv"]
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        spec = load_config(write_config(tmp_path, dict(FAST, seeds=[1, 2])))
+        spec.out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            run_experiment(spec, jobs=jobs)
+        assert not spec.out_dir.exists()
 
     def test_rows_sorted_by_canonical_key(self, tmp_path):
         doc = dict(FAST, cav_share=[0.4, 0.1], strategy=["Social", "Altruistic"], seeds=[2, 1])
@@ -513,6 +557,21 @@ class TestNonFiniteOutputs:
         config = load_config(write_config(tmp_path, dict(OVERFLOWING, congestion=1.0))).run_points()[0]
         with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
             replicate_and_test(config, "tau", config, "tau_b", seeds=[1, 2])
+
+    def test_overflowing_equity_spread_fails_the_run(self, tmp_path, capsys):
+        # Every daily value is finite, but (t_a - S) ** 2 overflows on every day.
+        network = {
+            "route_a": {"free_flow_time": 1e300, "capacity": 500, "exponent": 2},
+            "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2},
+        }
+        config = write_config(tmp_path, dict(FAST, base_population=50, network=network))
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        point = "strategy=Selfish cav_share=0.0 beta=5.0 congestion=1.0 seed=0"
+        assert f"{point} failed: equity_gap is inf" in err
+        assert "out of range" not in err
+        assert not (out / "summary.csv").exists()
 
     def test_cli_exits_two_naming_the_point(self, tmp_path):
         config = write_config(tmp_path, OVERFLOWING)
