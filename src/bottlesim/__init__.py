@@ -18,10 +18,9 @@ from .engine import (
 )
 from .fleet import (
     STRATEGY_NAMES,
+    STRATEGY_TABLE,
     FleetDecision,
-    StrategyWeights,
     fleet_optimize,
-    strategy_weights,
 )
 from .metrics import (
     RatioReport,
@@ -52,10 +51,10 @@ __all__ = [
     "RatioReport",
     "RouteParams",
     "STRATEGY_NAMES",
+    "STRATEGY_TABLE",
     "ScenarioConfig",
     "SimulationLog",
     "SimulationState",
-    "StrategyWeights",
     "TTestResult",
     "TwoRouteNetwork",
     "WindowAverages",
@@ -72,7 +71,6 @@ __all__ = [
     "run_experiment",
     "run_scenario",
     "step_day",
-    "strategy_weights",
     "system_optimum",
     "write_outputs",
 ]

@@ -46,13 +46,23 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fleet import STRATEGY_NAMES, StrategyWeights, fleet_optimize, strategy_weights
+from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, fleet_optimize
 from .metrics import day_statistics, survivor_perceived_mean
 from .network import TwoRouteNetwork, is_finite, network_travel_times
 
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+def _is_int(value) -> bool:
+    """An int but not a bool, which Python also counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The run's largest array is the (total, 2) float64 taste draw, and numpy
+# refuses an array of more than intp.max bytes.
+MAX_POPULATION = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_population, int) or not 1 <= self.base_population < 2**63:
+        if not _is_int(self.base_population) or not 1 <= self.base_population < 2**63:
             raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population}")
         if not (self.congestion > 0 and is_finite(self.congestion)):
             raise ValueError(f"congestion must be a finite number > 0, got {self.congestion}")
@@ -111,21 +121,21 @@ class ScenarioConfig:
             )
         phases = tuple(self.phase_lengths)
         object.__setattr__(self, "phase_lengths", phases)
-        if len(phases) != 4 or any(not isinstance(p, int) or p < 0 for p in phases):
+        if len(phases) != 4 or any(not _is_int(p) or p < 0 for p in phases):
             raise ValueError(
                 f"phase_lengths must be four nonnegative integers, got {self.phase_lengths}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not is_finite(self.base_population * self.congestion):
             raise ValueError(
                 f"congestion {self.congestion} with base_population {self.base_population} "
                 "yields an infinite population"
             )
-        if self.total_population < 1:
+        if not 1 <= self.total_population <= MAX_POPULATION:
             raise ValueError(
                 f"congestion {self.congestion} with base_population {self.base_population} "
-                "yields an empty population"
+                f"yields {self.total_population} drivers; expected 1 to {MAX_POPULATION}"
             )
 
     @property
@@ -223,7 +233,7 @@ class SimulationState:
         self.config = config
         self.fleet_size = config.fleet_size
         self.survivor_count = config.survivor_count
-        self.fleet_weights: StrategyWeights = strategy_weights(config.strategy)
+        self.fleet_weights = STRATEGY_TABLE[config.strategy]
 
     def fork(self, config: ScenarioConfig) -> SimulationState:
         """An independent copy of this pre-hand-over state that continues as ``config``.

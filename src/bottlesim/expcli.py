@@ -36,6 +36,7 @@ from .engine import (
     DayRecord,
     ScenarioConfig,
     SimulationLog,
+    _is_int,
     prefix_key,
     run_branches,
     run_scenario,  # not called here; bench/spans.py wraps expcli.run_scenario
@@ -106,7 +107,7 @@ def _as_number(fieldname: str, value) -> float:
 
 
 def _as_int(fieldname: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(fieldname, f"expected an integer, got {value!r}")
     return value
 

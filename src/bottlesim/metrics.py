@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .fleet import fleet_optimize, strategy_weights
+from .fleet import STRATEGY_TABLE, fleet_optimize
 from .network import TwoRouteNetwork
 
 if TYPE_CHECKING:
@@ -135,11 +135,12 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
 
     This is the Social fleet split on empty roads: returns (best_q_a,
     minimal mean time), ties resolving to the smallest q_a.  Cached
-    because the engine asks for the same total on every day.
+    because ``compute_window_averages`` asks for it once per
+    evaluation-window day, mostly for the same total.
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
-    decision = fleet_optimize(strategy_weights("Social"), 0, 0, q_total, network)
+    decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, network)
     return decision.cav_on_a, decision.objective_value / q_total
 
 

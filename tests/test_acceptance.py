@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bottlesim import (
+    STRATEGY_TABLE,
     HumanParams,
     RouteParams,
     ScenarioConfig,
@@ -23,7 +24,6 @@ from bottlesim import (
     paired_t_test,
     ratio_report,
     run_scenario,
-    strategy_weights,
     system_optimum,
 )
 from bottlesim.expcli import load_config, main, replicate_and_test, run_experiment
@@ -307,18 +307,16 @@ def test_13_property_suites():
     # fleet split minimality against an exhaustive plain-loop oracle
     names = ("Selfish", "Altruistic", "Malicious", "Disruptive", "Social")
     for _ in range(1000):
-        weights = strategy_weights(names[int(rng.integers(len(names)))])
+        weights = STRATEGY_TABLE[names[int(rng.integers(len(names)))]]
         q_hdv_a, q_hdv_b = (int(v) for v in rng.integers(0, 1500, size=2))
         q_cav = int(rng.integers(0, 40))
         decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, net)
-        best_x = plain_loop_fleet_split(
-            (weights.lambda_cav, weights.lambda_hdv), q_hdv_a, q_hdv_b, q_cav
-        )
+        best_x = plain_loop_fleet_split(weights, q_hdv_a, q_hdv_b, q_cav)
         assert decision.cav_on_a == best_x
 
     # social objective and system optimum locate the same split
     for q_total in (100, 1000, 1300):
-        social = fleet_optimize(strategy_weights("Social"), 0, 0, q_total, net)
+        social = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, net)
         best_q_a, minimal_mean = system_optimum(net, q_total)
         assert social.cav_on_a == best_q_a
         assert social.objective_value / q_total == pytest.approx(minimal_mean)

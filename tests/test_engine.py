@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bottlesim import (
     STRATEGY_NAMES,
+    STRATEGY_TABLE,
     HumanParams,
     ScenarioConfig,
     SimulationState,
@@ -17,7 +18,6 @@ from bottlesim import (
     run_branches,
     run_scenario,
     step_day,
-    strategy_weights,
 )
 from bottlesim.engine import prefix_key
 from scalar_model import (
@@ -53,6 +53,9 @@ class TestScenarioConfig:
             ({"base_population": 0}, "base_population"),
             ({"seed": -1}, "seed"),
             ({"seed": 2**64}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"base_population": True}, "base_population"),
+            ({"phase_lengths": (True,) * 4}, "phase_lengths"),
         ],
     )
     def test_named_field_rejections(self, kwargs, field):
@@ -68,6 +71,23 @@ class TestScenarioConfig:
     def test_population_too_large_for_an_array_rejected(self):
         with pytest.raises(ValueError, match="base_population"):
             ScenarioConfig(base_population=10**400)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_population": 2**62},
+            {"base_population": 2**62 - 1, "congestion": 4.0},  # a total of 2**64
+            {"base_population": 2**58, "congestion": 2.0},  # 2**59: numpy's limit for 16 bytes each
+        ],
+    )
+    def test_population_beyond_numpy_array_limit_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="congestion .* with base_population .* drivers"):
+            ScenarioConfig(**kwargs)
+
+    def test_largest_population_numpy_can_index_is_accepted(self):
+        # Accepted, though no machine holds its arrays: that is a runtime failure.
+        config = ScenarioConfig(base_population=2**59 - 64)
+        assert config.total_population * 16 <= np.iinfo(np.intp).max
 
     def test_population_scales_with_congestion(self):
         assert ScenarioConfig(congestion=0.25).total_population == 250
@@ -271,7 +291,7 @@ def scalar_oracle(config):
         q_hdv_b = n_hdv - q_hdv_a
         if fleet_on:
             decision = fleet_optimize(
-                strategy_weights(config.strategy), q_hdv_a, q_hdv_b,
+                STRATEGY_TABLE[config.strategy], q_hdv_a, q_hdv_b,
                 config.fleet_size, config.network,
             )
             q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b

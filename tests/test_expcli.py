@@ -381,6 +381,21 @@ class TestCli:
         config = write_config(tmp_path, {"beta": -2})
         assert main(["run", str(config)]) == 1
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            # 2**62 drivers: numpy refuses their taste array as too big.
+            ({"base_population": 2**62}, "base_population"),
+            ({"base_population": 2**58, "congestion": [1.0, 2.0]}, "congestion"),
+        ],
+    )
+    def test_population_beyond_array_limit_is_a_validation_error(self, tmp_path, capsys, doc, field):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dict(FAST, **doc))
+        assert main(["sweep", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: congestion ")
+        assert not out.exists()
+
     @staticmethod
     def run_cli(args, cwd):
         """Run ``python -W error::RuntimeWarning -m bottlesim ARGS`` in a fresh interpreter."""

@@ -119,7 +119,7 @@ class TestScalarBprPath:
     vectorized power differs from the scalar one in the last bit on some
     flows: with numpy 2.4.6 on an AVX-512 CPU, 136 (route A) and 144
     (route B) of the 200,001 default-route flows 0..200000 differ.  So
-    ``fleet._objective_curve``'s array BPR and the engine's scalar times
+    ``fleet_optimize``'s array BPR and the engine's scalar times
     are not bit-identical, and one shared BPR kernel must not route the
     engine's scalar times through the array path.
     """
