@@ -42,6 +42,23 @@ def reference_best_split(lam_cav, lam_hdv, q_hdv_a, q_hdv_b, q_cav, network):
     return best_x, best_phi
 
 
+class TestStrategyWeights:
+    """The weight pair STRATEGY_TABLE holds for each named strategy."""
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("Selfish", (1.0, 0.0)),
+            ("Altruistic", (0.0, 1.0)),
+            ("Malicious", (0.0, -1.0)),
+            ("Disruptive", (1.0, -9.0)),
+            ("Social", (1.0, 1.0)),
+        ],
+    )
+    def test_named_pairs(self, name, expected):
+        assert STRATEGY_TABLE[name] == expected
+
+
 class TestStrategyTable:
     def test_readme_table_is_the_strategy_table(self):
         """The README's | Name | w_cav | w_hdv | rows are STRATEGY_TABLE, in its order."""
