@@ -33,7 +33,10 @@ Days 1..m_day have no fleet, so runs that differ only in strategy and
 cav_share repeat them bit for bit, except for the perceived mean, which
 each run takes over its own survivors.  ``run_branches`` simulates those
 days once and gives every run its own copy of the state at the
-hand-over; ``run_scenario`` is its one-run case.
+hand-over; ``run_scenario`` is its one-run case.  Configs with equal
+(or empty) fleets are the same run, simulated once.  After the hand-over
+a run's fleet, network and human count are fixed, so its fleet decision
+depends on q_hdv_a alone: each run memoizes it, exactly, on that count.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, fleet_optimize
+from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics, survivor_perceived_mean
 from .network import TwoRouteNetwork, is_finite, network_travel_times
 
@@ -234,6 +237,8 @@ class SimulationState:
         self.fleet_size = config.fleet_size
         self.survivor_count = config.survivor_count
         self.fleet_weights = STRATEGY_TABLE[config.strategy]
+        # q_hdv_a -> FleetDecision.  Reset here, so a fork never shares its parent's.
+        self.fleet_memo: dict[int, FleetDecision] = {}
 
     def fork(self, config: ScenarioConfig) -> SimulationState:
         """An independent copy of this pre-hand-over state that continues as ``config``.
@@ -284,7 +289,10 @@ def step_day(state: SimulationState) -> DayRecord:
 
     network = state.config.network
     if fleet_size:
-        decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, fleet_size, network)
+        decision = state.fleet_memo.get(q_hdv_a)
+        if decision is None:
+            decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, fleet_size, network)
+            state.fleet_memo[q_hdv_a] = decision
         q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
     else:
         q_cav_a = q_cav_b = 0
@@ -328,9 +336,10 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
     Days 1..m_day are stepped once, on the first config's state.  The
     perceived means of those days are taken once more for every other
     survivor count, by the same expression.  At the hand-over each
-    config continues on its own fork of that state (the last one on the
-    state itself), so every log equals the one the config gives alone.
-    Each log is complete when it is yielded.
+    distinct run continues on its own fork of that state (the last one
+    on the state itself), so every log equals the one the config gives
+    alone; a repeated run's configs get copies of its record list.  Each
+    log is complete when it is yielded.
     """
     configs = list(configs)
     if not configs:
@@ -338,6 +347,11 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
     key = prefix_key(configs[0])
     if any(prefix_key(c) != key for c in configs[1:]):
         raise ValueError("configs of one run_branches call may differ only in strategy and cav_share")
+    # Equal fleet sizes and weights, or no fleet at all, make the same run.
+    runs = [(c.fleet_size, STRATEGY_TABLE[c.strategy] if c.fleet_size else None) for c in configs]
+    last_use = {run: i for i, run in enumerate(runs)}
+    last_new = max(runs.index(run) for run in last_use)
+    repeats: dict[tuple, list[DayRecord]] = {}  # records of a run that still has repeats to yield
     state = SimulationState(configs[0])
     own_count = state.survivor_count
     perceived: dict[int, list[float | None]] = {
@@ -351,8 +365,12 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
             ))
 
     prefix = state.records
-    for i, config in enumerate(configs):
-        if i < len(configs) - 1:
+    for i, (config, run) in enumerate(zip(configs, runs)):
+        if run in repeats:
+            records = repeats.pop(run) if last_use[run] == i else list(repeats[run])
+            yield SimulationLog(config=config, records=records)
+            continue
+        if i < last_new:
             branch = state.fork(config)
         else:
             branch, state = state, None
@@ -364,6 +382,8 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
             ]
         while branch.day <= branch.total_days:
             step_day(branch)
+        if last_use[run] > i:
+            repeats[run] = list(branch.records)
         log = SimulationLog(config=config, records=branch.records)
         # Drop the branch's arrays before the caller evaluates the log: at
         # N=10^5 they would add to the peak memory of the metrics' fleet curve.

@@ -189,10 +189,9 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
         s = _flow_mean(q_a, q_b, rec.t_a, rec.t_b)
         gaps.append(s - system_optimum(log.config.network, q_a + q_b)[1])
         try:
-            spread = _flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)
-        except OverflowError:  # a float ** raises where a product would give inf
-            spread = math.inf
-        sigmas.append(math.sqrt(spread))
+            sigmas.append(math.sqrt(_flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)))
+        except OverflowError:  # a squared deviation overflows: the same spread in closed form
+            sigmas.append(abs(rec.t_a - rec.t_b) * math.sqrt(q_a * q_b) / (q_a + q_b))
     return WindowAverages(
         tau_b=_mean([rec.mean_hdv_time for rec in base]),
         tau=_mean([rec.mean_hdv_time for rec in post]),

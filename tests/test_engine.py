@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from bottlesim import (
     run_scenario,
     step_day,
 )
+from bottlesim import engine
 from bottlesim.engine import prefix_key
 from scalar_model import (
     ROUTE_A,
@@ -456,12 +458,13 @@ class TestRunBranches:
         assert repr(run_scenario(config).records) == repr(stepped_log(config))
 
     def test_branch_logs_share_no_state(self):
-        configs = _group((2, 2, 2, 2), [("Social", 0.5), ("Selfish", 0.5)])
-        first, second = run_branches(configs)
-        assert first.records[:4] == second.records[:4]
-        assert first.records is not second.records
-        first.records.clear()
-        assert len(second.records) == 8
+        # Two forks, then two configs simulated once as one run.
+        for fleets in ([("Social", 0.5), ("Selfish", 0.5)], [("Social", 0.0), ("Selfish", 0.0)]):
+            first, second = run_branches(_group((2, 2, 2, 2), fleets))
+            assert first.records[:4] == second.records[:4]
+            assert first.records is not second.records
+            first.records.clear()
+            assert len(second.records) == 8
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, seed=8)]
@@ -499,3 +502,103 @@ class TestRunBranches:
         step_day(state)
         with pytest.raises(RuntimeError, match="hand-over"):
             state.fork(small_config())
+
+
+def counted_step_days(monkeypatch):
+    """A list that grows by one entry per ``step_day`` call the engine makes."""
+    calls = []
+    real = engine.step_day
+
+    def counting(state):
+        calls.append(state.day)
+        return real(state)
+
+    monkeypatch.setattr(engine, "step_day", counting)
+    return calls
+
+
+class TestIdenticalBranches:
+    """Configs of a group with equal fleets, or none, are simulated once."""
+
+    def test_share_zero_strategies_run_once(self, monkeypatch):
+        configs = _group((2, 2, 3, 3), [(s, 0.0) for s in STRATEGY_NAMES])
+        calls = counted_step_days(monkeypatch)
+        logs = list(run_branches(configs))
+        m_day, total_days = configs[0].m_day, configs[0].total_days
+        assert len(calls) == m_day + (total_days - m_day)
+        assert [log.config for log in logs] == configs
+        expected = repr(stepped_log(configs[0]))
+        assert all(repr(log.records) == expected for log in logs)
+
+    def test_equal_rounded_fleets_run_once(self, monkeypatch):
+        configs = _group((2, 2, 3, 3), [("Selfish", 0.25), ("Selfish", 0.26), ("Social", 0.25)])
+        assert configs[0].fleet_size == configs[1].fleet_size == configs[2].fleet_size == 3
+        calls = counted_step_days(monkeypatch)
+        selfish, rounded, social = run_branches(configs)
+        # The Social fleet has other weights, so it is a run of its own.
+        assert len(calls) == 4 + 2 * 6
+        assert selfish.config != rounded.config
+        assert repr(selfish.records) == repr(rounded.records) == repr(stepped_log(configs[1]))
+        assert repr(social.records) == repr(stepped_log(configs[2]))
+
+
+MEMO_CONFIG = ScenarioConfig(
+    base_population=200, phase_lengths=(3, 3, 20, 20), seed=5, cav_share=0.3, strategy="Social",
+)
+
+
+class TestFleetMemo:
+    """A run asks the fleet once per distinct human count after the hand-over."""
+
+    def test_one_call_per_distinct_human_count(self, monkeypatch):
+        asked = []
+        real = engine.fleet_optimize
+
+        def counting(weights, q_hdv_a, *args):
+            asked.append(q_hdv_a)
+            return real(weights, q_hdv_a, *args)
+
+        monkeypatch.setattr(engine, "fleet_optimize", counting)
+        log = run_scenario(MEMO_CONFIG)
+        counts = [r.q_hdv_a for r in log.records if r.day > MEMO_CONFIG.m_day]
+        assert len(set(counts)) < len(counts)  # the humans come back to a count
+        assert sorted(asked) == sorted(set(counts))
+
+    def test_every_entry_equals_a_fresh_decision(self):
+        state = SimulationState(MEMO_CONFIG)
+        for _ in range(MEMO_CONFIG.total_days):
+            step_day(state)
+        assert set(state.fleet_memo) == {r.q_hdv_a for r in state.records if r.day > state.m_day}
+        for q_hdv_a, decision in state.fleet_memo.items():
+            assert decision == fleet_optimize(
+                STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.survivor_count - q_hdv_a,
+                state.fleet_size, MEMO_CONFIG.network,
+            )
+
+    def test_fork_starts_from_an_empty_memo(self):
+        state = SimulationState(small_config())
+        state.fleet_memo[0] = "stale"
+        branch = state.fork(small_config(cav_share=0.5, strategy="Social"))
+        assert branch.fleet_memo == {} and branch.fleet_memo is not state.fleet_memo
+        assert state.fleet_memo == {0: "stale"}
+
+    def test_every_branch_starts_from_its_own_empty_memo(self, monkeypatch):
+        # The last config continues on the parent state itself, not on a fork.
+        configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5), ("Malicious", 0.25)])
+        parents, branches = [], []
+        real = engine.step_day
+
+        def recording(state):
+            if state.day == state.m_day:
+                parents.append(state.fleet_memo)
+                state.fleet_memo[-1] = "stale"
+            elif state.day == state.m_day + 1:
+                branches.append((state.fleet_memo, dict(state.fleet_memo)))
+            return real(state)
+
+        monkeypatch.setattr(engine, "step_day", recording)
+        list(run_branches(configs))
+        assert len(parents) == 1 and len(branches) == 3
+        assert [contents for _, contents in branches] == [{}, {}, {}]
+        memos = parents + [memo for memo, _ in branches]
+        assert all(a is not b for a, b in itertools.combinations(memos, 2))

@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -573,21 +576,6 @@ class TestNonFiniteOutputs:
         with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
             replicate_and_test(config, "tau", config, "tau_b", seeds=[1, 2])
 
-    def test_overflowing_equity_spread_fails_the_run(self, tmp_path, capsys):
-        # Every daily value is finite, but (t_a - S) ** 2 overflows on every day.
-        network = {
-            "route_a": {"free_flow_time": 1e300, "capacity": 500, "exponent": 2},
-            "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2},
-        }
-        config = write_config(tmp_path, dict(FAST, base_population=50, network=network))
-        out = tmp_path / "out"
-        assert main(["run", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        point = "strategy=Selfish cav_share=0.0 beta=5.0 congestion=1.0 seed=0"
-        assert f"{point} failed: equity_gap is inf" in err
-        assert "out of range" not in err
-        assert not (out / "summary.csv").exists()
-
     def test_cli_exits_two_naming_the_point(self, tmp_path):
         config = write_config(tmp_path, OVERFLOWING)
         src = str(Path(bottlesim.__file__).resolve().parents[1])
@@ -603,3 +591,38 @@ class TestNonFiniteOutputs:
         assert FAILING_POINT in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "summary.csv").exists()
+
+
+def _huge_network(time_a, time_b):
+    return {
+        "route_a": {"free_flow_time": time_a, "capacity": 500, "exponent": 2},
+        "route_b": {"free_flow_time": time_b, "capacity": 800, "exponent": 2},
+    }
+
+
+class TestOverflowingEquitySpread:
+    """Every daily value is finite but (t - S) ** 2 overflows: the gap takes its closed form."""
+
+    def run_one(self, tmp_path, doc):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        (summary,) = csv.DictReader(io.StringIO((out / "summary.csv").read_text(encoding="utf-8")))
+        (daily,) = out.glob("daily_*.csv")
+        days = list(csv.DictReader(io.StringIO(daily.read_text(encoding="utf-8"))))
+        # The flow-weighted SD of two values, |t_a - t_b| * sqrt(q_a q_b) / (q_a + q_b).
+        sigmas = []
+        for day in days[-doc["phase_lengths"][3]:]:
+            q_a = int(day["q_hdv_a"]) + int(day["q_cav_a"])
+            q_b = int(day["q_hdv_b"]) + int(day["q_cav_b"])
+            sigmas.append(abs(float(day["t_a"]) - float(day["t_b"])) * math.sqrt(q_a * q_b) / (q_a + q_b))
+        assert float(summary["equity_gap"]) == sum(sigmas) / len(sigmas)
+        return float(summary["equity_gap"])
+
+    def test_both_routes_at_1e200_run_to_a_finite_gap(self, tmp_path):
+        doc = {"base_population": 20, "phase_lengths": [3, 3, 3, 3],
+               "network": _huge_network(1e200, 1e200)}
+        assert self.run_one(tmp_path, doc) == 8.137519465224619e+195
+
+    def test_route_a_at_1e300_runs_to_a_finite_gap(self, tmp_path):
+        doc = dict(FAST, base_population=50, network=_huge_network(1e300, 15))
+        assert math.isfinite(self.run_one(tmp_path, doc))
