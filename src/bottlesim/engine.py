@@ -32,11 +32,13 @@ vehicles consume no randomness at all.
 Days 1..m_day have no fleet, so runs that differ only in strategy and
 cav_share repeat them bit for bit, except for the perceived mean, which
 each run takes over its own survivors.  ``run_branches`` simulates those
-days once and gives every run its own copy of the state at the
-hand-over; ``run_scenario`` is its one-run case.  Configs with equal
-(or empty) fleets are the same run, simulated once.  After the hand-over
-a run's fleet, network and human count are fixed, so its fleet decision
-depends on q_hdv_a alone: each run memoizes it, exactly, on that count.
+days once, and every distinct run continues on its own fork of the state
+at the hand-over; ``run_scenario`` is its one-run case.  Configs with
+equal (or empty) fleets are the same run, simulated once.  Day records
+are immutable, so logs share the records of their common days.  After
+the hand-over a run's fleet, network and human count are fixed, so its
+fleet decision depends on q_hdv_a alone: each run memoizes it, exactly,
+on that count.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -164,13 +166,13 @@ class ScenarioConfig:
         return sum(self.phase_lengths)
 
 
-@dataclass
-class DayRecord:
+class DayRecord(NamedTuple):
     """Flows, travel times and group means of one simulated day.
 
     Group means are None exactly when the group is empty that day;
     mean_perceived_hdv_time averages experienced time plus taste over
     the drivers that stay human for the whole run, in every phase.
+    Records are immutable, so logs may share them.
     """
 
     day: int
@@ -333,13 +335,13 @@ def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
     """Run configs that differ only in strategy and cav_share; yield their logs in order.
 
-    Days 1..m_day are stepped once, on the first config's state.  The
-    perceived means of those days are taken once more for every other
-    survivor count, by the same expression.  At the hand-over each
-    distinct run continues on its own fork of that state (the last one
-    on the state itself), so every log equals the one the config gives
+    Days 1..m_day are stepped once, on the first config's state, and
+    their records are built once per survivor count: the perceived mean
+    of another count is taken by the same expression and set with
+    ``_replace``.  At the hand-over every distinct run continues on its
+    own fork of that state, so every log equals the one the config gives
     alone; a repeated run's configs get copies of its record list.  Each
-    log is complete when it is yielded.
+    log owns its list and is complete when it is yielded.
     """
     configs = list(configs)
     if not configs:
@@ -351,44 +353,32 @@ def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
     runs = [(c.fleet_size, STRATEGY_TABLE[c.strategy] if c.fleet_size else None) for c in configs]
     last_use = {run: i for i, run in enumerate(runs)}
     last_new = max(runs.index(run) for run in last_use)
-    repeats: dict[tuple, list[DayRecord]] = {}  # records of a run that still has repeats to yield
     state = SimulationState(configs[0])
-    own_count = state.survivor_count
-    perceived: dict[int, list[float | None]] = {
-        c.survivor_count: [] for c in configs if c.survivor_count != own_count
-    }
+    prefixes: dict[int, list[DayRecord]] = {c.survivor_count: [] for c in configs}
     for _ in range(min(state.m_day, state.total_days)):
         record = step_day(state)
-        for count, means in perceived.items():
-            means.append(survivor_perceived_mean(
-                state.last_route, count, state.taste_a, state.taste_b, record.t_a, record.t_b,
+        for count, records in prefixes.items():
+            records.append(record if count == state.survivor_count else record._replace(
+                mean_perceived_hdv_time=survivor_perceived_mean(
+                    state.last_route, count, state.taste_a, state.taste_b, record.t_a, record.t_b,
+                ),
             ))
 
-    prefix = state.records
+    finished: dict[tuple, list[DayRecord]] = {}  # records of each run simulated so far
     for i, (config, run) in enumerate(zip(configs, runs)):
-        if run in repeats:
-            records = repeats.pop(run) if last_use[run] == i else list(repeats[run])
-            yield SimulationLog(config=config, records=records)
-            continue
-        if i < last_new:
+        if run not in finished:
             branch = state.fork(config)
-        else:
-            branch, state = state, None
-            branch._set_fleet(config)
-        if config.survivor_count != own_count:
-            branch.records = [
-                dataclasses.replace(record, mean_perceived_hdv_time=mean)
-                for record, mean in zip(prefix, perceived[config.survivor_count])
-            ]
-        while branch.day <= branch.total_days:
-            step_day(branch)
-        if last_use[run] > i:
-            repeats[run] = list(branch.records)
-        log = SimulationLog(config=config, records=branch.records)
-        # Drop the branch's arrays before the caller evaluates the log: at
-        # N=10^5 they would add to the peak memory of the metrics' fleet curve.
-        branch = None
-        yield log
+            if i == last_new:
+                state = None  # forked for the last time: its arrays go before the last run's days
+            branch.records = list(prefixes[config.survivor_count])
+            while branch.day <= branch.total_days:
+                step_day(branch)
+            finished[run] = branch.records
+            # Drop the branch's arrays before the caller evaluates the log: at
+            # N=10^5 they would add to the peak memory of the metrics' fleet curve.
+            del branch
+        records = finished.pop(run) if last_use[run] == i else list(finished[run])
+        yield SimulationLog(config=config, records=records)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationLog:

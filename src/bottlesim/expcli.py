@@ -24,7 +24,6 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -64,8 +63,7 @@ POINT_COLUMNS = ("strategy", "cav_share", "beta", "congestion", "seed")
 WINDOW_METRICS = _field_names(WindowAverages)
 SUMMARY_COLUMNS = POINT_COLUMNS + WINDOW_METRICS + _field_names(RatioReport)
 SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
-DAILY_HEADER = ",".join(_field_names(DayRecord))
-_day_values = operator.attrgetter(*_field_names(DayRecord))
+DAILY_HEADER = ",".join(DayRecord._fields)
 
 
 class ConfigError(ValueError):
@@ -297,7 +295,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _daily_rows(records: list[DayRecord]) -> list[str]:
-    return [",".join(map(_fmt, _day_values(rec))) for rec in records]
+    return [",".join(map(_fmt, rec)) for rec in records]
 
 
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
@@ -491,45 +489,50 @@ def replicate_and_test(
     return paired_t_test(values_a, values_b)
 
 
-def _read_summary(path: Path) -> list[dict]:
+def _read_summary(path: Path) -> dict[int, dict]:
+    """The rows of a summary.csv, keyed by the line each ends on."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(SUMMARY_COLUMNS):
                 raise ConfigError("summary", f"{path} does not look like a summary.csv")
-            return list(reader)
+            return {reader.line_num: row for row in reader}
     except OSError as exc:
         raise ConfigError("summary", f"cannot read {path}: {exc}") from None
 
 
-def _column_values(rows: list[dict], column: str) -> list[float]:
+def _column_values(rows: dict[int, dict], column: str, parse=float) -> list:
+    """``parse`` of each row's ``column`` cell, which must be present, parsable and finite."""
     if column not in SUMMARY_COLUMNS:
         raise ConfigError("column", f"unknown summary column {column!r}")
     values = []
-    for i, row in enumerate(rows, start=2):
-        raw = row[column]
-        if raw == "NA":
-            raise ConfigError("column", f"{column} is NA on line {i}; cannot pair")
-        values.append(float(raw))
+    for line, row in rows.items():
+        raw = row[column] or "missing"  # a short row holds None
+        try:
+            value = parse(raw)
+            if not math.isfinite(value):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise ConfigError("column", f"{column} is {raw} on line {line}; cannot pair") from None
+        values.append(value)
     return values
 
 
-def _ttest_metric(rows: list[dict], metric: str) -> TTestResult:
+def _ttest_metric(rows: dict[int, dict], metric: str) -> TTestResult:
     *point_columns, seed_column = POINT_COLUMNS
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(tuple(row[column] for column in point_columns), []).append(row)
+    # A row with a seed cell has every point column, which comes before it.
+    seeds = dict(zip(rows, _column_values(rows, seed_column, int)))
+    groups: dict[tuple, dict[int, dict]] = {}
+    for line in sorted(rows, key=seeds.get):
+        point = tuple(rows[line][column] for column in point_columns)
+        groups.setdefault(point, {})[line] = rows[line]
     if len(groups) != 2:
         raise ConfigError(
             "metric", f"summary must contain exactly two config points, found {len(groups)}"
         )
     (_, rows_a), (_, rows_b) = sorted(groups.items())
-    seeds_a = sorted(int(r[seed_column]) for r in rows_a)
-    seeds_b = sorted(int(r[seed_column]) for r in rows_b)
-    if seeds_a != seeds_b:
+    if list(map(seeds.get, rows_a)) != list(map(seeds.get, rows_b)):
         raise ConfigError("metric", "the two config points carry different seed sets")
-    rows_a.sort(key=lambda r: int(r[seed_column]))
-    rows_b.sort(key=lambda r: int(r[seed_column]))
     return paired_t_test(_column_values(rows_a, metric), _column_values(rows_b, metric))
 
 

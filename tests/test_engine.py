@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -466,6 +467,14 @@ class TestRunBranches:
             first.records.clear()
             assert len(second.records) == 8
 
+    def test_shared_records_are_immutable(self):
+        # One survivor count, so the two logs may share their prefix records.
+        first, second = run_branches(_group((2, 2, 2, 2), [("Social", 0.5), ("Selfish", 0.5)]))
+        t_a = second.records[0].t_a
+        with pytest.raises(AttributeError):
+            first.records[0].t_a = -1.0
+        assert second.records[0].t_a == t_a
+
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, seed=8)]
         with pytest.raises(ValueError, match="strategy and cav_share"):
@@ -515,6 +524,46 @@ def counted_step_days(monkeypatch):
 
     monkeypatch.setattr(engine, "step_day", counting)
     return calls
+
+
+def counted_states_and_forks(monkeypatch):
+    """Weak references to the states ``SimulationState`` builds, and the configs forked to."""
+    states, forks = [], []
+    real_state, real_fork = engine.SimulationState, engine.SimulationState.fork
+
+    def building(config):
+        state = real_state(config)
+        states.append(weakref.ref(state))
+        return state
+
+    def forking(state, config):
+        forks.append(config)
+        return real_fork(state, config)
+
+    monkeypatch.setattr(engine, "SimulationState", building)
+    monkeypatch.setattr(real_state, "fork", forking)
+    return states, forks
+
+
+class TestOneBranchPath:
+    """Every distinct run of a group continues on a fork of the one prefix state."""
+
+    def test_one_state_and_one_fork_per_distinct_run(self, monkeypatch):
+        repeated = [("Social", 0.5), ("Selfish", 0.5), ("Social", 0.5)]
+        configs = _group((2, 2, 3, 3), [(s, 0.0) for s in STRATEGY_NAMES] + repeated)
+        states, forks = counted_states_and_forks(monkeypatch)
+        assert len(list(run_branches(configs))) == len(configs)
+        # The five share-0 configs are one run, and the second Social 0.5 repeats the first.
+        assert len(states) == 1
+        assert forks == [configs[0], configs[5], configs[6]]
+
+    def test_prefix_state_dropped_at_its_last_fork(self, monkeypatch):
+        configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.25), ("Social", 0.5)])
+        states, _ = counted_states_and_forks(monkeypatch)
+        # The second config is the last distinct run; the third repeats the first.
+        alive = [states[0]() is not None for _ in run_branches(configs)]
+        assert alive == [True, False, False]
+        assert [states[1]() is not None for _ in run_branches(configs[:1])] == [False]
 
 
 class TestIdenticalBranches:
@@ -583,7 +632,7 @@ class TestFleetMemo:
         assert state.fleet_memo == {0: "stale"}
 
     def test_every_branch_starts_from_its_own_empty_memo(self, monkeypatch):
-        # The last config continues on the parent state itself, not on a fork.
+        # Every config continues on its own fork, the last one too, never on the parent state.
         configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5), ("Malicious", 0.25)])
         parents, branches = [], []
         real = engine.step_day

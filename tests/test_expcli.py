@@ -23,6 +23,7 @@ from bottlesim import (
     run_scenario,
 )
 from bottlesim.expcli import (
+    SUMMARY_COLUMNS,
     ConfigError,
     _tasks,
     load_config,
@@ -462,6 +463,31 @@ class TestCli:
         capsys.readouterr()
         assert main(["ttest", str(out / "summary.csv"), "--pair", "tau,tau"]) == 0
         assert "degenerate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, column, cell, line", [
+        (["--pair", "tau_b,tau"], "tau_b", "inf", 2),
+        (["--pair", "tau_b,tau"], "tau_b", "nan", 3),
+        (["--pair", "tau,tau_b"], "tau_b", "abc", 4),
+        (["--pair", "tau_b,tau"], "tau_b", None, 5),  # a short row, cut before tau_b
+        (["--metric", "tau"], "seed", "x", 3),
+    ])
+    def test_ttest_broken_cell_exits_one_naming_column_and_line(
+        self, tmp_path, args, column, cell, line,
+    ):
+        config = write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.5], seeds=[1, 2]))
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--out", str(out), "--jobs", "1"]) == 0
+        lines = (out / "summary.csv").read_text(encoding="utf-8").split("\n")
+        cells = lines[line - 1].split(",")
+        at = SUMMARY_COLUMNS.index(column)
+        cells[at:] = [] if cell is None else [cell, *cells[at + 1:]]
+        lines[line - 1] = ",".join(cells)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines), encoding="utf-8")
+        proc = self.run_cli(["ttest", str(broken), *args], tmp_path)
+        assert proc.returncode == 1
+        assert f"{column} is " in proc.stderr and f"on line {line};" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_ttest_requires_exactly_one_mode(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))
