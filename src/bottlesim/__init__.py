@@ -8,7 +8,6 @@ its daily split to optimize a configurable collective objective.
 
 from .engine import (
     DayRecord,
-    HumanParams,
     ScenarioConfig,
     SimulationLog,
     SimulationState,
@@ -47,7 +46,6 @@ __all__ = [
     "DayRecord",
     "ExperimentSpec",
     "FleetDecision",
-    "HumanParams",
     "RatioReport",
     "RouteParams",
     "STRATEGY_NAMES",

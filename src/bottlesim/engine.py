@@ -53,7 +53,7 @@ import numpy as np
 
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics, survivor_perceived_mean
-from .network import TwoRouteNetwork, is_finite, network_travel_times
+from .network import TwoRouteNetwork, is_finite_number, network_travel_times
 
 
 def _round_half_up(x: float) -> int:
@@ -71,8 +71,8 @@ MAX_POPULATION = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
-class HumanParams:
-    """Behavioural knobs shared by the whole human population.
+class ScenarioConfig:
+    """Complete description of one reproducible scenario run.
 
     Each driver draws two fixed tastes, one per route, from a zero-mean
     max-Gumbel distribution with scale ``taste_spread``.  Every day it
@@ -88,21 +88,6 @@ class HumanParams:
     explore_rate: float = 0.1
     # Gumbel scale of the taste distribution; larger = more subjective.
     taste_spread: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
-        if not 0.0 <= self.explore_rate <= 1.0:
-            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
-        if not (self.taste_spread > 0 and is_finite(self.taste_spread)):
-            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete description of one reproducible scenario run."""
-
-    human_params: HumanParams = field(default_factory=HumanParams)
     network: TwoRouteNetwork = field(default_factory=TwoRouteNetwork.default)
     # Demand multiplier; the driver population is base_population * congestion.
     congestion: float = 1.0
@@ -114,11 +99,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (is_finite_number(self.learning_rate) and 0.0 <= self.learning_rate <= 1.0):
+            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
+        if not (is_finite_number(self.explore_rate) and 0.0 <= self.explore_rate <= 1.0):
+            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
+        if not (self.taste_spread > 0 and is_finite_number(self.taste_spread)):
+            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread}")
         if not _is_int(self.base_population) or not 1 <= self.base_population < 2**63:
             raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population}")
-        if not (self.congestion > 0 and is_finite(self.congestion)):
+        if not (self.congestion > 0 and is_finite_number(self.congestion)):
             raise ValueError(f"congestion must be a finite number > 0, got {self.congestion}")
-        if not 0.0 <= self.cav_share <= 1.0:
+        if not (is_finite_number(self.cav_share) and 0.0 <= self.cav_share <= 1.0):
             raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share}")
         if self.strategy not in STRATEGY_NAMES:
             raise ValueError(
@@ -132,7 +123,7 @@ class ScenarioConfig:
             )
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not is_finite(self.base_population * self.congestion):
+        if not is_finite_number(self.base_population * self.congestion):
             raise ValueError(
                 f"congestion {self.congestion} with base_population {self.base_population} "
                 "yields an infinite population"
@@ -207,15 +198,15 @@ class SimulationState:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         total = config.total_population
-        hp = config.human_params
+        spread = config.taste_spread
 
         draws = self.rng.random((total, 2))
         # random() can return exactly 0.0, outside the open interval the
         # inverse-CDF transform needs; nudge to the smallest positive double.
         draws[draws == 0.0] = np.nextafter(0.0, 1.0)
-        mu = -hp.taste_spread * 0.5772156649015329  # Euler-Mascheroni: zero-mean tastes
-        self.taste_a = mu - hp.taste_spread * np.log(-np.log(draws[:, 0]))
-        self.taste_b = mu - hp.taste_spread * np.log(-np.log(draws[:, 1]))
+        mu = -spread * 0.5772156649015329  # Euler-Mascheroni: zero-mean tastes
+        self.taste_a = mu - spread * np.log(-np.log(draws[:, 0]))
+        self.taste_b = mu - spread * np.log(-np.log(draws[:, 1]))
 
         self.est_a = np.full(total, config.network.route_a.free_flow_time)
         self.est_b = np.full(total, config.network.route_b.free_flow_time)
@@ -226,8 +217,8 @@ class SimulationState:
         self.total_population = total
         self.m_day = config.m_day
         self.total_days = config.total_days
-        self.learning_rate = hp.learning_rate
-        self.explore_rate = hp.explore_rate
+        self.learning_rate = config.learning_rate
+        self.explore_rate = config.explore_rate
         self._set_fleet(config)
 
         self.day = 1  # next day to simulate

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -146,56 +145,60 @@ def _parse_network(fieldname: str, doc) -> TwoRouteNetwork:
     return TwoRouteNetwork(**routes)
 
 
-# The config format: each JSON field's parser and the path of the ScenarioConfig
-# attribute it sets.  An absent field keeps the ScenarioConfig default.
+# The config format: each JSON field's parser and the ScenarioConfig attribute
+# it sets.  An absent field keeps the ScenarioConfig default.
 # Single-valued fields, in the order they are checked:
 _FIELDS = {
-    "base_population": (_as_int, ("base_population",)),
-    "alpha": (_as_number, ("human_params", "learning_rate")),
-    "epsilon": (_as_number, ("human_params", "explore_rate")),
-    "phase_lengths": (_as_phases, ("phase_lengths",)),
-    "network": (_parse_network, ("network",)),
+    "base_population": (_as_int, "base_population"),
+    "alpha": (_as_number, "learning_rate"),
+    "epsilon": (_as_number, "explore_rate"),
+    "phase_lengths": (_as_phases, "phase_lengths"),
+    "network": (_parse_network, "network"),
 }
 # Sweep axes, in POINT_COLUMNS order; the parser reads one value of the axis.
 _AXES = {
-    "strategy": (_canon_strategy, ("strategy",)),
-    "cav_share": (_as_number, ("cav_share",)),
-    "beta": (_as_number, ("human_params", "taste_spread")),
-    "congestion": (_as_number, ("congestion",)),
-    "seeds": (_as_int, ("seed",)),
+    "strategy": (_canon_strategy, "strategy"),
+    "cav_share": (_as_number, "cav_share"),
+    "beta": (_as_number, "taste_spread"),
+    "congestion": (_as_number, "congestion"),
+    "seeds": (_as_int, "seed"),
 }
-
-
-def _get(config: ScenarioConfig, path: tuple[str, ...]):
-    return functools.reduce(getattr, path, config)
-
-
-def _set(obj, path: tuple[str, ...], value):
-    """``obj`` with the attribute at ``path`` replaced, its validators run on the way up."""
-    name, *rest = path
-    return dataclasses.replace(obj, **{name: _set(getattr(obj, name), rest, value) if rest else value})
 
 
 def _point_key(config: ScenarioConfig) -> tuple:
     """The values of POINT_COLUMNS for ``config``; runs are sorted by it."""
-    return tuple(_get(config, path) for _, path in _AXES.values())
+    return tuple(getattr(config, attr) for _, attr in _AXES.values())
 
 
 def _point_digest(config: ScenarioConfig) -> str:
     """Hash of every config field but the seed, as JSON; it names the daily files."""
-    knobs = {name: _get(config, path) for name, (_, path) in (*_FIELDS.items(), *_AXES.items())}
+    knobs = {name: getattr(config, attr) for name, (_, attr) in (*_FIELDS.items(), *_AXES.items())}
     del knobs["seeds"]
     canonical = json.dumps(knobs, sort_keys=True, default=dataclasses.asdict)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
 
 
-def _axis_values(fieldname: str, path: tuple[str, ...], base: ScenarioConfig, values: list) -> tuple:
-    """``values``, each accepted at ``path`` on ``base`` and none repeated.
+def _at_congestion(base: ScenarioConfig, congestions: list, **changes) -> ScenarioConfig:
+    """``base`` with ``changes``, at the first of the file's ``congestions`` that holds them.
+
+    The population couples base_population with congestion, so
+    base_population is checked at the file's own congestion values, and the
+    congestion axis then names each value that does not hold it.  Where none
+    does, ``base``'s own congestion decides, and the error quotes it.
+    """
+    for congestion in congestions:
+        with contextlib.suppress(ValueError):
+            return dataclasses.replace(base, congestion=congestion, **changes)
+    return dataclasses.replace(base, **changes)
+
+
+def _axis_values(fieldname: str, attr: str, base: ScenarioConfig, values: list) -> tuple:
+    """``values``, each accepted as ``attr`` on ``base`` and none repeated.
 
     A repeated value would run the same point twice.
     """
     for i, value in enumerate(values):
-        _checked(fieldname, _set, base, path, value)
+        _checked(fieldname, dataclasses.replace, base, **{attr: value})
         if value in values[:i]:
             raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
     return tuple(values)
@@ -206,8 +209,8 @@ def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig,
     points = [base]
     # Longest axis last: the fewest partial configs are built on the way.
     for name in sorted(axes, key=lambda name: len(axes[name])):
-        path = _AXES[name][1]
-        points = [_set(point, path, value) for point in points for value in axes[name]]
+        attr = _AXES[name][1]
+        points = [dataclasses.replace(p, **{attr: v}) for p in points for v in axes[name]]
     return tuple(sorted(points, key=_point_key))
 
 
@@ -235,14 +238,8 @@ def load_config(path: str | Path) -> ExperimentSpec:
     if _as_int("schema", doc.get("schema", 1)) != 1:
         raise ConfigError("schema", f"unsupported schema version {doc['schema']!r}")
 
-    # Every value is set on one base config, so its dataclass validators check it.
-    base = ScenarioConfig()
-    for name, (parse, attr) in _FIELDS.items():
-        if name in doc:
-            base = _checked(name, _set, base, attr, parse(name, doc[name]))
-
-    axes = {}
-    for name, (parse, attr) in _AXES.items():
+    values = {}
+    for name, (parse, _) in _AXES.items():
         raw = doc.get(name)
         if name == "seeds" and "seed" in doc:  # "seed" is the single-value form of "seeds"
             if "seeds" in doc:
@@ -252,17 +249,26 @@ def load_config(path: str | Path) -> ExperimentSpec:
             continue
         if name == "seeds" and (not isinstance(raw, list) or not raw):
             raise ConfigError("seeds", "expected a nonempty list of integers")
-        values = raw if isinstance(raw, list) else [raw]
-        if not values:
+        raw = raw if isinstance(raw, list) else [raw]
+        if not raw:
             raise ConfigError(name, "axis list must not be empty")
-        axes[name] = _axis_values(name, attr, base, [parse(name, value) for value in values])
+        values[name] = [parse(name, value) for value in raw]
+
+    # Every value is set on one base config, so its dataclass validators check it.
+    congestions = values.get("congestion", [])
+    # Start at the file's first valid congestion, so that an error quotes a value of the file.
+    base = _at_congestion(ScenarioConfig(), congestions)
+    for name, (parse, attr) in _FIELDS.items():
+        if name in doc:
+            base = _checked(name, _at_congestion, base, congestions, **{attr: parse(name, doc[name])})
+    axes = {name: _axis_values(name, _AXES[name][1], base, axis) for name, axis in values.items()}
     env_seed = os.environ.get("BOTTLESIM_SEED")
     if env_seed is not None:
         try:
             seeds = [int(env_seed)]
         except ValueError:
             raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
-        axes["seeds"] = _axis_values("BOTTLESIM_SEED", _AXES["seeds"][1], base, seeds)
+        axes["seeds"] = _axis_values("BOTTLESIM_SEED", "seed", base, seeds)
 
     out_dir = doc.get("out_dir", "results")
     if not isinstance(out_dir, str):

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def is_finite(x) -> bool:
-    """``math.isfinite(x)``, but False rather than OverflowError for an int too large for a float."""
+def is_finite_number(x) -> bool:
+    """Whether ``x`` is a finite int or float: False for a bool and for an int too large for a float."""
     try:
-        return math.isfinite(x)
+        return not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
 
@@ -40,11 +40,11 @@ class RouteParams:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not (self.free_flow_time > 0 and is_finite(self.free_flow_time)):
+        if not (self.free_flow_time > 0 and is_finite_number(self.free_flow_time)):
             raise ValueError(f"free_flow_time must be a finite number > 0, got {self.free_flow_time}")
-        if not (self.capacity > 0 and is_finite(self.capacity)):
+        if not (self.capacity > 0 and is_finite_number(self.capacity)):
             raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
-        if not (self.exponent > 1 and is_finite(self.exponent)):
+        if not (self.exponent > 1 and is_finite_number(self.exponent)):
             raise ValueError(f"exponent must be a finite number > 1, got {self.exponent}")
 
 

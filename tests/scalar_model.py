@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from bottlesim import HumanParams, SimulationState
+from bottlesim import SimulationState
 
 ROUTE_A = "A"
 ROUTE_B = "B"
@@ -85,7 +85,7 @@ def choose_route(
     agent: HumanAgent,
     explore_draw: float,
     route_draw: float,
-    params: HumanParams,
+    explore_rate: float,
 ) -> str:
     """Daily route decision: utility maximization with uniform exploration.
 
@@ -94,7 +94,7 @@ def choose_route(
     re-select the best route).  Otherwise the higher-utility route wins;
     exact utility ties resolve to A so repeated runs are reproducible.
     """
-    if explore_draw < params.explore_rate:
+    if explore_draw < explore_rate:
         return ROUTE_A if route_draw < 0.5 else ROUTE_B
     u_a = perceived_utility(agent, ROUTE_A)
     u_b = perceived_utility(agent, ROUTE_B)

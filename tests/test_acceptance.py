@@ -14,7 +14,6 @@ import pytest
 
 from bottlesim import (
     STRATEGY_TABLE,
-    HumanParams,
     RouteParams,
     ScenarioConfig,
     TwoRouteNetwork,
@@ -222,7 +221,7 @@ def test_10_bias_sensitivity():
         _, _, ratios = results_for(
             cav_share=0.05,
             strategy="Selfish",
-            human_params=HumanParams(taste_spread=beta),
+            taste_spread=beta,
             seed=1,
         )
         return ratios.cav_advantage

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bottlesim import HumanParams
+from bottlesim import ScenarioConfig
 from scalar_model import (
     EULER_MASCHERONI,
     ROUTE_A,
@@ -28,9 +28,11 @@ def make_agent(t_a=10.0, t_b=15.0, eps_a=0.0, eps_b=0.0):
 
 
 class TestHumanParams:
+    """The human-population fields of ScenarioConfig: alpha, epsilon and beta."""
+
     def test_defaults(self):
-        params = HumanParams()
-        assert (params.learning_rate, params.explore_rate, params.taste_spread) == (0.2, 0.1, 5.0)
+        config = ScenarioConfig()
+        assert (config.learning_rate, config.explore_rate, config.taste_spread) == (0.2, 0.1, 5.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -49,7 +51,7 @@ class TestHumanParams:
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            HumanParams(**kwargs)
+            ScenarioConfig(**kwargs)
 
 
 class TestSampleTaste:
@@ -114,20 +116,18 @@ class TestChooseRoute:
     def test_picks_higher_utility_route(self):
         # U_A = -8 beats U_B = -12
         agent = make_agent(t_a=10.0, t_b=12.0, eps_a=2.0, eps_b=0.0)
-        assert choose_route(agent, 0.9, 0.0, HumanParams()) == ROUTE_A
+        assert choose_route(agent, 0.9, 0.0, 0.1) == ROUTE_A
 
     def test_exact_tie_goes_to_a(self):
         agent = make_agent(t_a=10.0, t_b=10.0)
-        assert choose_route(agent, 0.9, 0.99, HumanParams(explore_rate=0.0)) == ROUTE_A
+        assert choose_route(agent, 0.9, 0.99, 0.0) == ROUTE_A
 
     def test_forced_exploration_uses_route_coin(self):
         agent = make_agent(t_a=1.0, t_b=100.0)  # A hugely better
-        params = HumanParams(explore_rate=0.1)
-        assert choose_route(agent, 0.05, 0.7, params) == ROUTE_B
-        assert choose_route(agent, 0.05, 0.3, params) == ROUTE_A
+        assert choose_route(agent, 0.05, 0.7, 0.1) == ROUTE_B
+        assert choose_route(agent, 0.05, 0.3, 0.1) == ROUTE_A
 
     def test_translation_invariance_of_greedy_choice(self):
-        params = HumanParams(explore_rate=0.0)
         rng = np.random.default_rng(11)
         for _ in range(200):
             t_a, t_b = rng.uniform(1.0, 40.0, size=2)
@@ -135,17 +135,16 @@ class TestChooseRoute:
             shift = rng.uniform(-30.0, 30.0)
             base = make_agent(t_a, t_b, eps_a, eps_b)
             moved = make_agent(t_a + shift, t_b + shift, eps_a, eps_b)
-            assert choose_route(base, 0.9, 0.5, params) == choose_route(moved, 0.9, 0.5, params)
+            assert choose_route(base, 0.9, 0.5, 0.0) == choose_route(moved, 0.9, 0.5, 0.0)
 
     def test_empirical_exploration_rate(self):
         # equal utilities break to A, so B happens only by exploring with
         # the route coin in its upper half: expect a fraction epsilon / 2
         agent = make_agent(t_a=10.0, t_b=10.0)
-        params = HumanParams(explore_rate=0.1)
         rng = np.random.default_rng(99)
         n = 200_000
         chosen_b = sum(
-            choose_route(agent, rng.random(), rng.random(), params) == ROUTE_B
+            choose_route(agent, rng.random(), rng.random(), 0.1) == ROUTE_B
             for _ in range(n)
         )
         assert chosen_b / n == pytest.approx(0.05, abs=0.003)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bottlesim import (
     STRATEGY_NAMES,
     STRATEGY_TABLE,
-    HumanParams,
     ScenarioConfig,
     SimulationState,
     fleet_optimize,
@@ -59,6 +58,12 @@ class TestScenarioConfig:
             ({"seed": True}, "seed"),
             ({"base_population": True}, "base_population"),
             ({"phase_lengths": (True,) * 4}, "phase_lengths"),
+            # A bool is not a number either: it would reach the CSVs as True or False.
+            ({"cav_share": False}, "cav_share"),
+            ({"congestion": True}, "congestion"),
+            ({"learning_rate": True}, "learning_rate"),
+            ({"explore_rate": False}, "explore_rate"),
+            ({"taste_spread": True}, "taste_spread"),
         ],
     )
     def test_named_field_rejections(self, kwargs, field):
@@ -123,7 +128,7 @@ class TestInitSimulation:
         config = small_config(seed=99)
         state = SimulationState(config)
         rng = np.random.default_rng(99)
-        beta = config.human_params.taste_spread
+        beta = config.taste_spread
         for i in range(config.total_population):
             expected_a = sample_taste(rng.random(), beta)
             expected_b = sample_taste(rng.random(), beta)
@@ -156,7 +161,7 @@ class TestStepDay:
         config = ScenarioConfig(
             base_population=200,
             phase_lengths=(2, 0, 0, 0),
-            human_params=HumanParams(learning_rate=0.0, explore_rate=0.0, taste_spread=1e-9),
+            learning_rate=0.0, explore_rate=0.0, taste_spread=1e-9,
             seed=3,
         )
         log = run_scenario(config)
@@ -259,12 +264,11 @@ def scalar_oracle(config):
     route coin per current human driver in id order.
     """
     total = config.total_population
-    params = config.human_params
     rng = np.random.default_rng(config.seed)
     tastes = []
     for _ in range(total):
-        eps_a = sample_taste(rng.random(), params.taste_spread)
-        eps_b = sample_taste(rng.random(), params.taste_spread)
+        eps_a = sample_taste(rng.random(), config.taste_spread)
+        eps_b = sample_taste(rng.random(), config.taste_spread)
         tastes.append((eps_a, eps_b))
     estimates = {
         i: (config.network.route_a.free_flow_time, config.network.route_b.free_flow_time)
@@ -289,7 +293,7 @@ def scalar_oracle(config):
                     tastes=TasteProfile(*tastes[i]),
                     estimates=EstimateVector(*estimates[i]),
                 )
-                routes[i] = choose_route(agent, explore_draw, route_draw, params)
+                routes[i] = choose_route(agent, explore_draw, route_draw, config.explore_rate)
         q_hdv_a = sum(1 for r in routes.values() if r == ROUTE_A)
         q_hdv_b = n_hdv - q_hdv_a
         if fleet_on:
@@ -304,7 +308,7 @@ def scalar_oracle(config):
         for i in range(n_hdv):
             experienced = t_a if routes[i] == ROUTE_A else t_b
             updated = update_estimate(
-                EstimateVector(*estimates[i]), routes[i], experienced, params.learning_rate
+                EstimateVector(*estimates[i]), routes[i], experienced, config.learning_rate
             )
             estimates[i] = (updated.t_a_hat, updated.t_b_hat)
         yield SimpleNamespace(
@@ -357,11 +361,9 @@ def _unit_interval():
 @st.composite
 def small_configs(draw):
     return ScenarioConfig(
-        human_params=HumanParams(
-            learning_rate=draw(_unit_interval()),
-            explore_rate=draw(_unit_interval()),
-            taste_spread=draw(st.sampled_from([1e-9, 0.5, 5.0, 50.0])),
-        ),
+        learning_rate=draw(_unit_interval()),
+        explore_rate=draw(_unit_interval()),
+        taste_spread=draw(st.sampled_from([1e-9, 0.5, 5.0, 50.0])),
         congestion=draw(st.sampled_from([0.5, 1.0, 2.6])),
         cav_share=draw(_unit_interval()),
         strategy=draw(st.sampled_from(STRATEGY_NAMES)),

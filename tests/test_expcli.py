@@ -14,7 +14,6 @@ import pytest
 
 import bottlesim
 from bottlesim import (
-    HumanParams,
     RouteParams,
     ScenarioConfig,
     TwoRouteNetwork,
@@ -25,6 +24,8 @@ from bottlesim import (
 from bottlesim.expcli import (
     SUMMARY_COLUMNS,
     ConfigError,
+    _AXES,
+    _FIELDS,
     _tasks,
     load_config,
     main,
@@ -48,10 +49,10 @@ class TestLoadConfig:
         (point,) = spec.run_points()
         assert point.strategy == "Selfish"
         assert point.cav_share == 0.0
-        assert point.human_params.taste_spread == 5.0
+        assert point.taste_spread == 5.0
         assert point.congestion == 1.0
-        assert point.human_params.learning_rate == 0.2
-        assert point.human_params.explore_rate == 0.1
+        assert point.learning_rate == 0.2
+        assert point.explore_rate == 0.1
         assert point.seed == 0
         assert point.base_population == 1000
         assert point.phase_lengths == (100, 100, 100, 100)
@@ -85,7 +86,7 @@ class TestLoadConfig:
                   for key, route in network.items()}
         expected = [
             ScenarioConfig(
-                human_params=HumanParams(learning_rate=0.35, explore_rate=0.05, taste_spread=float(beta)),
+                learning_rate=0.35, explore_rate=0.05, taste_spread=float(beta),
                 network=TwoRouteNetwork(**routes),
                 congestion=float(congestion),
                 cav_share=float(share),
@@ -97,7 +98,7 @@ class TestLoadConfig:
             for strategy in ("Social", "Altruistic") for share in (0.4, 0) for beta in (2, 7.5)
             for congestion in (1.5, 1) for seed in (9, 3)
         ]
-        expected.sort(key=lambda c: (c.strategy, c.cav_share, c.human_params.taste_spread,
+        expected.sort(key=lambda c: (c.strategy, c.cav_share, c.taste_spread,
                                      c.congestion, c.seed))
         assert points == expected
         # JSON ints on an axis become floats, as the point digests need.
@@ -163,6 +164,10 @@ class TestLoadConfig:
         }
         spec = load_config(write_config(tmp_path, doc))
         assert spec.run_points()[0].network.route_a.capacity == 100
+
+    def test_each_config_field_has_exactly_one_file_key(self):
+        attrs = [attr for _, attr in (*_FIELDS.values(), *_AXES.values())]
+        assert sorted(attrs) == sorted(field.name for field in dataclasses.fields(ScenarioConfig))
 
     def test_env_seed_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BOTTLESIM_SEED", "77")
@@ -391,6 +396,11 @@ class TestCli:
             # 2**62 drivers: numpy refuses their taste array as too big.
             ({"base_population": 2**62}, "base_population"),
             ({"base_population": 2**58, "congestion": [1.0, 2.0]}, "congestion"),
+            # 2**60 fits at congestion 0.25 (2**58 drivers), so 1.0 is the value at fault.
+            ({"base_population": 2**60, "congestion": [0.25, 1.0]}, "congestion"),
+            ({"base_population": 2**60, "congestion": [1.0, 0.25]}, "congestion"),
+            # No congestion value of the file holds 2**62.
+            ({"base_population": 2**62, "congestion": 0.5}, "base_population"),
         ],
     )
     def test_population_beyond_array_limit_is_a_validation_error(self, tmp_path, capsys, doc, field):
@@ -400,15 +410,31 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field}: congestion ")
         assert not out.exists()
 
+    def test_population_is_checked_at_the_files_own_congestion(self, tmp_path):
+        config = write_config(tmp_path, {"base_population": 2**60, "congestion": 0.25})
+        (point,) = load_config(config).run_points()
+        assert point.total_population == 2**58
+
     @staticmethod
-    def run_cli(args, cwd):
-        """Run ``python -W error::RuntimeWarning -m bottlesim ARGS`` in a fresh interpreter."""
+    def run_python(args, cwd):
+        """Run ``python -W error::RuntimeWarning ARGS`` in a fresh interpreter."""
         src = str(Path(bottlesim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "bottlesim", *args],
+            [sys.executable, "-W", "error::RuntimeWarning", *args],
             capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
         )
+
+    @classmethod
+    def run_cli(cls, args, cwd):
+        """Run ``python -W error::RuntimeWarning -m bottlesim ARGS`` in a fresh interpreter."""
+        return cls.run_python(["-m", "bottlesim", *args], cwd)
+
+    def test_library_import_leaves_argparse_unloaded(self, tmp_path):
+        # Only the CLI needs argparse; a library import (and the benchmark's setup time) skips it.
+        script = "import sys, bottlesim; sys.exit('argparse' in sys.modules)"
+        proc = self.run_python(["-c", script], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_non_string_out_dir_exits_one_without_traceback(self, tmp_path):
         config = write_config(tmp_path, dict(FAST, out_dir=None))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bottlesim import (
     DayRecord,
-    HumanParams,
     RouteParams,
     ScenarioConfig,
     SimulationLog,
@@ -200,7 +199,7 @@ class TestComputeWindowAverages:
         config = ScenarioConfig(
             base_population=100,
             phase_lengths=(5, 5, 5, 5),
-            human_params=HumanParams(taste_spread=1e-9),
+            taste_spread=1e-9,
             seed=13,
         )
         averages = compute_window_averages(run_scenario(config))

@@ -25,7 +25,8 @@ class TestRouteParams:
             RouteParams(free_flow_time=5.0, capacity=500.0, exponent=1.0)
 
     # 10**400 is an int too large for a float: a ValueError, not an OverflowError.
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    # A bool is not a number, though Python counts it as an int.
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, True, False])
     @pytest.mark.parametrize("field", ["free_flow_time", "capacity", "exponent"])
     def test_rejects_non_finite_values(self, field, value):
         kwargs = dict(free_flow_time=5.0, capacity=500.0, exponent=2.0)
