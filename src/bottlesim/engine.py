@@ -20,25 +20,24 @@ Each simulated day executes in a fixed order:
    the route it took;
 5. per-group means are recorded.
 
-Determinism: a single numpy PCG64 generator (``numpy.random.default_rng``)
-is seeded from the config and consumed in a fully specified order --
+Determinism: each seed has one numpy PCG64 generator
+(``numpy.random.default_rng``), consumed in a fully specified order --
 first two taste draws per driver in index order (route A then B), then
 per day two draws per current human driver in index order (exploration
 coin first, route coin second).  Day 1 consumes the exploration coin
 too, even though it is ignored, so later days never depend on day-1
-semantics.  Runs with equal configs are therefore identical; fleet
-vehicles consume no randomness at all.
+semantics.  Fleet vehicles consume no randomness at all.
 
-Days 1..m_day have no fleet, so runs that differ only in strategy and
-cav_share repeat them bit for bit, except for the perceived mean, which
-each run takes over its own survivors.  ``run_branches`` simulates those
-days once, and every distinct run continues on its own fork of the state
-at the hand-over; ``run_scenario`` is its one-run case.  Configs with
-equal (or empty) fleets are the same run, simulated once.  Day records
-are immutable, so logs share the records of their common days.  After
-the hand-over a run's fleet, network and human count are fixed, so its
-fleet decision depends on q_hdv_a alone: each run memoizes it, exactly,
-on that count.
+``run_branches`` steps runs that differ in seed, strategy and cav_share
+in lockstep, as rows of (R, n) arrays: a row per seed until the
+hand-over, as days 1..m_day have no fleet, then a row per distinct run,
+grouped by survivor count.  Rows in the same generator state (the runs
+of one seed) share one draw, every kernel is elementwise or reduces
+each row on its own, and no state is forked, so every run equals its
+config run alone, bit for bit; ``run_scenario`` is the one-run case.
+Configs with equal (or empty) fleets are the same run.  After the
+hand-over a fleet's decision depends on q_hdv_a alone, whatever the
+seed: the rows of a run share one exact memo of it.
 """
 
 from __future__ import annotations
@@ -46,14 +45,15 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
-from .metrics import day_statistics, survivor_perceived_mean
-from .network import TwoRouteNetwork, is_finite_number, network_travel_times
+from .metrics import day_statistics
+from .network import TwoRouteNetwork, _bpr, is_finite_number, network_travel_times
 
 
 def _round_half_up(x: float) -> int:
@@ -65,8 +65,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The run's largest array is the (total, 2) float64 taste draw, and numpy
-# refuses an array of more than intp.max bytes.
+# A run's largest array is its seed's (total, 2) float64 taste draw, and
+# numpy refuses an array of more than intp.max bytes.
 MAX_POPULATION = np.iinfo(np.intp).max // 16
 
 
@@ -133,6 +133,13 @@ class ScenarioConfig:
                 f"congestion {self.congestion} with base_population {self.base_population} "
                 f"yields {self.total_population} drivers; expected 1 to {MAX_POPULATION}"
             )
+        for name in ("route_a", "route_b"):
+            try:  # on Python floats: an overflow raises here instead of warning in numpy
+                time = _bpr(getattr(self.network, name), self.total_population)
+            except OverflowError:
+                time = math.inf
+            if not math.isfinite(time):
+                raise ValueError(f"{name} travel time is not finite at {self.total_population} drivers")
 
     @property
     def total_population(self) -> int:
@@ -187,73 +194,102 @@ class SimulationLog:
 
 
 class SimulationState:
-    """Mutable per-run state: driver arrays, RNG and the day counter.
+    """Mutable state of runs stepped in lockstep: (R, n) driver arrays, generators, day counter.
 
-    Driver attributes live in flat arrays indexed by driver id.
-    ``step_day`` hands the fleet over before day ``m_day + 1``: from
-    then on only the first ``survivor_count`` entries act individually.
+    ``SimulationState(config)`` is one run, the R=1 case.  More configs may
+    differ in seed, strategy and cav_share: until the hand-over there is
+    one row per seed, and ``records`` holds a log per seed and survivor
+    count, row-major.  ``step_day`` hands the fleet over before day
+    ``m_day + 1``; from then on each distinct run is a row holding only its
+    survivors, with one log, so the configs must share a survivor count.
     """
 
-    def __init__(self, config: ScenarioConfig) -> None:
-        self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        total = config.total_population
-        spread = config.taste_spread
+    def __init__(self, *configs: ScenarioConfig) -> None:
+        config = configs[0]
+        if any(prefix_key(c) != prefix_key(config) for c in configs[1:]):
+            raise ValueError("configs stepped together may differ only in seed, strategy and cav_share")
+        self.configs = configs
+        self.seeds = list(dict.fromkeys(c.seed for c in configs))
+        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        self.row_rng = np.arange(len(self.rngs))  # each row's generator
+        total, spread = config.total_population, config.taste_spread
 
-        draws = self.rng.random((total, 2))
+        shape = (len(self.rngs), total)
+        draws = np.empty((len(self.rngs) * total, 2))
+        for rng, out in zip(self.rngs, np.split(draws, len(self.rngs))):
+            rng.random(out=out)
         # random() can return exactly 0.0, outside the open interval the
         # inverse-CDF transform needs; nudge to the smallest positive double.
         draws[draws == 0.0] = np.nextafter(0.0, 1.0)
         mu = -spread * 0.5772156649015329  # Euler-Mascheroni: zero-mean tastes
-        self.taste_a = mu - spread * np.log(-np.log(draws[:, 0]))
-        self.taste_b = mu - spread * np.log(-np.log(draws[:, 1]))
+        self.taste_a = (mu - spread * np.log(-np.log(draws[:, 0]))).reshape(shape)
+        self.taste_b = (mu - spread * np.log(-np.log(draws[:, 1]))).reshape(shape)
+        self._drivers(total)
 
-        self.est_a = np.full(total, config.network.route_a.free_flow_time)
-        self.est_b = np.full(total, config.network.route_b.free_flow_time)
-        self.last_route = np.full(total, -1, dtype=np.int8)
+        self.est_a = np.full(shape, config.network.route_a.free_flow_time)
+        self.est_b = np.full(shape, config.network.route_b.free_flow_time)
+        self.last_route = np.zeros(shape, dtype=bool)  # True = route B, from day 1 on
+        # The survivor counts whose perceived mean each row logs.
+        self.counts = tuple(dict.fromkeys(c.survivor_count for c in configs))
+        self.fleets = [(0, None)] * len(self.rngs)  # each row's (fleet size, weights)
+        self.memos: list[dict[int, FleetDecision]] | None = None  # set at the hand-over
 
         # Run constants, read once here rather than through the config's
         # derived properties on every day.
-        self.total_population = total
+        self.network = config.network
         self.m_day = config.m_day
         self.total_days = config.total_days
         self.learning_rate = config.learning_rate
         self.explore_rate = config.explore_rate
-        self._set_fleet(config)
 
         self.day = 1  # next day to simulate
-        self.records: list[DayRecord] = []
+        self.records: list[list[DayRecord]] = [[] for _ in self.rngs for _ in self.counts]
 
-    def _set_fleet(self, config: ScenarioConfig) -> None:
-        """Take the fleet constants of ``config``, the knobs a fork may change."""
-        self.config = config
-        self.fleet_size = config.fleet_size
-        self.survivor_count = config.survivor_count
-        self.fleet_weights = STRATEGY_TABLE[config.strategy]
-        # q_hdv_a -> FleetDecision.  Reset here, so a fork never shares its parent's.
-        self.fleet_memo: dict[int, FleetDecision] = {}
+    def _drivers(self, n: int) -> None:
+        """Set the acting drivers per row, and a day's draw buffer: each generator's (n, 2) in turn."""
+        self.n = n
+        self.draws = np.empty((len(self.rngs) * n, 2))
+        self.draw_outs = [self.draws[i * n:(i + 1) * n] for i in range(len(self.rngs))]
 
-    def fork(self, config: ScenarioConfig) -> SimulationState:
-        """An independent copy of this pre-hand-over state that continues as ``config``.
+    def _hand_over(self, configs: Sequence[ScenarioConfig]) -> None:
+        """Continue as the distinct runs of ``configs``, which share one survivor count.
 
-        ``config`` may differ from this state's config only in strategy and
-        cav_share.  The copy owns its estimates, last routes, generator and
-        record list; the tastes are shared, as no day writes them.
+        Each run becomes a row: contiguous copies of its seed row's
+        survivors and of its log for that count.  The runs of a seed share
+        one copy of its generator, as they draw alike from here on, and the
+        runs of a fleet one empty memo, as its decisions ignore the seed.
         """
-        if self.day > self.m_day + 1:
-            raise RuntimeError("cannot fork a run after the fleet hand-over")
-        branch = copy.copy(self)
-        branch.rng = copy.deepcopy(self.rng)
-        branch.est_a = self.est_a.copy()
-        branch.est_b = self.est_b.copy()
-        branch.last_route = self.last_route.copy()
-        branch.records = list(self.records)
-        branch._set_fleet(config)
-        return branch
+        count = configs[0].survivor_count
+        if any(c.survivor_count != count for c in configs):
+            raise RuntimeError("runs stepped together past the hand-over need equal survivor counts")
+        self.runs = list(dict.fromkeys(map(_run_key, configs)))
+        rows = [self.seeds.index(seed) for seed, _ in self.runs]
+        log = self.counts.index(count)
+        self.records = [list(self.records[row * len(self.counts) + log]) for row in rows]
+        seeds = list(dict.fromkeys(seed for seed, _ in self.runs))
+        self.rngs = [copy.deepcopy(self.rngs[self.seeds.index(seed)]) for seed in seeds]
+        self.seeds, self.row_rng = seeds, np.array([seeds.index(seed) for seed, _ in self.runs])
+        for name in ("taste_a", "taste_b", "est_a", "est_b", "last_route"):
+            setattr(self, name, getattr(self, name)[rows, :count])
+        self._drivers(count)
+        self.counts = (count,)
+        self.fleets = [fleet for _, fleet in self.runs]
+        memos = {fleet: {} for fleet in self.fleets}
+        self.memos = [memos[fleet] for fleet in self.fleets]
 
 
-def step_day(state: SimulationState) -> DayRecord:
-    """Simulate the next day and append its record to the state.
+# Configs with equal survivor counts step as one group after the hand-over.
+SURVIVORS = operator.attrgetter("survivor_count")
+
+
+def _run_key(config: ScenarioConfig) -> tuple:
+    """(seed, (fleet size, weights)); equal fleets, or none at all, make the same run."""
+    size = config.fleet_size
+    return config.seed, (size, STRATEGY_TABLE[config.strategy] if size else None)
+
+
+def step_day(state: SimulationState) -> list[DayRecord]:
+    """Simulate the next day of every row; append its records to the logs and return them.
 
     From day ``m_day + 1`` on the highest-index drivers are fleet
     vehicles: they stop choosing and learning and become count mass
@@ -262,112 +298,102 @@ def step_day(state: SimulationState) -> DayRecord:
     day = state.day
     if day > state.total_days:
         raise RuntimeError(f"run is complete after day {state.total_days}")
-    if day > state.m_day:
-        n, fleet_size = state.survivor_count, state.fleet_size
-    else:
-        n, fleet_size = state.total_population, 0
-    est_a = state.est_a[:n]
-    est_b = state.est_b[:n]
+    if day == state.m_day + 1 and state.memos is None:
+        state._hand_over(state.configs)
 
-    # Two draws per driver, exploration coin then route coin, id order.
-    # The day's single route mask: True = route B.
-    draws = state.rng.random((n, 2))
-    on_b = draws[:, 1] >= 0.5
-    if day > 1:
-        greedy_b = (state.taste_a[:n] - est_a) < (state.taste_b[:n] - est_b)  # ties go to A
-        on_b = np.where(draws[:, 0] < state.explore_rate, on_b, greedy_b)
+    # Two draws per driver, exploration coin then route coin, id order; on
+    # day 1 every driver explores.  The day's single route mask: True = route B.
+    draws, shape = state.draws, (len(state.rngs), state.n)
+    for rng, out in zip(state.rngs, state.draw_outs):
+        rng.random(out=out)
+    explore = (draws[:, 0] < (state.explore_rate if day > 1 else 1.0)).reshape(shape)
+    on_b = (draws[:, 1] >= 0.5).reshape(shape)
+    if shape[0] < len(state.fleets):  # the rows of one seed share its draws
+        explore, on_b = explore[state.row_rng], on_b[state.row_rng]
+    greedy_b = (state.taste_a - state.est_a) < (state.taste_b - state.est_b)  # ties go to A
+    on_b = np.where(explore, on_b, greedy_b)
 
-    q_hdv_b = int(np.count_nonzero(on_b))
-    q_hdv_a = n - q_hdv_b
+    n, network = state.n, state.network
+    days, times = [], []  # per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b), (t_a, t_b)
+    for row in range(len(on_b)):
+        q_hdv_b = int(np.count_nonzero(on_b[row]))
+        q_hdv_a = n - q_hdv_b
+        fleet_size, weights = state.fleets[row]
+        if fleet_size:
+            memo = state.memos[row]
+            decision = memo.get(q_hdv_a)
+            if decision is None:
+                decision = memo[q_hdv_a] = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, network)
+            q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
+        else:
+            q_cav_a = q_cav_b = 0
+        times.append(network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b))
+        days.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, *times[-1]))
 
-    network = state.config.network
-    if fleet_size:
-        decision = state.fleet_memo.get(q_hdv_a)
-        if decision is None:
-            decision = fleet_optimize(state.fleet_weights, q_hdv_a, q_hdv_b, fleet_size, network)
-            state.fleet_memo[q_hdv_a] = decision
-        q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
-    else:
-        q_cav_a = q_cav_b = 0
-
-    t_a, t_b = network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
-
+    # times[0] and times[1] are (R, 1) columns: each row's time, for all its drivers.
+    times = np.array([times]).T
     alpha = state.learning_rate
-    est_a[:] = np.where(on_b, est_a, (1 - alpha) * est_a + alpha * t_a)
-    est_b[:] = np.where(on_b, (1 - alpha) * est_b + alpha * t_b, est_b)
-    state.last_route[:n] = on_b
+    step = alpha * times
+    state.est_a = np.where(on_b, state.est_a, (1 - alpha) * state.est_a + step[0])
+    state.est_b = np.where(on_b, (1 - alpha) * state.est_b + step[1], state.est_b)
+    state.last_route = on_b
 
-    mean_hdv, mean_perceived, mean_cav = day_statistics(
-        on_b, state.survivor_count, state.taste_a, state.taste_b,
-        q_cav_a, q_cav_b, t_a, t_b,
-    )
-    record = DayRecord(
-        day=day,
-        q_hdv_a=q_hdv_a,
-        q_hdv_b=q_hdv_b,
-        q_cav_a=q_cav_a,
-        q_cav_b=q_cav_b,
-        t_a=t_a,
-        t_b=t_b,
-        mean_hdv_time=mean_hdv,
-        mean_perceived_hdv_time=mean_perceived,
-        mean_cav_time=mean_cav,
-    )
-    state.records.append(record)
+    stats = day_statistics(on_b, state.counts, state.taste_a, state.taste_b, days, times)
+    records = [
+        DayRecord(day, *values, mean_hdv, mean_perceived, mean_cav)
+        for values, (mean_hdv, perceived, mean_cav) in zip(days, stats)
+        for mean_perceived in perceived
+    ]
+    for log, record in zip(state.records, records):
+        log.append(record)
     state.day = day + 1
-    return record
+    return records
+
+
+def group_by(configs: Iterable[ScenarioConfig], key) -> dict:
+    """The configs grouped by ``key(config)``, in first-seen order."""
+    groups: dict = {}
+    for config in configs:
+        groups.setdefault(key(config), []).append(config)
+    return groups
 
 
 def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` without its fleet knobs: runs with equal keys share days 1..m_day."""
-    return dataclasses.replace(config, strategy=STRATEGY_NAMES[0], cav_share=0.0)
+    """``config`` without its seed and fleet knobs: runs with equal keys step together."""
+    return dataclasses.replace(config, seed=0, strategy=STRATEGY_NAMES[0], cav_share=0.0)
 
 
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """Run configs that differ only in strategy and cav_share; yield their logs in order.
+    """Run configs that differ only in seed, strategy and cav_share; yield their logs in order.
 
-    Days 1..m_day are stepped once, on the first config's state, and
-    their records are built once per survivor count: the perceived mean
-    of another count is taken by the same expression and set with
-    ``_replace``.  At the hand-over every distinct run continues on its
-    own fork of that state, so every log equals the one the config gives
+    Days 1..m_day are stepped once, a row per seed.  At the hand-over the
+    distinct runs are grouped by survivor count, and each group steps its
+    rows to the last day, so every log equals the one its config gives
     alone; a repeated run's configs get copies of its record list.  Each
     log owns its list and is complete when it is yielded.
     """
     configs = list(configs)
     if not configs:
         return
-    key = prefix_key(configs[0])
-    if any(prefix_key(c) != key for c in configs[1:]):
-        raise ValueError("configs of one run_branches call may differ only in strategy and cav_share")
-    # Equal fleet sizes and weights, or no fleet at all, make the same run.
-    runs = [(c.fleet_size, STRATEGY_TABLE[c.strategy] if c.fleet_size else None) for c in configs]
+    state = SimulationState(*configs)
+    while state.day <= min(state.m_day, state.total_days):
+        step_day(state)
+    groups = group_by(configs, SURVIVORS)
+    runs = [_run_key(c) for c in configs]
     last_use = {run: i for i, run in enumerate(runs)}
-    last_new = max(runs.index(run) for run in last_use)
-    state = SimulationState(configs[0])
-    prefixes: dict[int, list[DayRecord]] = {c.survivor_count: [] for c in configs}
-    for _ in range(min(state.m_day, state.total_days)):
-        record = step_day(state)
-        for count, records in prefixes.items():
-            records.append(record if count == state.survivor_count else record._replace(
-                mean_perceived_hdv_time=survivor_perceived_mean(
-                    state.last_route, count, state.taste_a, state.taste_b, record.t_a, record.t_b,
-                ),
-            ))
-
     finished: dict[tuple, list[DayRecord]] = {}  # records of each run simulated so far
     for i, (config, run) in enumerate(zip(configs, runs)):
         if run not in finished:
-            branch = state.fork(config)
-            if i == last_new:
-                state = None  # forked for the last time: its arrays go before the last run's days
-            branch.records = list(prefixes[config.survivor_count])
-            while branch.day <= branch.total_days:
-                step_day(branch)
-            finished[run] = branch.records
-            # Drop the branch's arrays before the caller evaluates the log: at
+            group, members = copy.copy(state), groups.pop(config.survivor_count)
+            if not groups:
+                state = None  # the last group: the prefix arrays go before its days
+            group._hand_over(members)
+            while group.day <= group.total_days:
+                step_day(group)
+            finished.update(zip(group.runs, group.records))
+            # Drop the group's arrays before the caller evaluates the log: at
             # N=10^5 they would add to the peak memory of the metrics' fleet curve.
-            del branch
+            del group
         records = finished.pop(run) if last_use[run] == i else list(finished[run])
         yield SimulationLog(config=config, records=records)
 

@@ -34,7 +34,9 @@ from .engine import (
     DayRecord,
     ScenarioConfig,
     SimulationLog,
+    SURVIVORS,
     _is_int,
+    group_by,
     prefix_key,
     run_branches,
     run_scenario,  # not called here; bench/spans.py wraps expcli.run_scenario
@@ -374,24 +376,22 @@ def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
     return results
 
 
-def _groups(configs: list[ScenarioConfig]) -> list[list[ScenarioConfig]]:
-    """The configs grouped by shared human-only days, in first-seen order."""
-    groups: dict[ScenarioConfig, list[ScenarioConfig]] = {}
-    for config in configs:
-        groups.setdefault(prefix_key(config), []).append(config)
-    return list(groups.values())
-
-
 def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig]]:
     """The configs grouped by shared human-only days, one task per group.
 
     With fewer groups than jobs, each group is dealt round-robin into
-    enough chunks to occupy every job; each chunk repeats the shared days.
+    enough chunks to occupy every job, by whole survivor-count blocks, so
+    the runs that step in lockstep after the hand-over stay together;
+    each chunk repeats the shared days.
     """
-    tasks = _groups(configs)
+    tasks = list(group_by(configs, prefix_key).values())
     if 0 < len(tasks) < jobs:
         parts = -(-jobs // len(tasks))
-        tasks = [group[i::parts] for group in tasks for i in range(min(parts, len(group)))]
+        chunks = []
+        for group in tasks:
+            blocks = list(group_by(group, SURVIVORS).values())
+            chunks += [sum(blocks[i::parts], []) for i in range(min(parts, len(blocks)))]
+        tasks = chunks
     return tasks
 
 
@@ -427,8 +427,9 @@ def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     """Execute every run of the spec and write its output files.
 
-    Runs that differ only in strategy and cav_share share their
-    human-only days (see ``engine.run_branches``).  With jobs > 1
+    Runs that differ only in seed, strategy and cav_share share their
+    human-only days and step in lockstep (see ``engine.run_branches``);
+    each such group is a task.  With jobs > 1
     (default: the machine's CPU count) a process pool hands out those
     groups, and its workers also format the daily CSVs; outputs do not
     depend on the execution order.  Returns the summary rows.
@@ -460,8 +461,8 @@ def replicate_and_test(
     ``config_a`` against ``metric_b`` of ``config_b`` at that seed.
     The two configs may be equal (the runs are then shared), which
     compares two statistics of the same scenario, e.g. the baseline
-    window against the evaluation window.  At each seed the two runs
-    share their human-only days as a sweep's runs do (see
+    window against the evaluation window.  All the runs share their
+    human-only days and step in lockstep, as a sweep's runs do (see
     ``run_experiment``).  Seeds must be distinct.
     """
     for metric in (metric_a, metric_b):
@@ -477,22 +478,18 @@ def replicate_and_test(
     ]
     # The t-test reads only the window averages, so no daily CSV is formatted.
     averages: dict[ScenarioConfig, WindowAverages] = {}
-    for group in _groups(list(dict.fromkeys(config for pair in pairs for config in pair))):
+    for group in group_by(dict.fromkeys(config for pair in pairs for config in pair), prefix_key).values():
         logs = run_branches(group)
         for config in group:
             with _failing_point(config):
                 averages[config] = _checked_averages(next(logs))
 
-    values_a = []
-    values_b = []
+    values = []
     for seed, (run_a, run_b) in zip(seeds, pairs):
-        va = getattr(averages[run_a], metric_a)
-        vb = getattr(averages[run_b], metric_b)
-        if va is None or vb is None:
+        values.append((getattr(averages[run_a], metric_a), getattr(averages[run_b], metric_b)))
+        if None in values[-1]:
             raise ValueError(f"metric absent at seed {seed}; cannot pair")
-        values_a.append(va)
-        values_b.append(vb)
-    return paired_t_test(values_a, values_b)
+    return paired_t_test(*zip(*values))
 
 
 def _read_summary(path: Path) -> dict[int, dict]:

@@ -80,53 +80,34 @@ class TTestResult:
 
 
 def day_statistics(
-    hdv_routes: np.ndarray,
-    survivor_count: int,
-    taste_a: np.ndarray,
-    taste_b: np.ndarray,
-    q_cav_a: int,
-    q_cav_b: int,
-    t_a: float,
-    t_b: float,
-) -> tuple[float | None, float | None, float | None]:
-    """Per-day group means from one completed day.
+    hdv_routes: np.ndarray, survivor_counts: Sequence[int], taste_a: np.ndarray, taste_b: np.ndarray,
+    days: Sequence[tuple[int, int, int, int, float, float]], times: np.ndarray,
+) -> list[tuple[float | None, list[float | None], float | None]]:
+    """Per-day group means of R runs, from one completed day of each.
 
-    ``hdv_routes`` holds the committed route of every current human
-    driver in index order: 0 = A and 1 = B, or a boolean mask with
-    True = B (any nonzero entry is route B).  Drivers below
-    ``survivor_count`` are the ones that stay human for the whole run.
-    Returns (mean human time, mean perceived time over survivors, mean
-    fleet time), each None when its group is empty.  Perceived time of a
-    driver is the experienced time plus the taste of the route taken.
+    ``hdv_routes`` has one row per run: the committed route of every
+    current human driver in index order, 0 = A and 1 = B, or a boolean
+    mask with True = B (any nonzero entry is route B).  The taste arrays
+    have the same rows.  Per row, ``days`` holds (q_hdv_a, q_hdv_b,
+    q_cav_a, q_cav_b, t_a, t_b), and ``times[0]`` and ``times[1]`` hold
+    the same t_a and t_b as (R, 1) columns.
+    Returns, per row, (mean human time, the mean perceived time over the
+    first c drivers for each c in ``survivor_counts``, mean fleet time),
+    each None when its group is empty.  Perceived time of a driver is the
+    experienced time plus the taste of the route taken.
     """
-    q_hdv_b = int(np.count_nonzero(hdv_routes))
-    return (
-        _flow_mean(len(hdv_routes) - q_hdv_b, q_hdv_b, t_a, t_b),
-        survivor_perceived_mean(hdv_routes, survivor_count, taste_a, taste_b, t_a, t_b),
-        _flow_mean(q_cav_a, q_cav_b, t_a, t_b),
-    )
-
-
-def survivor_perceived_mean(
-    hdv_routes: np.ndarray,
-    survivor_count: int,
-    taste_a: np.ndarray,
-    taste_b: np.ndarray,
-    t_a: float,
-    t_b: float,
-) -> float | None:
-    """Mean perceived time of the drivers below ``survivor_count``, or None.
-
-    ``hdv_routes`` is as in :func:`day_statistics`; None means no
-    survivor committed a route that day (none left, or fewer current
-    drivers than survivors).
-    """
-    if not 0 < survivor_count <= len(hdv_routes):
-        return None
-    n_sur = survivor_count
-    perceived = np.where(hdv_routes[:n_sur], t_b + taste_b[:n_sur], t_a + taste_a[:n_sur])
-    # np.mean's own reduction and division, without its dispatch layers.
-    return float(np.add.reduce(perceived)) / n_sur
+    n = hdv_routes.shape[1]
+    perceived = np.where(hdv_routes, times[1] + taste_b, times[0] + taste_a)
+    # np.mean's own reduction, row by row: each row sums as it would alone.
+    sums = {c: np.add.reduce(perceived[:, :c], axis=1).tolist() for c in survivor_counts if 0 < c <= n}
+    return [
+        (
+            _flow_mean(q_hdv_a, q_hdv_b, t_a, t_b),
+            [sums[c][row] / c if c in sums else None for c in survivor_counts],
+            _flow_mean(q_cav_a, q_cav_b, t_a, t_b),
+        )
+        for row, (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) in enumerate(days)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -155,12 +136,6 @@ def _flow_mean(q_a: int, q_b: int, t_a: float, t_b: float) -> float | None:
     """Flow-weighted mean of two per-route values; None for no flow."""
     total = q_a + q_b
     return (q_a * t_a + q_b * t_b) / total if total > 0 else None
-
-
-def _share_a(q_a: int, q_b: int) -> float | None:
-    """Fraction of a group on route A; None for an empty group."""
-    total = q_a + q_b
-    return q_a / total if total > 0 else None
 
 
 def compute_window_averages(log: "SimulationLog") -> WindowAverages:
@@ -198,8 +173,8 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
         u_b=_mean([rec.mean_perceived_hdv_time for rec in base]),
         u=_mean([rec.mean_perceived_hdv_time for rec in post]),
         rho=_mean([rec.mean_cav_time for rec in post]),
-        frac_a_hdv=_mean([_share_a(rec.q_hdv_a, rec.q_hdv_b) for rec in post]),
-        frac_a_cav=_mean([_share_a(rec.q_cav_a, rec.q_cav_b) for rec in post]),
+        frac_a_hdv=_mean([_flow_mean(rec.q_hdv_a, rec.q_hdv_b, 1.0, 0.0) for rec in post]),
+        frac_a_cav=_mean([_flow_mean(rec.q_cav_a, rec.q_cav_b, 1.0, 0.0) for rec in post]),
         opt_gap=_mean(gaps),
         equity_gap=_mean(sigmas),
     )

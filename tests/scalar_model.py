@@ -148,18 +148,18 @@ def logit_probability(t_a_hat: float, t_b_hat: float, taste_spread: float) -> fl
     return 1.0 - e_b / s
 
 
-def agent_snapshot(state: SimulationState, agent_id: int) -> HumanAgent:
-    """Snapshot of one driver's stored state in the engine's arrays."""
-    last = state.last_route[agent_id]
+def agent_snapshot(state: SimulationState, agent_id: int, row: int = 0) -> HumanAgent:
+    """Snapshot of one driver's stored state in one row of the engine's arrays."""
     return HumanAgent(
         id=agent_id,
         tastes=TasteProfile(
-            eps_a=float(state.taste_a[agent_id]),
-            eps_b=float(state.taste_b[agent_id]),
+            eps_a=float(state.taste_a[row, agent_id]),
+            eps_b=float(state.taste_b[row, agent_id]),
         ),
         estimates=EstimateVector(
-            t_a_hat=float(state.est_a[agent_id]),
-            t_b_hat=float(state.est_b[agent_id]),
+            t_a_hat=float(state.est_a[row, agent_id]),
+            t_b_hat=float(state.est_b[row, agent_id]),
         ),
-        last_route=None if last < 0 else (ROUTE_A if last == 0 else ROUTE_B),
+        # No route is committed before day 1.
+        last_route=None if state.day == 1 else (ROUTE_B if state.last_route[row, agent_id] else ROUTE_A),
     )

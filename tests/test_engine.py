@@ -118,11 +118,11 @@ class TestScenarioConfig:
 class TestInitSimulation:
     def test_population_starts_at_free_flow_knowledge(self):
         state = SimulationState(ScenarioConfig(seed=4))
-        assert state.total_population == 1000 and state.day == 1
+        assert state.n == 1000 and state.day == 1
         agent = agent_snapshot(state, 0)
         assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == (5.0, 15.0)
         assert agent.last_route is None
-        assert state.fleet_size == 0
+        assert state.fleets == [(0, None)] and state.memos is None  # no fleet before the hand-over
 
     def test_tastes_drawn_in_index_order_route_a_first(self):
         config = small_config(seed=99)
@@ -145,7 +145,7 @@ class TestInitSimulation:
 class TestStepDay:
     def test_day_one_matches_pinned_realization(self):
         state = SimulationState(ScenarioConfig(seed=1))
-        record = step_day(state)
+        (record,) = step_day(state)
         assert record.q_hdv_a == 518  # binomial(1000, 0.5) at this seed and generator
         assert record.q_cav_a == record.q_cav_b == 0
         assert record.mean_cav_time is None
@@ -154,7 +154,7 @@ class TestStepDay:
     def test_day_two_matches_pinned_realization(self):
         state = SimulationState(ScenarioConfig(seed=1))
         step_day(state)
-        assert step_day(state).q_hdv_a == 850
+        assert step_day(state)[0].q_hdv_a == 850
 
     def test_greedy_limit_all_choose_faster_route(self):
         # frozen free-flow estimates plus negligible tastes: everyone picks A
@@ -182,7 +182,7 @@ class TestApplyMday:
         config = small_config(cav_share=0.0)
         state = SimulationState(config)
         for _ in range(config.m_day + 1):
-            record = step_day(state)
+            (record,) = step_day(state)
         assert record.day == config.m_day + 1
         assert record.q_hdv_a + record.q_hdv_b == 40
         assert record.q_cav_a == record.q_cav_b == 0
@@ -192,15 +192,15 @@ class TestApplyMday:
         # The scalar oracle steps the survivors across the hand-over on their own.
         config = ScenarioConfig(cav_share=0.1, seed=5, phase_lengths=(1, 2, 1, 0))
         state, _ = assert_engine_replays_oracle(config)
-        handover = state.records[config.m_day]
+        handover = state.records[0][config.m_day]
         assert handover.q_hdv_a + handover.q_hdv_b == 900
         assert handover.q_cav_a + handover.q_cav_b == 100
-        # The replaced drivers stop choosing and learning.
+        # The replaced drivers stop choosing and learning: the state drops them.
+        assert state.est_a.shape == state.taste_a.shape == state.last_route.shape == (1, 900)
         before = SimulationState(config)
         for _ in range(config.m_day):
             step_day(before)
-        for i in range(900, 1000):
-            assert agent_snapshot(state, i) == agent_snapshot(before, i)
+        assert np.array_equal(state.taste_a, before.taste_a[:, :900])
 
     def test_full_share_leaves_no_humans(self):
         config = ScenarioConfig(
@@ -243,7 +243,7 @@ class TestRunScenario:
         # four drivers, two become fleet: perceived means use ids 0 and 1 only
         config = ScenarioConfig(base_population=4, cav_share=0.5, phase_lengths=(1, 0, 0, 0), seed=2)
         state = SimulationState(config)
-        record = step_day(state)
+        (record,) = step_day(state)
         t = {ROUTE_A: record.t_a, ROUTE_B: record.t_b}
         perceived = []
         for i in range(2):
@@ -329,7 +329,7 @@ def assert_engine_replays_oracle(config):
     state = SimulationState(config)
     days = list(scalar_oracle(config))
     for expected in days:
-        record = step_day(state)
+        (record,) = step_day(state)
         assert (record.q_hdv_a, record.q_hdv_b, record.q_cav_a, record.q_cav_b) == expected.counts
         assert (record.t_a, record.t_b) == expected.times
         for i in range(expected.n_hdv):
@@ -381,7 +381,7 @@ class TestEngineProperties:
     def test_run_scenario_equals_scalar_oracle(self, config):
         state, oracle = assert_engine_replays_oracle(config)
         log = run_scenario(config)
-        assert log.records == state.records
+        assert log.records == state.records[0]
 
         survivors = config.survivor_count
         for record, expected in zip(log.records, oracle, strict=True):
@@ -414,7 +414,7 @@ def stepped_log(config):
     state = SimulationState(config)
     for _ in range(config.total_days):
         step_day(state)
-    return state.records
+    return state.records[0]
 
 
 @st.composite
@@ -478,8 +478,8 @@ class TestRunBranches:
         assert second.records[0].t_a == t_a
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
-        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, seed=8)]
-        with pytest.raises(ValueError, match="strategy and cav_share"):
+        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, congestion=2.0)]
+        with pytest.raises(ValueError, match="seed, strategy and cav_share"):
             list(run_branches(configs))
 
     def test_no_configs_no_logs(self):
@@ -488,84 +488,158 @@ class TestRunBranches:
     def test_prefix_key_ignores_only_the_fleet_knobs(self):
         config = small_config(cav_share=0.4, strategy="Malicious")
         assert prefix_key(config) == prefix_key(small_config())
+        assert prefix_key(config) == prefix_key(small_config(seed=8))
         assert prefix_key(config) != prefix_key(small_config(congestion=2.0))
         assert prefix_key(config) != prefix_key(small_config(phase_lengths=(3, 3, 3, 4)))
 
-    def test_fork_owns_its_mutable_state(self):
-        state = SimulationState(small_config())
-        step_day(state)
-        branch = state.fork(small_config(cav_share=0.5, strategy="Social"))
-        for name in ("est_a", "est_b", "last_route"):
-            assert not np.shares_memory(getattr(branch, name), getattr(state, name))
-            assert np.array_equal(getattr(branch, name), getattr(state, name))
-        assert branch.rng is not state.rng
-        assert branch.rng.random() == state.rng.random()
-        assert branch.records == state.records and branch.records is not state.records
-        assert (branch.fleet_size, branch.survivor_count) == (20, 20)
-        assert (state.fleet_size, state.survivor_count) == (0, 40)
 
-    def test_fork_after_the_hand_over_rejected(self):
-        config = small_config(cav_share=0.5)
-        state = SimulationState(config)
-        for _ in range(config.m_day):
+@st.composite
+def lockstep_groups(draw):
+    """Configs at 2 to 4 seeds, each under the same fleets, in random order."""
+    base = draw(small_configs())
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True))
+    shares = st.one_of(st.sampled_from([0.0, 1.0]), _unit_interval())
+    fleets = draw(st.lists(st.tuples(st.sampled_from(STRATEGY_NAMES), shares), min_size=1, max_size=4))
+    configs = [
+        dataclasses.replace(base, seed=seed, strategy=s, cav_share=share)
+        for seed in seeds for s, share in fleets
+    ]
+    return draw(st.permutations(configs))
+
+
+class TestLockstep:
+    """The seeds and fleets of one run_branches call step as rows of one array."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(configs=lockstep_groups())
+    # Every strategy at shares 0, 1 and between, at three seeds; m_day = 0 and a
+    # hand-over past the last day.
+    @example(configs=[dataclasses.replace(c, seed=seed) for seed in (1, 2, 9)
+                      for c in _group((2, 2, 2, 2), _EVERY_FLEET)])
+    @example(configs=[dataclasses.replace(c, seed=seed) for seed in (1, 2)
+                      for c in _group((0, 0, 2, 3), _EVERY_FLEET)])
+    @example(configs=[dataclasses.replace(c, seed=seed) for seed in (1, 2)
+                      for c in _group((2, 3, 0, 0), _EVERY_FLEET)])
+    def test_logs_equal_each_config_run_alone(self, configs):
+        logs = list(run_branches(configs))
+        assert [log.config for log in logs] == configs
+        for log, config in zip(logs, configs, strict=True):
+            assert repr(log.records) == repr(run_scenario(config).records)
+
+    def test_one_step_day_call_per_day(self, monkeypatch):
+        configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2, 3)
+                   for c in _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5)])]
+        calls = counted_step_days(monkeypatch)
+        list(run_branches(configs))
+        # Three seed rows before the hand-over, then one group of six rows.
+        assert calls == [3] * 4 + [6] * 6
+
+    def test_mixed_survivor_counts_cannot_step_past_the_hand_over(self):
+        state = SimulationState(small_config(cav_share=0.5), small_config(cav_share=0.25))
+        for _ in range(state.m_day):
             step_day(state)
-        state.fork(small_config())  # the hand-over is still ahead
-        step_day(state)
-        with pytest.raises(RuntimeError, match="hand-over"):
-            state.fork(small_config())
+        with pytest.raises(RuntimeError, match="survivor counts"):
+            step_day(state)
+
+    def test_one_state_steps_its_seeds_through_the_hand_over(self):
+        configs = [small_config(cav_share=0.5, seed=seed) for seed in (7, 8)]
+        state = SimulationState(*configs)
+        for _ in range(state.total_days):
+            step_day(state)
+        assert state.est_a.shape == (2, 20)
+        for records, config in zip(state.records, configs, strict=True):
+            assert repr(records) == repr(stepped_log(config))
 
 
 def counted_step_days(monkeypatch):
-    """A list that grows by one entry per ``step_day`` call the engine makes."""
+    """A list that grows by the number of rows of each ``step_day`` call the engine makes."""
     calls = []
     real = engine.step_day
 
     def counting(state):
-        calls.append(state.day)
+        calls.append(len(state.last_route))
         return real(state)
 
     monkeypatch.setattr(engine, "step_day", counting)
     return calls
 
 
-def counted_states_and_forks(monkeypatch):
-    """Weak references to the states ``SimulationState`` builds, and the configs forked to."""
-    states, forks = [], []
-    real_state, real_fork = engine.SimulationState, engine.SimulationState.fork
+def built_states(monkeypatch):
+    """Weak references to the states ``SimulationState`` builds."""
+    built = []
+    real = engine.SimulationState
 
-    def building(config):
-        state = real_state(config)
-        states.append(weakref.ref(state))
+    def building(*configs):
+        state = real(*configs)
+        built.append(weakref.ref(state))
         return state
 
-    def forking(state, config):
-        forks.append(config)
-        return real_fork(state, config)
-
     monkeypatch.setattr(engine, "SimulationState", building)
-    monkeypatch.setattr(real_state, "fork", forking)
-    return states, forks
+    return built
+
+
+def stepped_states(monkeypatch):
+    """The states the engine steps, each once, in the order of their first day."""
+    stepped = []
+    real = engine.step_day
+
+    def stepping(state):
+        if not any(state is seen for seen in stepped):
+            stepped.append(state)
+        return real(state)
+
+    monkeypatch.setattr(engine, "step_day", stepping)
+    return stepped
 
 
 class TestOneBranchPath:
-    """Every distinct run of a group continues on a fork of the one prefix state."""
+    """The prefix state is built once; every survivor count continues on its own group state."""
 
-    def test_one_state_and_one_fork_per_distinct_run(self, monkeypatch):
+    def test_one_state_and_one_row_per_distinct_run(self, monkeypatch):
         repeated = [("Social", 0.5), ("Selfish", 0.5), ("Social", 0.5)]
         configs = _group((2, 2, 3, 3), [(s, 0.0) for s in STRATEGY_NAMES] + repeated)
-        states, forks = counted_states_and_forks(monkeypatch)
+        built, stepped = built_states(monkeypatch), stepped_states(monkeypatch)
         assert len(list(run_branches(configs))) == len(configs)
         # The five share-0 configs are one run, and the second Social 0.5 repeats the first.
-        assert len(states) == 1
-        assert forks == [configs[0], configs[5], configs[6]]
+        assert len(built) == 1
+        prefix, *groups = stepped
+        assert [group.runs for group in groups] == [
+            [(3, (0, None))],
+            [(3, (6, STRATEGY_TABLE["Social"])), (3, (6, STRATEGY_TABLE["Selfish"]))],
+        ]
 
-    def test_prefix_state_dropped_at_its_last_fork(self, monkeypatch):
+    def test_groups_own_their_mutable_state(self, monkeypatch):
+        configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2)
+                   for c in _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.25)])]
+        stepped = stepped_states(monkeypatch)
+        generators = {}
+
+        def hand_over(state, members, real=SimulationState._hand_over):
+            # The prefix's generators as the group takes them over.
+            generators[id(state)] = [rng.bit_generator.state for rng in state.rngs]
+            real(state, members)
+
+        monkeypatch.setattr(SimulationState, "_hand_over", hand_over)
+        list(run_branches(configs))
+        prefix, *groups = stepped
+        assert len(groups) == 2
+        for a, b in itertools.combinations([prefix, *groups], 2):
+            for name in ("taste_a", "taste_b", "est_a", "est_b", "last_route", "draws"):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            assert not {id(rng) for rng in a.rngs} & {id(rng) for rng in b.rngs}
+            assert not {id(log) for log in a.records} & {id(log) for log in b.records}
+        for group in groups:
+            # Both seeds' generators, copied at the hand-over; each run of a seed draws from one.
+            assert len(group.rngs) == 2 and list(group.row_rng) == [0, 1]
+            assert generators[id(group)] == [rng.bit_generator.state for rng in prefix.rngs]
+
+    def test_prefix_state_dropped_before_the_last_group(self, monkeypatch):
         configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.25), ("Social", 0.5)])
-        states, _ = counted_states_and_forks(monkeypatch)
-        # The second config is the last distinct run; the third repeats the first.
-        alive = [states[0]() is not None for _ in run_branches(configs)]
+        built = built_states(monkeypatch)
+        # The second config starts the last group; the third repeats the first.
+        alive = [built[0]() is not None for _ in run_branches(configs)]
         assert alive == [True, False, False]
-        assert [states[1]() is not None for _ in run_branches(configs[:1])] == [False]
+        assert [built[1]() is not None for _ in run_branches(configs[:1])] == [False]
 
 
 class TestIdenticalBranches:
@@ -576,7 +650,7 @@ class TestIdenticalBranches:
         calls = counted_step_days(monkeypatch)
         logs = list(run_branches(configs))
         m_day, total_days = configs[0].m_day, configs[0].total_days
-        assert len(calls) == m_day + (total_days - m_day)
+        assert sum(calls) == m_day + (total_days - m_day)
         assert [log.config for log in logs] == configs
         expected = repr(stepped_log(configs[0]))
         assert all(repr(log.records) == expected for log in logs)
@@ -587,7 +661,7 @@ class TestIdenticalBranches:
         calls = counted_step_days(monkeypatch)
         selfish, rounded, social = run_branches(configs)
         # The Social fleet has other weights, so it is a run of its own.
-        assert len(calls) == 4 + 2 * 6
+        assert sum(calls) == 4 + 2 * 6
         assert selfish.config != rounded.config
         assert repr(selfish.records) == repr(rounded.records) == repr(stepped_log(configs[1]))
         assert repr(social.records) == repr(stepped_log(configs[2]))
@@ -619,37 +693,51 @@ class TestFleetMemo:
         state = SimulationState(MEMO_CONFIG)
         for _ in range(MEMO_CONFIG.total_days):
             step_day(state)
-        assert set(state.fleet_memo) == {r.q_hdv_a for r in state.records if r.day > state.m_day}
-        for q_hdv_a, decision in state.fleet_memo.items():
+        (memo,) = state.memos
+        assert set(memo) == {r.q_hdv_a for r in state.records[0] if r.day > state.m_day}
+        for q_hdv_a, decision in memo.items():
             assert decision == fleet_optimize(
-                STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.survivor_count - q_hdv_a,
-                state.fleet_size, MEMO_CONFIG.network,
+                STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.n - q_hdv_a,
+                MEMO_CONFIG.fleet_size, MEMO_CONFIG.network,
             )
 
-    def test_fork_starts_from_an_empty_memo(self):
-        state = SimulationState(small_config())
-        state.fleet_memo[0] = "stale"
-        branch = state.fork(small_config(cav_share=0.5, strategy="Social"))
-        assert branch.fleet_memo == {} and branch.fleet_memo is not state.fleet_memo
-        assert state.fleet_memo == {0: "stale"}
+    def test_seed_rows_of_a_run_share_one_empty_memo(self, monkeypatch):
+        configs = [dataclasses.replace(MEMO_CONFIG, seed=seed) for seed in (5, 6)]
+        asked = []
+        real = engine.fleet_optimize
+
+        def counting(weights, q_hdv_a, *args):
+            asked.append(q_hdv_a)
+            return real(weights, q_hdv_a, *args)
+
+        state = SimulationState(*configs)
+        for _ in range(state.m_day):
+            step_day(state)
+        assert state.memos is None  # no fleet, no memo before the hand-over
+        monkeypatch.setattr(engine, "fleet_optimize", counting)
+        step_day(state)
+        first, second = state.memos
+        assert first is second and sorted(first) == sorted(set(asked))
+        # Each seed's run alone asks for its own counts; the shared memo asks once for both.
+        counts = {r[-1].q_hdv_a for r in state.records}
+        assert sorted(asked) == sorted(counts)
 
     def test_every_branch_starts_from_its_own_empty_memo(self, monkeypatch):
-        # Every config continues on its own fork, the last one too, never on the parent state.
+        # Every group takes new memos at the hand-over, one per fleet, never the prefix's.
         configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5), ("Malicious", 0.25)])
-        parents, branches = [], []
+        prefixes, branches = [], []
         real = engine.step_day
 
         def recording(state):
             if state.day == state.m_day:
-                parents.append(state.fleet_memo)
-                state.fleet_memo[-1] = "stale"
+                prefixes.append(state.memos)
             elif state.day == state.m_day + 1:
-                branches.append((state.fleet_memo, dict(state.fleet_memo)))
+                branches.extend((memo, dict(memo)) for memo in state.memos)
             return real(state)
 
         monkeypatch.setattr(engine, "step_day", recording)
         list(run_branches(configs))
-        assert len(parents) == 1 and len(branches) == 3
+        assert prefixes == [None] and len(branches) == 3
         assert [contents for _, contents in branches] == [{}, {}, {}]
-        memos = parents + [memo for memo, _ in branches]
+        memos = [memo for memo, _ in branches]
         assert all(a is not b for a, b in itertools.combinations(memos, 2))

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bottlesim
 from bottlesim import (
@@ -267,17 +269,24 @@ class TestRunExperiment:
         doc = dict(FAST, cav_share=[0.1, 0.5], strategy=["Selfish", "Social"],
                    congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
-        for jobs in (1, 2, 4):
+        for jobs in (1, 2):
             tasks = _tasks(configs, jobs)
-            assert len(tasks) == 4
+            assert len(tasks) == 2
             assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
             for task in tasks:
-                assert len({(c.congestion, c.seed) for c in task}) == 1
-                assert len(task) == 4
-        # Fewer groups than jobs: each group is dealt round-robin, at most one run per chunk.
-        one_group = [c for c in configs if c.congestion == 0.5 and c.seed == 1]
-        assert _tasks(one_group, 2) == [one_group[0::2], one_group[1::2]]
-        assert _tasks(one_group, 8) == [[c] for c in one_group]
+                # Both seeds of a congestion value step together.
+                assert len({c.congestion for c in task}) == 1
+                assert len(task) == 8
+        # Fewer groups than jobs: each group is dealt round-robin by whole
+        # survivor-count blocks, so the fleets at one share stay together.
+        one_group = [c for c in configs if c.congestion == 0.5]
+        blocks = [[c for c in one_group if c.cav_share == share] for share in (0.1, 0.5)]
+        assert _tasks(one_group, 2) == blocks
+        assert _tasks(one_group, 8) == blocks
+        shares = [0.0, 0.1, 0.2, 0.3, 0.4]
+        configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1, 2]))).run_points()
+        dealt = [[c.cav_share for c in task] for task in _tasks(configs, 2)]
+        assert dealt == [[0.0, 0.0, 0.2, 0.2, 0.4, 0.4], [0.1, 0.1, 0.3, 0.3]]
 
     def test_daily_file_names_hash_every_field_but_the_seed(self, tmp_path):
         network = {
@@ -345,13 +354,14 @@ class TestReplicateAndTest:
         calls = []
 
         def counted(state):
-            calls.append(state.day)
+            calls.append(len(state.last_route))
             return step_day(state)
 
         monkeypatch.setattr(bottlesim.engine, "step_day", counted)
         result = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2])
-        # Per seed: 200 shared days, then 200 days for each of the two fleets.
-        assert len(calls) == 2 * (200 + 2 * 200)
+        # Both seeds step as rows of one state: 200 shared days, then 200 days for each
+        # of the two fleets at each seed.
+        assert calls == [2] * 200 + [4] * 200
         monkeypatch.undo()
 
         def alone(config, metric):
@@ -361,6 +371,34 @@ class TestReplicateAndTest:
         expected = paired_t_test(alone(selfish, "tau_b"), alone(social, "tau"))
         assert expected.t_statistic is not None
         assert result == expected
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True),
+        fleets=st.lists(st.tuples(st.sampled_from(bottlesim.STRATEGY_NAMES),
+                                  st.sampled_from([0.0, 0.2, 0.5, 1.0])), min_size=2, max_size=2),
+        metrics=st.tuples(st.sampled_from(["tau_b", "tau", "frac_a_hdv"]),
+                          st.sampled_from(["tau_b", "tau", "opt_gap"])),
+        phases=st.sampled_from([(2, 3, 2, 3), (0, 3, 1, 2), (3, 3, 3, 3)]),
+    )
+    def test_equals_the_t_test_over_solo_runs(self, seeds, fleets, metrics, phases):
+        base = ScenarioConfig(base_population=30, phase_lengths=phases)
+        (s_a, share_a), (s_b, share_b) = fleets
+        config_a = dataclasses.replace(base, strategy=s_a, cav_share=share_a)
+        config_b = dataclasses.replace(base, strategy=s_b, cav_share=share_b)
+        try:
+            result = replicate_and_test(config_a, metrics[0], config_b, metrics[1], seeds=seeds)
+        except ValueError as exc:  # an absent metric, e.g. no humans left at share 1
+            assert "absent" in str(exc)
+            return
+
+        def alone(config, metric):
+            return [
+                getattr(compute_window_averages(run_scenario(dataclasses.replace(config, seed=seed))), metric)
+                for seed in seeds
+            ]
+
+        assert result == paired_t_test(alone(config_a, metrics[0]), alone(config_b, metrics[1]))
 
 
 class TestCli:
@@ -585,20 +623,53 @@ class TestNonFiniteNumbers:
         assert not (out / "summary.csv").exists()
 
 
-# Route A's exponent 2000 overflows the fleet's objective curve once more than
-# about 717 vehicles could use it: 0 * inf makes the optimality gap nan.
+def _tiny_route_a(**changes):
+    route_a = dict({"free_flow_time": 1e-300, "capacity": 1e-300, "exponent": 2}, **changes)
+    return {"route_a": route_a, "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2}}
+
+
+class TestTinyCapacity:
+    """A route whose travel time overflows with every driver on it is a config error."""
+
+    def test_config_names_the_route(self):
+        network = TwoRouteNetwork(
+            route_a=RouteParams(free_flow_time=1e-300, capacity=1e-300, exponent=2.0),
+            route_b=RouteParams(free_flow_time=15.0, capacity=800.0, exponent=2.0),
+        )
+        with pytest.raises(ValueError, match="route_a travel time is not finite at 10 drivers"):
+            ScenarioConfig(base_population=10, network=network)
+        # A huge but finite time is not this check's business.
+        ScenarioConfig(base_population=10, network=dataclasses.replace(
+            network, route_a=RouteParams(free_flow_time=5.0, capacity=500.0, exponent=400.0),
+        ))
+
+    def test_run_exits_one_naming_network_without_a_warning(self, tmp_path):
+        doc = {"base_population": 10, "phase_lengths": [5, 5, 5, 5], "network": _tiny_route_a()}
+        proc = TestCli.run_cli(["run", str(write_config(tmp_path, doc)), "--out", "out"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: network: route_a travel time is not finite at 10 drivers")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_congestion_that_overflows_a_route_is_named(self, tmp_path):
+        # Finite at 500 drivers, (1000 / 500) ** 1100 overflows at 1000.
+        doc = dict(FAST, base_population=500, congestion=[1.0, 2.0],
+                   network=_tiny_route_a(free_flow_time=5, capacity=500, exponent=1100))
+        with pytest.raises(ConfigError, match="congestion: route_a travel time is not finite at 1000 drivers"):
+            load_config(write_config(tmp_path, doc))
+
+
+# Tastes near 1e307 overflow the survivors' perceived-time sum on day 1, in
+# the second of two groups.  (A network whose travel time overflows is a
+# config error: see TestTinyCapacity.)
 OVERFLOWING = {
     "base_population": 1000,
     "phase_lengths": [5, 5, 5, 5],
     "cav_share": 0.2,
-    "congestion": [0.5, 1.0],
+    "beta": [5.0, 1e307],
     "seeds": [1],
-    "network": {
-        "route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 2000},
-        "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2},
-    },
 }
-FAILING_POINT = "strategy=Selfish cav_share=0.2 beta=5.0 congestion=1.0 seed=1"
+FAILING_POINT = "strategy=Selfish cav_share=0.2 beta=1e+307 congestion=1.0 seed=1"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -610,7 +681,7 @@ class TestNonFiniteOutputs:
         spec = load_config(write_config(tmp_path, OVERFLOWING))
         spec.out_dir = tmp_path / "out"
         assert len(_tasks(spec.run_points(), jobs)) == 2  # with jobs=2 the failure is in a worker
-        with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
+        with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: non-finite value on day 1")):
             run_experiment(spec, jobs=jobs)
         assert not (spec.out_dir / "summary.csv").exists()
 
@@ -624,8 +695,8 @@ class TestNonFiniteOutputs:
         assert not (spec.out_dir / "summary.csv").exists()
 
     def test_replicate_and_test_names_the_failing_point(self, tmp_path):
-        config = load_config(write_config(tmp_path, dict(OVERFLOWING, congestion=1.0))).run_points()[0]
-        with pytest.raises(RuntimeError, match=f"{FAILING_POINT} failed: opt_gap is nan"):
+        config = load_config(write_config(tmp_path, dict(OVERFLOWING, beta=1e307))).run_points()[0]
+        with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: u_b is inf")):
             replicate_and_test(config, "tau", config, "tau_b", seeds=[1, 2])
 
     def test_cli_exits_two_naming_the_point(self, tmp_path):

@@ -46,30 +46,90 @@ def make_log(records, phase_lengths=(100, 100, 100, 100), network=NET):
     return SimulationLog(config=config, records=records)
 
 
+def _times(days):
+    """The (2, R, 1) travel-time columns of day_statistics from its per-row days."""
+    return np.array([day[4:] for day in days], dtype=float).T[:, :, None]
+
+
 class TestDayStatistics:
     def test_constant_sample(self):
-        routes = np.zeros(5, dtype=np.int8)  # everyone on A
-        mean_hdv, _, _ = day_statistics(routes, 0, np.zeros(5), np.zeros(5), 0, 0, 10.0, 20.0)
+        routes = np.zeros((1, 5), dtype=np.int8)  # everyone on A
+        days = [(5, 0, 0, 0, 10.0, 20.0)]
+        ((mean_hdv, _, _),) = day_statistics(routes, [0], np.zeros((1, 5)), np.zeros((1, 5)), days, _times(days))
         assert mean_hdv == 10.0
 
     def test_perceived_mean_averages_time_plus_taste(self):
-        routes = np.zeros(2, dtype=np.int8)
-        taste_a = np.array([2.0, -2.0])
-        taste_b = np.array([50.0, 50.0])  # unused, both drivers on A
-        _, mean_perceived, _ = day_statistics(routes, 2, taste_a, taste_b, 0, 0, 10.0, 20.0)
+        routes = np.zeros((1, 2), dtype=np.int8)
+        taste_a = np.array([[2.0, -2.0]])
+        taste_b = np.array([[50.0, 50.0]])  # unused, both drivers on A
+        days = [(2, 0, 0, 0, 10.0, 20.0)]
+        ((_, (mean_perceived,), _),) = day_statistics(routes, [2], taste_a, taste_b, days, _times(days))
         assert mean_perceived == pytest.approx(10.0)
 
     def test_fleet_weighted_mean(self):
-        routes = np.zeros(0, dtype=np.int8)
-        _, _, mean_cav = day_statistics(routes, 0, np.zeros(0), np.zeros(0), 60, 40, 10.0, 20.0)
+        routes = np.zeros((1, 0), dtype=np.int8)
+        days = [(0, 0, 60, 40, 10.0, 20.0)]
+        ((_, _, mean_cav),) = day_statistics(routes, [0], np.zeros((1, 0)), np.zeros((1, 0)), days, _times(days))
         assert mean_cav == pytest.approx(14.0)
 
     def test_empty_groups_are_absent(self):
-        routes = np.zeros(0, dtype=np.int8)
-        mean_hdv, mean_perceived, mean_cav = day_statistics(
-            routes, 0, np.zeros(0), np.zeros(0), 0, 0, 10.0, 20.0
+        routes = np.zeros((1, 0), dtype=np.int8)
+        days = [(0, 0, 0, 0, 10.0, 20.0)]
+        ((mean_hdv, (mean_perceived,), mean_cav),) = day_statistics(
+            routes, [0], np.zeros((1, 0)), np.zeros((1, 0)), days, _times(days)
         )
         assert mean_hdv is None and mean_perceived is None and mean_cav is None
+
+    def test_rows_and_survivor_counts_each_equal_their_own_day(self):
+        rng = np.random.default_rng(4)
+        routes = rng.random((3, 9)) < 0.5
+        taste_a, taste_b = rng.normal(size=(2, 3, 9))
+        pairs = [(10.0, 20.0), (11.5, 19.25), (7.0, 30.0)]
+        days = [(9 - int(np.count_nonzero(r)), int(np.count_nonzero(r)), 2, 1, *p) for r, p in zip(routes, pairs)]
+        stats = day_statistics(routes, [9, 4, 0, 12], taste_a, taste_b, days, _times(days))
+        for row, (mean_hdv, perceived, mean_cav) in enumerate(stats):
+            t_a, t_b = pairs[row]
+            alone = day_statistics(
+                routes[row:row + 1], [9], taste_a[row:row + 1], taste_b[row:row + 1],
+                days[row:row + 1], _times(days[row:row + 1]),
+            )
+            assert (mean_hdv, perceived[0], mean_cav) == (alone[0][0], alone[0][1][0], alone[0][2])
+            # Fewer survivors than drivers average the first ones; none, or more than there are, is absent.
+            first = np.where(routes[row, :4], t_b + taste_b[row, :4], t_a + taste_a[row, :4])
+            assert perceived[1:] == [float(np.add.reduce(first)) / 4, None, None]
+
+
+# Per-row means rely on np.add.reduce(axis=1) summing each row as the 1-D
+# reduce of that row alone: pairwise summation in blocks, an implementation
+# detail of numpy.  A numpy that sums rows otherwise must fail here, loudly.
+REDUCE_WIDTHS = [1, 7, 8, 9, 127, 128, 129, 800, 900, 1000, 2600, 90000, 100000]
+
+
+class TestRowReductions:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        width=st.sampled_from(REDUCE_WIDTHS),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e4, 1e300]),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_row_sums_equal_each_rows_own_sum(self, width, rows, seed, scale, cut):
+        # Hypothesis picks the shape, the scale and a seed for the values: a
+        # list of 10^5 drawn floats would make each example slow.
+        values = np.random.default_rng(seed).standard_normal((rows, width)) * scale
+        columns = max(1, int(width * cut))
+        for array in (values, values[:, :columns]):  # contiguous rows, then column-sliced views
+            sums = np.add.reduce(array, axis=1)
+            assert [s.tobytes() for s in sums] == [np.add.reduce(row).tobytes() for row in array]
+
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), rows=st.integers(1, 3))
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_row_sums_of_drawn_values(self, values, rows):
+        array = np.array([values] * rows) + np.arange(rows)[:, None]
+        for view in (array, array[:, : max(1, len(values) // 2)]):
+            sums = np.add.reduce(view, axis=1)
+            assert [s.tobytes() for s in sums] == [np.add.reduce(row).tobytes() for row in view]
 
 
 class TestWindowAverage:
