@@ -38,6 +38,18 @@ config run alone, bit for bit; ``run_scenario`` is the one-run case.
 Configs with equal (or empty) fleets are the same run.  After the
 hand-over a fleet's decision depends on q_hdv_a alone, whatever the
 seed: the rows of a run share one exact memo of it.
+
+Tastes and estimates are (2, R, n) arrays with the route axis first (A,
+then B).  A day allocates no N-sized float array: its draw buffer holds
+two doubles per driver-row, each generator's coins at the front, and
+once the coins are compared it is the day's (2, R, n) scratch for the
+utilities, the learning candidates and the perceived times.  Every
+float select is ``np.where(mask, x, y)`` written as y ^ ((x ^ y) * mask)
+on int64 views of the bits: no branch to mispredict on the random route
+mask, and no float operation, so the selected bits are np.where's.  The
+arithmetic keeps its operands and their order -- (1 - alpha) * est +
+alpha * t, t + taste, and the tastes' mu - s * log(-log u) -- so the
+outputs are those of plain np.where kernels, byte for byte.
 """
 
 from __future__ import annotations
@@ -65,8 +77,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# A run's largest array is its seed's (total, 2) float64 taste draw, and
-# numpy refuses an array of more than intp.max bytes.
+# A run's largest arrays hold two float64 per driver of a row (the draw
+# buffer, tastes and estimates), and numpy refuses more than intp.max bytes.
 MAX_POPULATION = np.iinfo(np.intp).max // 16
 
 
@@ -194,7 +206,7 @@ class SimulationLog:
 
 
 class SimulationState:
-    """Mutable state of runs stepped in lockstep: (R, n) driver arrays, generators, day counter.
+    """Mutable state of runs stepped in lockstep: driver arrays of R rows, generators, day counter.
 
     ``SimulationState(config)`` is one run, the R=1 case.  More configs may
     differ in seed, strategy and cav_share: until the hand-over there is
@@ -212,26 +224,29 @@ class SimulationState:
         self.seeds = list(dict.fromkeys(c.seed for c in configs))
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
         self.row_rng = np.arange(len(self.rngs))  # each row's generator
+        self.fleets = [(0, None)] * len(self.rngs)  # each row's (fleet size, weights)
         total, spread = config.total_population, config.taste_spread
 
-        shape = (len(self.rngs), total)
-        draws = np.empty((len(self.rngs) * total, 2))
-        for rng, out in zip(self.rngs, np.split(draws, len(self.rngs))):
+        self._drivers(total)  # the draw buffer takes the taste draws first
+        draws = self.draws.reshape(len(self.rngs), total, 2)
+        for rng, out in zip(self.rngs, draws):
             rng.random(out=out)
         # random() can return exactly 0.0, outside the open interval the
         # inverse-CDF transform needs; nudge to the smallest positive double.
         draws[draws == 0.0] = np.nextafter(0.0, 1.0)
-        mu = -spread * 0.5772156649015329  # Euler-Mascheroni: zero-mean tastes
-        self.taste_a = (mu - spread * np.log(-np.log(draws[:, 0]))).reshape(shape)
-        self.taste_b = (mu - spread * np.log(-np.log(draws[:, 1]))).reshape(shape)
-        self._drivers(total)
-
-        self.est_a = np.full(shape, config.network.route_a.free_flow_time)
-        self.est_b = np.full(shape, config.network.route_b.free_flow_time)
-        self.last_route = np.zeros(shape, dtype=bool)  # True = route B, from day 1 on
+        # mu - spread * log(-log(u)), in place: zero-mean Gumbel tastes (Euler-Mascheroni).
+        np.log(draws, out=draws)
+        np.negative(draws, out=draws)
+        np.log(draws, out=draws)
+        np.multiply(spread, draws, out=draws)
+        np.subtract(-spread * 0.5772156649015329, draws, out=draws)
+        self.tastes = draws.transpose(2, 0, 1).copy()  # (route, row, driver)
+        self.estimates = np.empty_like(self.tastes)
+        self.estimates[0] = config.network.route_a.free_flow_time
+        self.estimates[1] = config.network.route_b.free_flow_time
+        self.last_route = np.zeros(self.tastes.shape[1:], dtype=bool)  # True = route B, from day 1 on
         # The survivor counts whose perceived mean each row logs.
         self.counts = tuple(dict.fromkeys(c.survivor_count for c in configs))
-        self.fleets = [(0, None)] * len(self.rngs)  # each row's (fleet size, weights)
         self.memos: list[dict[int, FleetDecision]] | None = None  # set at the hand-over
 
         # Run constants, read once here rather than through the config's
@@ -240,16 +255,22 @@ class SimulationState:
         self.m_day = config.m_day
         self.total_days = config.total_days
         self.learning_rate = config.learning_rate
+        # 1 - alpha as a 0-d array: numpy would convert a float on every day's call.
+        self.keep = np.array(1 - config.learning_rate)
         self.explore_rate = config.explore_rate
 
         self.day = 1  # next day to simulate
         self.records: list[list[DayRecord]] = [[] for _ in self.rngs for _ in self.counts]
 
     def _drivers(self, n: int) -> None:
-        """Set the acting drivers per row, and a day's draw buffer: each generator's (n, 2) in turn."""
+        """Set the acting drivers per row, and the day's draw buffer: 2 doubles per driver-row.
+
+        Each generator fills its (n, 2) coins at the front; once they are
+        compared, ``step_day`` uses the whole buffer as (2, R, n) scratch.
+        Views of it are taken each day, so a copy of the state keeps none.
+        """
         self.n = n
-        self.draws = np.empty((len(self.rngs) * n, 2))
-        self.draw_outs = [self.draws[i * n:(i + 1) * n] for i in range(len(self.rngs))]
+        self.draws = np.empty((2, len(self.fleets), n))
 
     def _hand_over(self, configs: Sequence[ScenarioConfig]) -> None:
         """Continue as the distinct runs of ``configs``, which share one survivor count.
@@ -269,11 +290,15 @@ class SimulationState:
         seeds = list(dict.fromkeys(seed for seed, _ in self.runs))
         self.rngs = [copy.deepcopy(self.rngs[self.seeds.index(seed)]) for seed in seeds]
         self.seeds, self.row_rng = seeds, np.array([seeds.index(seed) for seed, _ in self.runs])
-        for name in ("taste_a", "taste_b", "est_a", "est_b", "last_route"):
-            setattr(self, name, getattr(self, name)[rows, :count])
-        self._drivers(count)
+        # One array at a time, each replacing the prefix's, whose draw buffer goes
+        # first: at N=10^5 this is the run's memory peak when the prefix is done.
+        self.draws = None
+        self.tastes = self.tastes[:, rows, :count]
+        self.estimates = self.estimates[:, rows, :count]
+        self.last_route = self.last_route[rows, :count]
         self.counts = (count,)
         self.fleets = [fleet for _, fleet in self.runs]
+        self._drivers(count)
         memos = {fleet: {} for fleet in self.fleets}
         self.memos = [memos[fleet] for fleet in self.fleets]
 
@@ -286,6 +311,18 @@ def _run_key(config: ScenarioConfig) -> tuple:
     """(seed, (fleet size, weights)); equal fleets, or none at all, make the same run."""
     size = config.fleet_size
     return config.seed, (size, STRATEGY_TABLE[config.strategy] if size else None)
+
+
+def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Set ``y`` to ``np.where(mask, x, y)``: ``x`` and ``y`` are int64 views, ``mask`` is bool.
+
+    As y ^ ((x ^ y) * mask) it moves bit patterns with neither a branch
+    nor a float operation, so every pattern, NaN payloads and -0.0
+    included, comes through unchanged.  ``x`` is overwritten.
+    """
+    x ^= y
+    x *= mask
+    y ^= x
 
 
 def step_day(state: SimulationState) -> list[DayRecord]:
@@ -301,20 +338,30 @@ def step_day(state: SimulationState) -> list[DayRecord]:
     if day == state.m_day + 1 and state.memos is None:
         state._hand_over(state.configs)
 
-    # Two draws per driver, exploration coin then route coin, id order; on
-    # day 1 every driver explores.  The day's single route mask: True = route B.
-    draws, shape = state.draws, (len(state.rngs), state.n)
-    for rng, out in zip(state.rngs, state.draw_outs):
+    # Two draws per driver, exploration coin then route coin, id order, each
+    # generator's (n, 2) at the front of the buffer; on day 1 every driver explores.
+    rows, n, draws = len(state.fleets), state.n, state.draws
+    coins = draws.reshape(rows, n, 2)[:len(state.rngs)]
+    for rng, out in zip(state.rngs, coins):
         rng.random(out=out)
-    explore = (draws[:, 0] < (state.explore_rate if day > 1 else 1.0)).reshape(shape)
-    on_b = (draws[:, 1] >= 0.5).reshape(shape)
-    if shape[0] < len(state.fleets):  # the rows of one seed share its draws
+    explore = coins[..., 0] < (state.explore_rate if day > 1 else 1.0)
+    on_b = coins[..., 1] >= 0.5  # the day's single route mask: True = route B
+    if len(coins) < rows:  # the rows of one seed share its draws
         explore, on_b = explore[state.row_rng], on_b[state.row_rng]
-    greedy_b = (state.taste_a - state.est_a) < (state.taste_b - state.est_b)  # ties go to A
-    on_b = np.where(explore, on_b, greedy_b)
+    # The coins are read: the buffer is the day's (2, R, n) scratch from here on.
+    scratch, tastes, estimates = draws, state.tastes, state.estimates
+    np.subtract(tastes, estimates, scratch)
+    # taken[r] holds the drivers on route r: taken[1] = np.where(explore, on_b, greedy_b).
+    taken = np.empty((2, rows, n), dtype=bool)
+    greedy_b = np.less(scratch[0], scratch[1], taken[0])  # ties go to A
+    on_b = np.bitwise_xor(on_b, greedy_b, taken[1])
+    on_b &= explore
+    on_b ^= greedy_b
+    np.logical_not(on_b, taken[0])
 
-    n, network = state.n, state.network
-    days, times = [], []  # per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b), (t_a, t_b)
+    network, alpha = state.network, state.learning_rate
+    # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
+    days, columns = [], []
     for row in range(len(on_b)):
         q_hdv_b = int(np.count_nonzero(on_b[row]))
         q_hdv_a = n - q_hdv_b
@@ -327,22 +374,29 @@ def step_day(state: SimulationState) -> list[DayRecord]:
             q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
         else:
             q_cav_a = q_cav_b = 0
-        times.append(network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b))
-        days.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, *times[-1]))
+        t_a, t_b = network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
+        days.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b))
+        columns.append((t_a, t_b, alpha * t_a, alpha * t_b))
 
-    # times[0] and times[1] are (R, 1) columns: each row's time, for all its drivers.
-    times = np.array([times]).T
-    alpha = state.learning_rate
-    step = alpha * times
-    state.est_a = np.where(on_b, state.est_a, (1 - alpha) * state.est_a + step[0])
-    state.est_b = np.where(on_b, (1 - alpha) * state.est_b + step[1], state.est_b)
+    # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
+    columns = np.array([columns]).T
+    bits, est_bits = scratch.view(np.int64), estimates.view(np.int64)
+    # The estimate of the route taken moves to (1 - alpha) * est + alpha * t.
+    np.multiply(state.keep, estimates, scratch)
+    scratch += columns[2:]
+    _select(taken, bits, est_bits)
     state.last_route = on_b
 
-    stats = day_statistics(on_b, state.counts, state.taste_a, state.taste_b, days, times)
+    # Perceived time, t + taste, of the route taken: into the route-A half.
+    np.add(columns[:2], tastes, scratch)
+    _select(on_b, bits[1], bits[0])
+    perceived = scratch[0]
+
+    stats = day_statistics(perceived, state.counts, days)
     records = [
         DayRecord(day, *values, mean_hdv, mean_perceived, mean_cav)
-        for values, (mean_hdv, perceived, mean_cav) in zip(days, stats)
-        for mean_perceived in perceived
+        for values, (mean_hdv, means, mean_cav) in zip(days, stats)
+        for mean_perceived in means
     ]
     for log, record in zip(state.records, records):
         log.append(record)

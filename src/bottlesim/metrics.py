@@ -80,34 +80,27 @@ class TTestResult:
 
 
 def day_statistics(
-    hdv_routes: np.ndarray, survivor_counts: Sequence[int], taste_a: np.ndarray, taste_b: np.ndarray,
-    days: Sequence[tuple[int, int, int, int, float, float]], times: np.ndarray,
+    perceived: np.ndarray, survivor_counts: Sequence[int],
+    days: Sequence[tuple[int, int, int, int, float, float]],
 ) -> list[tuple[float | None, list[float | None], float | None]]:
     """Per-day group means of R runs, from one completed day of each.
 
-    ``hdv_routes`` has one row per run: the committed route of every
-    current human driver in index order, 0 = A and 1 = B, or a boolean
-    mask with True = B (any nonzero entry is route B).  The taste arrays
-    have the same rows.  Per row, ``days`` holds (q_hdv_a, q_hdv_b,
-    q_cav_a, q_cav_b, t_a, t_b), and ``times[0]`` and ``times[1]`` hold
-    the same t_a and t_b as (R, 1) columns.
+    ``perceived`` has one row per run: the perceived time of every current
+    human driver in index order, the experienced time plus the taste of
+    the route taken.  Per row, ``days`` holds (q_hdv_a, q_hdv_b, q_cav_a,
+    q_cav_b, t_a, t_b).
     Returns, per row, (mean human time, the mean perceived time over the
     first c drivers for each c in ``survivor_counts``, mean fleet time),
-    each None when its group is empty.  Perceived time of a driver is the
-    experienced time plus the taste of the route taken.
+    each None when its group is empty.
     """
-    n = hdv_routes.shape[1]
-    perceived = np.where(hdv_routes, times[1] + taste_b, times[0] + taste_a)
+    n = perceived.shape[1]
     # np.mean's own reduction, row by row: each row sums as it would alone.
-    sums = {c: np.add.reduce(perceived[:, :c], axis=1).tolist() for c in survivor_counts if 0 < c <= n}
-    return [
-        (
-            _flow_mean(q_hdv_a, q_hdv_b, t_a, t_b),
-            [sums[c][row] / c if c in sums else None for c in survivor_counts],
-            _flow_mean(q_cav_a, q_cav_b, t_a, t_b),
-        )
-        for row, (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) in enumerate(days)
-    ]
+    sums = [np.add.reduce(perceived[:, :c], axis=1).tolist() if 0 < c <= n else None for c in survivor_counts]
+    stats = []
+    for row, (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) in enumerate(days):
+        means = [None if s is None else s[row] / c for s, c in zip(sums, survivor_counts)]
+        stats.append((_flow_mean(q_hdv_a, q_hdv_b, t_a, t_b), means, _flow_mean(q_cav_a, q_cav_b, t_a, t_b)))
+    return stats
 
 
 @lru_cache(maxsize=None)

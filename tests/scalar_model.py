@@ -153,12 +153,12 @@ def agent_snapshot(state: SimulationState, agent_id: int, row: int = 0) -> Human
     return HumanAgent(
         id=agent_id,
         tastes=TasteProfile(
-            eps_a=float(state.taste_a[row, agent_id]),
-            eps_b=float(state.taste_b[row, agent_id]),
+            eps_a=float(state.tastes[0, row, agent_id]),
+            eps_b=float(state.tastes[1, row, agent_id]),
         ),
         estimates=EstimateVector(
-            t_a_hat=float(state.est_a[row, agent_id]),
-            t_b_hat=float(state.est_b[row, agent_id]),
+            t_a_hat=float(state.estimates[0, row, agent_id]),
+            t_b_hat=float(state.estimates[1, row, agent_id]),
         ),
         # No route is committed before day 1.
         last_route=None if state.day == 1 else (ROUTE_B if state.last_route[row, agent_id] else ROUTE_A),

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import math
+import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -196,11 +199,12 @@ class TestApplyMday:
         assert handover.q_hdv_a + handover.q_hdv_b == 900
         assert handover.q_cav_a + handover.q_cav_b == 100
         # The replaced drivers stop choosing and learning: the state drops them.
-        assert state.est_a.shape == state.taste_a.shape == state.last_route.shape == (1, 900)
+        assert state.estimates.shape == state.tastes.shape == (2, 1, 900)
+        assert state.last_route.shape == (1, 900)
         before = SimulationState(config)
         for _ in range(config.m_day):
             step_day(before)
-        assert np.array_equal(state.taste_a, before.taste_a[:, :900])
+        assert np.array_equal(state.tastes, before.tastes[:, :, :900])
 
     def test_full_share_leaves_no_humans(self):
         config = ScenarioConfig(
@@ -546,7 +550,7 @@ class TestLockstep:
         state = SimulationState(*configs)
         for _ in range(state.total_days):
             step_day(state)
-        assert state.est_a.shape == (2, 20)
+        assert state.estimates.shape == (2, 2, 20)
         for records, config in zip(state.records, configs, strict=True):
             assert repr(records) == repr(stepped_log(config))
 
@@ -624,7 +628,7 @@ class TestOneBranchPath:
         prefix, *groups = stepped
         assert len(groups) == 2
         for a, b in itertools.combinations([prefix, *groups], 2):
-            for name in ("taste_a", "taste_b", "est_a", "est_b", "last_route", "draws"):
+            for name in ("tastes", "estimates", "last_route", "draws"):
                 assert not np.shares_memory(getattr(a, name), getattr(b, name))
             assert not {id(rng) for rng in a.rngs} & {id(rng) for rng in b.rngs}
             assert not {id(log) for log in a.records} & {id(log) for log in b.records}
@@ -741,3 +745,159 @@ class TestFleetMemo:
         assert [contents for _, contents in branches] == [{}, {}, {}]
         memos = [memo for memo, _ in branches]
         assert all(a is not b for a, b in itertools.combinations(memos, 2))
+
+
+# The parent's kernels, np.where selects on float64 arrays, recompute each day.
+# Every day of each group is checked: day 1 explores, m_day + 1 hands over, and
+# the shared-generator group has fewer generators than rows after it.
+KERNEL_GROUPS = {
+    "R=1": [ScenarioConfig(base_population=20000, cav_share=0.1, seed=3, phase_lengths=(2, 1, 2, 0))],
+    "R=3": [
+        ScenarioConfig(base_population=20000, cav_share=0.1, strategy=strategy, seed=seed, phase_lengths=(2, 1, 2, 0))
+        for seed, strategy in ((3, "Selfish"), (4, "Social"), (5, "Malicious"))
+    ],
+    "shared generators": [
+        ScenarioConfig(base_population=20000, cav_share=0.1, strategy=strategy, seed=seed, phase_lengths=(2, 1, 2, 0))
+        for seed, strategy in ((3, "Selfish"), (3, "Social"), (4, "Selfish"))
+    ],
+}
+
+# Bit patterns a float select must carry unchanged: NaN payloads (quiet and
+# signalling, either sign), +-0.0, +-inf, subnormals and the largest finite double.
+SPECIAL_BITS = [
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF800000000BEEF, 0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF,
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x8000000000000001, 0x7FEFFFFFFFFFFFFF,
+]
+float_bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+def assert_day_equals_np_where_kernels(state):
+    """Step ``state`` one day and recompute the day with the np.where kernels, byte for byte."""
+    if state.day == state.m_day + 1 and state.memos is None:
+        state._hand_over(state.configs)  # as step_day would, so the snapshot is the day's start
+    (taste_a, taste_b), (est_a, est_b) = state.tastes.copy(), state.estimates.copy()
+    generators = copy.deepcopy(state.rngs)
+    rate = state.explore_rate if state.day > 1 else 1.0
+    records = step_day(state)
+
+    draws = np.array([rng.random((state.n, 2)) for rng in generators])
+    explore = (draws[..., 0] < rate)[state.row_rng]
+    on_b = (draws[..., 1] >= 0.5)[state.row_rng]
+    on_b = np.where(explore, on_b, (taste_a - est_a) < (taste_b - est_b))
+    assert np.array_equal(state.last_route, on_b)
+    times = []
+    for row, record in enumerate(records[::len(state.counts)]):
+        q_hdv_b = int(np.count_nonzero(on_b[row]))
+        assert (record.q_hdv_a, record.q_hdv_b) == (state.n - q_hdv_b, q_hdv_b)
+        times.append(network_travel_times(
+            state.network, record.q_hdv_a + record.q_cav_a, record.q_hdv_b + record.q_cav_b
+        ))
+    times = np.array([times]).T
+    alpha = state.learning_rate
+    step = alpha * times
+    est_a = np.where(on_b, est_a, (1 - alpha) * est_a + step[0])
+    est_b = np.where(on_b, (1 - alpha) * est_b + step[1], est_b)
+    assert state.estimates[0].tobytes() == est_a.tobytes()
+    assert state.estimates[1].tobytes() == est_b.tobytes()
+    perceived = np.where(on_b, times[1] + taste_b, times[0] + taste_a)
+    sums = {c: np.add.reduce(perceived[:, :c], axis=1).tolist() for c in state.counts}
+    logged = itertools.product(range(len(on_b)), state.counts)
+    for record, (row, count) in zip(records, logged, strict=True):
+        expected = np.float64(sums[count][row] / count)
+        assert np.float64(record.mean_perceived_hdv_time).tobytes() == expected.tobytes()
+
+
+class TestBranchFreeKernels:
+    """The bit-pattern selects give the np.where kernels' bytes, and the select itself is np.where."""
+
+    @pytest.mark.parametrize("group", KERNEL_GROUPS)
+    def test_every_day_equals_the_np_where_kernels(self, group):
+        state = SimulationState(*KERNEL_GROUPS[group])
+        assert state.n >= 2 * 10**4
+        while state.day <= state.total_days:
+            assert_day_equals_np_where_kernels(state)
+        assert len(state.fleets) == (1 if group == "R=1" else 3)
+        assert len(state.rngs) == (2 if group == "shared generators" else len(state.fleets))
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(triples=st.lists(st.tuples(float_bits, float_bits, st.booleans()), min_size=1, max_size=64))
+    @example(triples=[(x, y, m) for x in SPECIAL_BITS for y in SPECIAL_BITS[:2] for m in (False, True)])
+    def test_select_is_np_where_on_any_bits(self, triples):
+        x, y, mask = (np.array(column, dtype=np.uint64) for column in zip(*triples))
+        x, y, mask = x.view(np.int64), y.view(np.int64), mask.astype(bool)
+        expected = np.where(mask, x.view(np.float64), y.view(np.float64))
+        engine._select(mask, x, y)
+        assert y.tobytes() == expected.tobytes()
+
+
+class TestDayScratch:
+    """A day allocates no N-sized float array, and no group shares its arrays with another."""
+
+    @pytest.mark.parametrize("seeds_and_strategies", [
+        [(1, "Selfish")],
+        [(1, "Selfish"), (1, "Social"), (2, "Selfish")],  # three rows, two generators
+    ])
+    def test_a_day_traces_under_four_bool_arrays_and_a_cast_buffer(self, seeds_and_strategies):
+        # A 50-vehicle fleet: its curve arrays are small, as the bound leaves them no room.
+        configs = [
+            ScenarioConfig(base_population=50000, cav_share=0.001, strategy=strategy, seed=seed,
+                           phase_lengths=(1, 1, 2, 0))
+            for seed, strategy in seeds_and_strategies
+        ]
+        state = SimulationState(*configs)
+        for _ in range(state.m_day + 1):
+            step_day(state)
+        rows = len(state.fleets)
+        # The day's bool arrays: the exploration and route coins and the (2, R, n)
+        # routes taken, one byte each per driver-row, with one of the coins freed
+        # before numpy's cast buffer (getbufsize() int64 elements) feeds the selects.
+        # Python objects, a few kB, fit in that freed coin.  A float64 temporary, 8
+        # bytes per driver-row, breaks the bound.
+        bound = 4 * rows * state.n + np.getbufsize() * 8
+        assert bound < 8 * rows * state.n
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            step_day(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < bound
+
+    def test_groups_share_no_memory_with_their_prefix(self):
+        fleets = [("Social", 0.5), ("Selfish", 0.5)]
+        configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2) for c in _group((2, 2, 3, 3), fleets, 40)]
+        names = ("tastes", "estimates", "last_route", "draws")
+        prefix = SimulationState(*configs)
+        for _ in range(prefix.m_day):
+            step_day(prefix)
+        before = {name: getattr(prefix, name).copy() for name in names}
+        for members in (configs[:2], configs[2:]):  # one fleet per seed, then the other seed's
+            group = copy.copy(prefix)
+            group._hand_over(members)
+            for a, b in itertools.product(names, repeat=2):
+                assert not np.shares_memory(getattr(group, a), getattr(prefix, b))
+            while group.day <= group.total_days:
+                step_day(group)
+            for records, config in zip(group.records, members, strict=True):
+                assert repr(records) == repr(stepped_log(config))
+            for name in names:  # bytes: the draw buffer ends a day holding bit patterns, not floats
+                assert getattr(prefix, name).tobytes() == before[name].tobytes()
+
+    @pytest.mark.parametrize("days", [1, 3, 4])  # before, at and after the hand-over on day 4
+    def test_a_deep_copy_steps_as_its_original(self, days):
+        configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2)
+                   for c in _group((2, 1, 3, 0), [("Social", 0.5), ("Selfish", 0.5)], 40)]
+        state = SimulationState(*configs)
+        for _ in range(days):
+            step_day(state)
+        twin = copy.deepcopy(state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while state.day <= state.total_days:
+                step_day(state)
+                step_day(twin)
+        assert repr(twin.records) == repr(state.records)
+        assert not np.shares_memory(twin.draws, state.draws)

@@ -46,16 +46,17 @@ def make_log(records, phase_lengths=(100, 100, 100, 100), network=NET):
     return SimulationLog(config=config, records=records)
 
 
-def _times(days):
-    """The (2, R, 1) travel-time columns of day_statistics from its per-row days."""
-    return np.array([day[4:] for day in days], dtype=float).T[:, :, None]
+def _perceived(routes, taste_a, taste_b, days):
+    """The engine's perceived times of each row's drivers, by np.where from each row's day."""
+    t_a, t_b = np.array([day[4:] for day in days], dtype=float).T[:, :, None]
+    return np.where(routes, t_b + taste_b, t_a + taste_a)
 
 
 class TestDayStatistics:
     def test_constant_sample(self):
         routes = np.zeros((1, 5), dtype=np.int8)  # everyone on A
         days = [(5, 0, 0, 0, 10.0, 20.0)]
-        ((mean_hdv, _, _),) = day_statistics(routes, [0], np.zeros((1, 5)), np.zeros((1, 5)), days, _times(days))
+        ((mean_hdv, _, _),) = day_statistics(_perceived(routes, np.zeros((1, 5)), np.zeros((1, 5)), days), [0], days)
         assert mean_hdv == 10.0
 
     def test_perceived_mean_averages_time_plus_taste(self):
@@ -63,20 +64,20 @@ class TestDayStatistics:
         taste_a = np.array([[2.0, -2.0]])
         taste_b = np.array([[50.0, 50.0]])  # unused, both drivers on A
         days = [(2, 0, 0, 0, 10.0, 20.0)]
-        ((_, (mean_perceived,), _),) = day_statistics(routes, [2], taste_a, taste_b, days, _times(days))
+        ((_, (mean_perceived,), _),) = day_statistics(_perceived(routes, taste_a, taste_b, days), [2], days)
         assert mean_perceived == pytest.approx(10.0)
 
     def test_fleet_weighted_mean(self):
         routes = np.zeros((1, 0), dtype=np.int8)
         days = [(0, 0, 60, 40, 10.0, 20.0)]
-        ((_, _, mean_cav),) = day_statistics(routes, [0], np.zeros((1, 0)), np.zeros((1, 0)), days, _times(days))
+        ((_, _, mean_cav),) = day_statistics(_perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), days), [0], days)
         assert mean_cav == pytest.approx(14.0)
 
     def test_empty_groups_are_absent(self):
         routes = np.zeros((1, 0), dtype=np.int8)
         days = [(0, 0, 0, 0, 10.0, 20.0)]
         ((mean_hdv, (mean_perceived,), mean_cav),) = day_statistics(
-            routes, [0], np.zeros((1, 0)), np.zeros((1, 0)), days, _times(days)
+            _perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), days), [0], days
         )
         assert mean_hdv is None and mean_perceived is None and mean_cav is None
 
@@ -86,13 +87,11 @@ class TestDayStatistics:
         taste_a, taste_b = rng.normal(size=(2, 3, 9))
         pairs = [(10.0, 20.0), (11.5, 19.25), (7.0, 30.0)]
         days = [(9 - int(np.count_nonzero(r)), int(np.count_nonzero(r)), 2, 1, *p) for r, p in zip(routes, pairs)]
-        stats = day_statistics(routes, [9, 4, 0, 12], taste_a, taste_b, days, _times(days))
+        stats = day_statistics(_perceived(routes, taste_a, taste_b, days), [9, 4, 0, 12], days)
         for row, (mean_hdv, perceived, mean_cav) in enumerate(stats):
             t_a, t_b = pairs[row]
-            alone = day_statistics(
-                routes[row:row + 1], [9], taste_a[row:row + 1], taste_b[row:row + 1],
-                days[row:row + 1], _times(days[row:row + 1]),
-            )
+            one = slice(row, row + 1)
+            alone = day_statistics(_perceived(routes[one], taste_a[one], taste_b[one], days[one]), [9], days[one])
             assert (mean_hdv, perceived[0], mean_cav) == (alone[0][0], alone[0][1][0], alone[0][2])
             # Fewer survivors than drivers average the first ones; none, or more than there are, is absent.
             first = np.where(routes[row, :4], t_b + taste_b[row, :4], t_a + taste_a[row, :4])
