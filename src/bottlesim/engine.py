@@ -65,7 +65,7 @@ import numpy as np
 
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics
-from .network import TwoRouteNetwork, _bpr, is_finite_number, network_travel_times
+from .network import TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times
 
 
 def _round_half_up(x: float) -> int:
@@ -111,46 +111,46 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Check each field; store the float fields as Python floats and phase_lengths as a tuple."""
         if not (is_finite_number(self.learning_rate) and 0.0 <= self.learning_rate <= 1.0):
-            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate!r}")
         if not (is_finite_number(self.explore_rate) and 0.0 <= self.explore_rate <= 1.0):
-            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate}")
-        if not (self.taste_spread > 0 and is_finite_number(self.taste_spread)):
-            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread}")
+            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate!r}")
+        if not (is_finite_number(self.taste_spread) and self.taste_spread > 0):
+            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread!r}")
         if not _is_int(self.base_population) or not 1 <= self.base_population < 2**63:
-            raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population}")
-        if not (self.congestion > 0 and is_finite_number(self.congestion)):
-            raise ValueError(f"congestion must be a finite number > 0, got {self.congestion}")
+            raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population!r}")
+        if not (is_finite_number(self.congestion) and self.congestion > 0):
+            raise ValueError(f"congestion must be a finite number > 0, got {self.congestion!r}")
         if not (is_finite_number(self.cav_share) and 0.0 <= self.cav_share <= 1.0):
-            raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share}")
-        if self.strategy not in STRATEGY_NAMES:
+            raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share!r}")
+        for name in ("learning_rate", "explore_rate", "taste_spread", "congestion", "cav_share"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (isinstance(self.strategy, str) and self.strategy in STRATEGY_NAMES):
             raise ValueError(
                 f"strategy must be one of {', '.join(STRATEGY_NAMES)}, got {self.strategy!r}"
             )
-        phases = tuple(self.phase_lengths)
-        object.__setattr__(self, "phase_lengths", phases)
-        if len(phases) != 4 or any(not _is_int(p) or p < 0 for p in phases):
-            raise ValueError(
-                f"phase_lengths must be four nonnegative integers, got {self.phase_lengths}"
-            )
+        phases = self.phase_lengths
+        if not (isinstance(phases, (list, tuple)) and len(phases) == 4
+                and all(_is_int(p) and p >= 0 for p in phases)):
+            raise ValueError(f"phase_lengths must be four nonnegative integers, got {phases!r}")
+        object.__setattr__(self, "phase_lengths", tuple(phases))
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.network, TwoRouteNetwork):
+            raise ValueError(f"network must be a TwoRouteNetwork, got {self.network!r}")
         if not is_finite_number(self.base_population * self.congestion):
             raise ValueError(
-                f"congestion {self.congestion} with base_population {self.base_population} "
+                f"congestion {self.congestion!r} with base_population {self.base_population!r} "
                 "yields an infinite population"
             )
         if not 1 <= self.total_population <= MAX_POPULATION:
             raise ValueError(
-                f"congestion {self.congestion} with base_population {self.base_population} "
+                f"congestion {self.congestion!r} with base_population {self.base_population!r} "
                 f"yields {self.total_population} drivers; expected 1 to {MAX_POPULATION}"
             )
         for name in ("route_a", "route_b"):
-            try:  # on Python floats: an overflow raises here instead of warning in numpy
-                time = _bpr(getattr(self.network, name), self.total_population)
-            except OverflowError:
-                time = math.inf
-            if not math.isfinite(time):
+            if not math.isfinite(bpr_travel_time(getattr(self.network, name), self.total_population)):
                 raise ValueError(f"{name} travel time is not finite at {self.total_population} drivers")
 
     @property

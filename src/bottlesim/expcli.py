@@ -28,7 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .engine import (
     DayRecord,
@@ -88,33 +88,15 @@ class ExperimentSpec:
 
 
 def _checked(fieldname: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError or OverflowError becomes a ConfigError."""
+    """``build(*args, **kwargs)``; a ValueError becomes a ConfigError."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(fieldname, str(exc)) from None
 
 
-# The parsers of JSON values: each takes (fieldname, value) and names the field in its error.
-
-
-def _as_number(fieldname: str, value) -> float:
-    """A JSON number as a float, as the point digests need: they tell 1 from 1.0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(fieldname, f"expected a number, got {value!r}")
-    return _checked(fieldname, float, value)
-
-
-def _as_int(fieldname: str, value) -> int:
-    if not _is_int(value):
-        raise ConfigError(fieldname, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_phases(fieldname: str, value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(fieldname, f"expected four integers, got {value!r}")
-    return tuple(_as_int(fieldname, p) for p in value)
+# The parsers of JSON values that the dataclasses do not take as given: each
+# takes (fieldname, value) and names the field in its error.
 
 
 def _canon_strategy(fieldname: str, value) -> str:
@@ -140,30 +122,30 @@ def _parse_network(fieldname: str, doc) -> TwoRouteNetwork:
         route = TwoRouteNetwork.default().route_a
         for name in expected:
             subfield = f"{fieldname}.{key}.{name}"
-            route = _checked(
-                subfield, dataclasses.replace, route, **{name: _as_number(subfield, sub[name])}
-            )
+            route = _checked(subfield, dataclasses.replace, route, **{name: sub[name]})
         routes[key] = route
     return TwoRouteNetwork(**routes)
 
 
 # The config format: each JSON field's parser and the ScenarioConfig attribute
-# it sets.  An absent field keeps the ScenarioConfig default.
+# it sets.  A parser of None passes the JSON value as given, and the
+# ScenarioConfig validators check and normalise it.  An absent field keeps the
+# ScenarioConfig default.
 # Single-valued fields, in the order they are checked:
 _FIELDS = {
-    "base_population": (_as_int, "base_population"),
-    "alpha": (_as_number, "learning_rate"),
-    "epsilon": (_as_number, "explore_rate"),
-    "phase_lengths": (_as_phases, "phase_lengths"),
+    "base_population": (None, "base_population"),
+    "alpha": (None, "learning_rate"),
+    "epsilon": (None, "explore_rate"),
+    "phase_lengths": (None, "phase_lengths"),
     "network": (_parse_network, "network"),
 }
 # Sweep axes, in POINT_COLUMNS order; the parser reads one value of the axis.
 _AXES = {
     "strategy": (_canon_strategy, "strategy"),
-    "cav_share": (_as_number, "cav_share"),
-    "beta": (_as_number, "taste_spread"),
-    "congestion": (_as_number, "congestion"),
-    "seeds": (_as_int, "seed"),
+    "cav_share": (None, "cav_share"),
+    "beta": (None, "taste_spread"),
+    "congestion": (None, "congestion"),
+    "seeds": (None, "seed"),
 }
 
 
@@ -195,15 +177,17 @@ def _at_congestion(base: ScenarioConfig, congestions: list, **changes) -> Scenar
 
 
 def _axis_values(fieldname: str, attr: str, base: ScenarioConfig, values: list) -> tuple:
-    """``values``, each accepted as ``attr`` on ``base`` and none repeated.
+    """``values`` as ``base`` holds each as ``attr``, none repeated.
 
     A repeated value would run the same point twice.
     """
-    for i, value in enumerate(values):
-        _checked(fieldname, dataclasses.replace, base, **{attr: value})
-        if value in values[:i]:
+    held = []
+    for value in values:
+        value = getattr(_checked(fieldname, dataclasses.replace, base, **{attr: value}), attr)
+        if value in held:
             raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
-    return tuple(values)
+        held.append(value)
+    return tuple(held)
 
 
 def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig, ...]:
@@ -229,7 +213,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError("config", f"malformed JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
@@ -237,8 +221,9 @@ def load_config(path: str | Path) -> ExperimentSpec:
     for key in doc:
         if key not in known:
             raise ConfigError(key, "unknown field")
-    if _as_int("schema", doc.get("schema", 1)) != 1:
-        raise ConfigError("schema", f"unsupported schema version {doc['schema']!r}")
+    schema = doc.get("schema", 1)
+    if not _is_int(schema) or schema != 1:
+        raise ConfigError("schema", f"unsupported schema version {schema!r}")
 
     values = {}
     for name, (parse, _) in _AXES.items():
@@ -254,7 +239,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
         raw = raw if isinstance(raw, list) else [raw]
         if not raw:
             raise ConfigError(name, "axis list must not be empty")
-        values[name] = [parse(name, value) for value in raw]
+        values[name] = raw if parse is None else [parse(name, value) for value in raw]
 
     # Every value is set on one base config, so its dataclass validators check it.
     congestions = values.get("congestion", [])
@@ -262,7 +247,8 @@ def load_config(path: str | Path) -> ExperimentSpec:
     base = _at_congestion(ScenarioConfig(), congestions)
     for name, (parse, attr) in _FIELDS.items():
         if name in doc:
-            base = _checked(name, _at_congestion, base, congestions, **{attr: parse(name, doc[name])})
+            value = doc[name] if parse is None else parse(name, doc[name])
+            base = _checked(name, _at_congestion, base, congestions, **{attr: value})
     axes = {name: _axis_values(name, _AXES[name][1], base, axis) for name, axis in values.items()}
     env_seed = os.environ.get("BOTTLESIM_SEED")
     if env_seed is not None:
@@ -453,7 +439,7 @@ def replicate_and_test(
     metric_a: str,
     config_b: ScenarioConfig,
     metric_b: str,
-    seeds: list[int] | tuple[int, ...],
+    seeds: Iterable[int],
 ) -> TTestResult:
     """Paired t-test of two windowed metrics across seed-matched runs.
 
@@ -463,15 +449,14 @@ def replicate_and_test(
     compares two statistics of the same scenario, e.g. the baseline
     window against the evaluation window.  All the runs share their
     human-only days and step in lockstep, as a sweep's runs do (see
-    ``run_experiment``).  Seeds must be distinct.
+    ``run_experiment``).  At least two seeds are needed, all distinct.
     """
     for metric in (metric_a, metric_b):
         if metric not in WINDOW_METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {WINDOW_METRICS}")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+    seeds = list(seeds)
+    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
+        raise ValueError(f"need at least 2 distinct seeds, got {seeds}")
     pairs = [
         (dataclasses.replace(config_a, seed=seed), dataclasses.replace(config_b, seed=seed))
         for seed in seeds

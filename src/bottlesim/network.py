@@ -21,10 +21,10 @@ import numpy as np
 
 
 def is_finite_number(x) -> bool:
-    """Whether ``x`` is a finite int or float: False for a bool and for an int too large for a float."""
+    """Whether ``x`` is a finite real number: False for a bool, a non-number and an int too large for a float."""
     try:
         return not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -40,12 +40,12 @@ class RouteParams:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not (self.free_flow_time > 0 and is_finite_number(self.free_flow_time)):
-            raise ValueError(f"free_flow_time must be a finite number > 0, got {self.free_flow_time}")
-        if not (self.capacity > 0 and is_finite_number(self.capacity)):
-            raise ValueError(f"capacity must be a finite number > 0, got {self.capacity}")
-        if not (self.exponent > 1 and is_finite_number(self.exponent)):
-            raise ValueError(f"exponent must be a finite number > 1, got {self.exponent}")
+        """Check each field and store it as a Python float."""
+        for name, low in (("free_flow_time", 0), ("capacity", 0), ("exponent", 1)):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value > low):
+                raise ValueError(f"{name} must be a finite number > {low}, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ class TwoRouteNetwork:
 
     route_a: RouteParams
     route_b: RouteParams
+
+    def __post_init__(self) -> None:
+        for name in ("route_a", "route_b"):
+            if not isinstance(getattr(self, name), RouteParams):
+                raise ValueError(f"{name} must be a RouteParams, got {getattr(self, name)!r}")
 
     @staticmethod
     def default() -> "TwoRouteNetwork":
@@ -77,7 +82,7 @@ def bpr_travel_time(params: RouteParams, flow):
     can probe the curve continuously.  A Python ``int`` or ``float`` is
     evaluated on Python floats, which gives the same bits as the 0-d
     numpy evaluation at a fraction of its cost; a result too large for a
-    float falls back to numpy, which returns inf.
+    float is inf, as on the numpy path.
     """
     if type(flow) is int or type(flow) is float:
         if flow < 0:
@@ -85,7 +90,7 @@ def bpr_travel_time(params: RouteParams, flow):
         try:
             return _bpr(params, flow)
         except OverflowError:
-            pass
+            return math.inf
     flow = np.asarray(flow, dtype=np.float64)
     if np.any(flow < 0):
         raise ValueError("flow must be nonnegative")

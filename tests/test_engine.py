@@ -13,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bottlesim import (
+    RouteParams,
     STRATEGY_NAMES,
     STRATEGY_TABLE,
     ScenarioConfig,
     SimulationState,
+    TwoRouteNetwork,
     fleet_optimize,
     network_travel_times,
     run_branches,
@@ -44,6 +46,47 @@ def small_config(**kwargs):
     return ScenarioConfig(**defaults)
 
 
+# A value of every kind a config file or a caller may pass for a field.
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, 2**64, 10**400, -(10**400)]),
+    st.floats(),  # NaN and both infinities included
+    st.floats().map(np.float64),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-1, 3), st.booleans(), st.text(max_size=1)), min_size=3, max_size=5),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@pytest.mark.parametrize(
+    "cls,valid,name",
+    [
+        pytest.param(cls, valid, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls, valid in [
+            (ScenarioConfig, {"phase_lengths": (1, 1, 1, 1)}),
+            (RouteParams, {"free_flow_time": 5.0, "capacity": 500.0, "exponent": 2.0}),
+            (TwoRouteNetwork, vars(TwoRouteNetwork.default())),
+        ]
+        for f in dataclasses.fields(cls)
+    ],
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(value=ANY_VALUE)
+def test_validators_are_total(cls, valid, name, value):
+    """Any value builds a config whose float fields are Python floats, or raises a ValueError naming it."""
+    try:
+        built = cls(**{**valid, name: value})
+    except ValueError as exc:
+        assert name in str(exc)
+        return
+    for f in dataclasses.fields(built):
+        if f.type in ("float", float):
+            assert type(getattr(built, f.name)) is float
+
+
 class TestScenarioConfig:
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -67,6 +110,8 @@ class TestScenarioConfig:
             ({"learning_rate": True}, "learning_rate"),
             ({"explore_rate": False}, "explore_rate"),
             ({"taste_spread": True}, "taste_spread"),
+            # An array's == compares elementwise, so this one compares equal to "Selfish".
+            ({"strategy": np.array(["Selfish"])}, "strategy"),
         ],
     )
     def test_named_field_rejections(self, kwargs, field):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from bottlesim import (
 from bottlesim.expcli import (
     SUMMARY_COLUMNS,
     ConfigError,
+    ExperimentSpec,
     _AXES,
     _FIELDS,
     _tasks,
@@ -153,6 +155,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="malformed"):
             load_config(path)
 
+    def test_integer_too_long_to_parse_is_a_config_error(self, tmp_path, capsys):
+        # Python 3.11 refuses to convert an integer of more than 4300 digits.
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_strategy_names_are_case_insensitive(self, tmp_path):
         spec = load_config(write_config(tmp_path, {"strategy": ["selfish", "SOCIAL"]}))
         assert [point.strategy for point in spec.run_points()] == ["Selfish", "Social"]
@@ -218,6 +227,16 @@ class TestRunExperiment:
         assert values["effect_change_to_cav"] == "NA"
         assert values["tau_b"] != "NA"
         assert values["effect_remaining_hdv"] != "NA"
+
+    def test_numpy_scalars_write_as_python_floats(self, tmp_path):
+        def outputs(name, number):
+            config = ScenarioConfig(cav_share=number(0.1), congestion=number(0.05),
+                                    phase_lengths=(2, 2, 2, 2))
+            out = tmp_path / name
+            run_experiment(ExperimentSpec(points=(config,), out_dir=out), jobs=1)
+            return sorted(p.name for p in out.iterdir()), (out / "summary.csv").read_text(encoding="utf-8")
+
+        assert outputs("numpy", np.float64) == outputs("python", float)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         doc = dict(FAST, cav_share=[0.0, 0.5], seeds=[1, 2], strategy="Social")
@@ -346,6 +365,21 @@ class TestReplicateAndTest:
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
         with pytest.raises(ValueError, match="distinct"):
             replicate_and_test(config, "tau_b", config, "tau", seeds=[1, 2, 1])
+
+    @pytest.mark.parametrize("seeds", [[1], [], [2, 2]])
+    def test_fewer_than_two_distinct_seeds_refused_before_any_run(self, monkeypatch, seeds):
+        def no_run(configs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bottlesim.expcli, "run_branches", no_run)
+        config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
+        with pytest.raises(ValueError, match="at least 2 distinct seeds"):
+            replicate_and_test(config, "tau_b", config, "tau", seeds=seeds)
+
+    def test_seeds_may_come_from_a_generator(self):
+        config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
+        expected = replicate_and_test(config, "tau_b", config, "tau", seeds=[1, 2, 3])
+        assert replicate_and_test(config, "tau_b", config, "tau", seeds=(seed for seed in (1, 2, 3))) == expected
 
     def test_configs_share_their_human_only_days_at_each_seed(self, monkeypatch):
         selfish = ScenarioConfig(base_population=100, cav_share=0.1, strategy="Selfish")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,12 @@ class TestRouteParams:
         with pytest.raises(ValueError, match=field):
             RouteParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["route_a", "route_b"])
+    def test_network_rejects_a_route_that_is_not_route_params(self, field):
+        routes = vars(TwoRouteNetwork.default()) | {field: (5.0, 500.0, 2.0)}
+        with pytest.raises(ValueError, match=field):
+            TwoRouteNetwork(**routes)
+
     def test_default_network(self):
         net = TwoRouteNetwork.default()
         assert net.route_a == RouteParams(5.0, 500.0, 2.0)
@@ -61,6 +68,11 @@ class TestBprTravelTime:
     def test_rejects_negative_flow(self, route_a):
         with pytest.raises(ValueError, match="nonnegative"):
             bpr_travel_time(route_a, -1)
+
+    def test_overflowing_scalar_gives_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bpr_travel_time(RouteParams(5.0, 500.0, 400.0), 5000) == math.inf
 
     def test_strictly_increasing(self, route_a):
         rng = np.random.default_rng(42)
