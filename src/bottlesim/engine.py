@@ -28,16 +28,18 @@ coin first, route coin second).  Day 1 consumes the exploration coin
 too, even though it is ignored, so later days never depend on day-1
 semantics.  Fleet vehicles consume no randomness at all.
 
-``run_branches`` steps runs that differ in seed, strategy and cav_share
-in lockstep, as rows of (R, n) arrays: a row per seed until the
-hand-over, as days 1..m_day have no fleet, then a row per distinct run,
-grouped by survivor count.  Rows in the same generator state (the runs
-of one seed) share one draw, every kernel is elementwise or reduces
-each row on its own, and no state is forked, so every run equals its
-config run alone, bit for bit; ``run_scenario`` is the one-run case.
+``run_branches`` steps runs that differ in seed, taste_spread, strategy
+and cav_share in lockstep, as rows of (R, n) arrays: a row per (seed,
+taste_spread) pair until the hand-over, as days 1..m_day have no fleet,
+then a row per distinct run, grouped by survivor count.  taste_spread
+only scales a row's tastes at set-up, so it is a per-row constant that
+no day reads.  Rows in the same generator state (the runs of one seed,
+whatever their spread) share one draw, every kernel is elementwise or
+reduces each row on its own, and no state is forked, so every run equals
+its config run alone, bit for bit; ``run_scenario`` is the one-run case.
 Configs with equal (or empty) fleets are the same run.  After the
-hand-over a fleet's decision depends on q_hdv_a alone, whatever the
-seed: the rows of a run share one exact memo of it.
+hand-over a fleet's decision depends on q_hdv_a alone, whatever the seed
+and spread: the rows of a fleet share one exact memo of it.
 
 Tastes and estimates are (2, R, n) arrays with the route axis first (A,
 then B).  A day allocates no N-sized float array: its draw buffer holds
@@ -65,7 +67,7 @@ import numpy as np
 
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics
-from .network import TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times
+from .network import TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times, quoted
 
 
 def _round_half_up(x: float) -> int:
@@ -113,32 +115,32 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         """Check each field; store the float fields as Python floats and phase_lengths as a tuple."""
         if not (is_finite_number(self.learning_rate) and 0.0 <= self.learning_rate <= 1.0):
-            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate!r}")
+            raise ValueError(f"learning_rate must be in [0, 1], got {quoted(self.learning_rate)}")
         if not (is_finite_number(self.explore_rate) and 0.0 <= self.explore_rate <= 1.0):
-            raise ValueError(f"explore_rate must be in [0, 1], got {self.explore_rate!r}")
+            raise ValueError(f"explore_rate must be in [0, 1], got {quoted(self.explore_rate)}")
         if not (is_finite_number(self.taste_spread) and self.taste_spread > 0):
-            raise ValueError(f"taste_spread must be a finite number > 0, got {self.taste_spread!r}")
+            raise ValueError(f"taste_spread must be a finite number > 0, got {quoted(self.taste_spread)}")
         if not _is_int(self.base_population) or not 1 <= self.base_population < 2**63:
-            raise ValueError(f"base_population must be a positive 64-bit integer, got {self.base_population!r}")
+            raise ValueError(f"base_population must be a positive 64-bit integer, got {quoted(self.base_population)}")
         if not (is_finite_number(self.congestion) and self.congestion > 0):
-            raise ValueError(f"congestion must be a finite number > 0, got {self.congestion!r}")
+            raise ValueError(f"congestion must be a finite number > 0, got {quoted(self.congestion)}")
         if not (is_finite_number(self.cav_share) and 0.0 <= self.cav_share <= 1.0):
-            raise ValueError(f"cav_share must be in [0, 1], got {self.cav_share!r}")
+            raise ValueError(f"cav_share must be in [0, 1], got {quoted(self.cav_share)}")
         for name in ("learning_rate", "explore_rate", "taste_spread", "congestion", "cav_share"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (isinstance(self.strategy, str) and self.strategy in STRATEGY_NAMES):
             raise ValueError(
-                f"strategy must be one of {', '.join(STRATEGY_NAMES)}, got {self.strategy!r}"
+                f"strategy must be one of {', '.join(STRATEGY_NAMES)}, got {quoted(self.strategy)}"
             )
         phases = self.phase_lengths
         if not (isinstance(phases, (list, tuple)) and len(phases) == 4
                 and all(_is_int(p) and p >= 0 for p in phases)):
-            raise ValueError(f"phase_lengths must be four nonnegative integers, got {phases!r}")
+            raise ValueError(f"phase_lengths must be four nonnegative integers, got {quoted(phases)}")
         object.__setattr__(self, "phase_lengths", tuple(phases))
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {quoted(self.seed)}")
         if not isinstance(self.network, TwoRouteNetwork):
-            raise ValueError(f"network must be a TwoRouteNetwork, got {self.network!r}")
+            raise ValueError(f"network must be a TwoRouteNetwork, got {quoted(self.network)}")
         if not is_finite_number(self.base_population * self.congestion):
             raise ValueError(
                 f"congestion {self.congestion!r} with base_population {self.base_population!r} "
@@ -209,37 +211,47 @@ class SimulationState:
     """Mutable state of runs stepped in lockstep: driver arrays of R rows, generators, day counter.
 
     ``SimulationState(config)`` is one run, the R=1 case.  More configs may
-    differ in seed, strategy and cav_share: until the hand-over there is
-    one row per seed, and ``records`` holds a log per seed and survivor
-    count, row-major.  ``step_day`` hands the fleet over before day
-    ``m_day + 1``; from then on each distinct run is a row holding only its
-    survivors, with one log, so the configs must share a survivor count.
+    differ in seed, taste_spread, strategy and cav_share: until the
+    hand-over there is one row per (seed, taste_spread) pair, the rows of a
+    seed drawing from its one generator, and ``records`` holds a log per
+    row and survivor count, row-major.  ``step_day`` hands the fleet over
+    before day ``m_day + 1``; from then on each distinct run is a row
+    holding only its survivors, with one log, so the configs must share a
+    survivor count.
     """
 
     def __init__(self, *configs: ScenarioConfig) -> None:
         config = configs[0]
         if any(prefix_key(c) != prefix_key(config) for c in configs[1:]):
-            raise ValueError("configs stepped together may differ only in seed, strategy and cav_share")
+            raise ValueError(
+                "configs stepped together may differ only in seed, taste_spread, strategy and cav_share"
+            )
         self.configs = configs
         self.seeds = list(dict.fromkeys(c.seed for c in configs))
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        self.row_rng = np.arange(len(self.rngs))  # each row's generator
-        self.fleets = [(0, None)] * len(self.rngs)  # each row's (fleet size, weights)
-        total, spread = config.total_population, config.taste_spread
+        self.rows = list(dict.fromkeys((c.seed, c.taste_spread) for c in configs))
+        self.row_rng = np.array([self.seeds.index(seed) for seed, _ in self.rows])  # each row's generator
+        self.fleets = [(0, None)] * len(self.rows)  # each row's (fleet size, weights)
+        total = config.total_population
 
         self._drivers(total)  # the draw buffer takes the taste draws first
-        draws = self.draws.reshape(len(self.rngs), total, 2)
-        for rng, out in zip(self.rngs, draws):
+        draws = self.draws.reshape(len(self.rows), total, 2)
+        u = draws[:len(self.rngs)]  # each generator's draws, shared by its rows
+        for rng, out in zip(self.rngs, u):
             rng.random(out=out)
         # random() can return exactly 0.0, outside the open interval the
         # inverse-CDF transform needs; nudge to the smallest positive double.
-        draws[draws == 0.0] = np.nextafter(0.0, 1.0)
+        u[u == 0.0] = np.nextafter(0.0, 1.0)
         # mu - spread * log(-log(u)), in place: zero-mean Gumbel tastes (Euler-Mascheroni).
-        np.log(draws, out=draws)
-        np.negative(draws, out=draws)
-        np.log(draws, out=draws)
-        np.multiply(spread, draws, out=draws)
-        np.subtract(-spread * 0.5772156649015329, draws, out=draws)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        # A row's generator comes no later than the row, so from the last row
+        # back each row reads its generator's log(-log(u)) before it is overwritten.
+        for row in reversed(range(len(self.rows))):
+            spread = self.rows[row][1]
+            np.multiply(spread, u[self.row_rng[row]], out=draws[row])
+            np.subtract(-spread * 0.5772156649015329, draws[row], out=draws[row])
         self.tastes = draws.transpose(2, 0, 1).copy()  # (route, row, driver)
         self.estimates = np.empty_like(self.tastes)
         self.estimates[0] = config.network.route_a.free_flow_time
@@ -260,7 +272,7 @@ class SimulationState:
         self.explore_rate = config.explore_rate
 
         self.day = 1  # next day to simulate
-        self.records: list[list[DayRecord]] = [[] for _ in self.rngs for _ in self.counts]
+        self.records: list[list[DayRecord]] = [[] for _ in self.rows for _ in self.counts]
 
     def _drivers(self, n: int) -> None:
         """Set the acting drivers per row, and the day's draw buffer: 2 doubles per driver-row.
@@ -275,21 +287,23 @@ class SimulationState:
     def _hand_over(self, configs: Sequence[ScenarioConfig]) -> None:
         """Continue as the distinct runs of ``configs``, which share one survivor count.
 
-        Each run becomes a row: contiguous copies of its seed row's
-        survivors and of its log for that count.  The runs of a seed share
-        one copy of its generator, as they draw alike from here on, and the
-        runs of a fleet one empty memo, as its decisions ignore the seed.
+        Each run becomes a row: contiguous copies of its (seed, spread)
+        row's survivors and of its log for that count.  The runs of a seed
+        share one copy of its generator, as they draw alike from here on,
+        and the runs of a fleet one empty memo, as its decisions ignore the
+        seed and the spread.
         """
         count = configs[0].survivor_count
         if any(c.survivor_count != count for c in configs):
             raise RuntimeError("runs stepped together past the hand-over need equal survivor counts")
         self.runs = list(dict.fromkeys(map(_run_key, configs)))
-        rows = [self.seeds.index(seed) for seed, _ in self.runs]
+        rows = [self.rows.index((seed, spread)) for seed, spread, _ in self.runs]
         log = self.counts.index(count)
         self.records = [list(self.records[row * len(self.counts) + log]) for row in rows]
-        seeds = list(dict.fromkeys(seed for seed, _ in self.runs))
+        seeds = list(dict.fromkeys(seed for seed, _, _ in self.runs))
         self.rngs = [copy.deepcopy(self.rngs[self.seeds.index(seed)]) for seed in seeds]
-        self.seeds, self.row_rng = seeds, np.array([seeds.index(seed) for seed, _ in self.runs])
+        self.seeds, self.row_rng = seeds, np.array([seeds.index(seed) for seed, _, _ in self.runs])
+        self.rows = [(seed, spread) for seed, spread, _ in self.runs]
         # One array at a time, each replacing the prefix's, whose draw buffer goes
         # first: at N=10^5 this is the run's memory peak when the prefix is done.
         self.draws = None
@@ -297,7 +311,7 @@ class SimulationState:
         self.estimates = self.estimates[:, rows, :count]
         self.last_route = self.last_route[rows, :count]
         self.counts = (count,)
-        self.fleets = [fleet for _, fleet in self.runs]
+        self.fleets = [fleet for _, _, fleet in self.runs]
         self._drivers(count)
         memos = {fleet: {} for fleet in self.fleets}
         self.memos = [memos[fleet] for fleet in self.fleets]
@@ -308,9 +322,9 @@ SURVIVORS = operator.attrgetter("survivor_count")
 
 
 def _run_key(config: ScenarioConfig) -> tuple:
-    """(seed, (fleet size, weights)); equal fleets, or none at all, make the same run."""
+    """(seed, taste_spread, (fleet size, weights)); equal fleets, or none at all, make the same run."""
     size = config.fleet_size
-    return config.seed, (size, STRATEGY_TABLE[config.strategy] if size else None)
+    return config.seed, config.taste_spread, (size, STRATEGY_TABLE[config.strategy] if size else None)
 
 
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -413,18 +427,18 @@ def group_by(configs: Iterable[ScenarioConfig], key) -> dict:
 
 
 def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` without its seed and fleet knobs: runs with equal keys step together."""
-    return dataclasses.replace(config, seed=0, strategy=STRATEGY_NAMES[0], cav_share=0.0)
+    """``config`` without its seed, taste_spread and fleet knobs: runs with equal keys step together."""
+    return dataclasses.replace(config, seed=0, taste_spread=1.0, strategy=STRATEGY_NAMES[0], cav_share=0.0)
 
 
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """Run configs that differ only in seed, strategy and cav_share; yield their logs in order.
+    """Run configs that differ only in seed, taste_spread, strategy and cav_share; yield their logs in order.
 
-    Days 1..m_day are stepped once, a row per seed.  At the hand-over the
-    distinct runs are grouped by survivor count, and each group steps its
-    rows to the last day, so every log equals the one its config gives
-    alone; a repeated run's configs get copies of its record list.  Each
-    log owns its list and is complete when it is yielded.
+    Days 1..m_day are stepped once, a row per (seed, taste_spread) pair.
+    At the hand-over the distinct runs are grouped by survivor count, and
+    each group steps its rows to the last day, so every log equals the one
+    its config gives alone; a repeated run's configs get copies of its
+    record list.  Each log owns its list and is complete when it is yielded.
     """
     configs = list(configs)
     if not configs:

@@ -28,7 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .engine import (
     DayRecord,
@@ -39,7 +39,7 @@ from .engine import (
     group_by,
     prefix_key,
     run_branches,
-    run_scenario,  # not called here; bench/spans.py wraps expcli.run_scenario
+    run_scenario,
 )
 from .fleet import STRATEGY_NAMES
 from .metrics import (
@@ -343,13 +343,34 @@ def _checked_averages(log: SimulationLog) -> WindowAverages:
     return averages
 
 
+def _logs(configs: list[ScenarioConfig]) -> Iterator[SimulationLog]:
+    """The logs of ``run_branches(configs)``, in order.
+
+    The caller awaits each log under its config's ``_failing_point``, but
+    rows step together: a step that fails on any row raises while the next
+    config's log is awaited.  So from a failure on, the configs not yet
+    yielded run alone, each to the log run_branches would give it, and the
+    failure is raised again while the failing config's own log is awaited.
+    """
+    logs = run_branches(configs)
+    for i in range(len(configs)):
+        try:
+            log = next(logs)
+        except Exception:
+            if i == len(configs) - 1:  # the rows stepping are this config's
+                raise
+            yield from map(run_scenario, configs[i:])
+            return
+        yield log
+
+
 Result = tuple[ScenarioConfig, str, WindowAverages, RatioReport]
 
 
 def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
     """Run configs that share their human-only days: (config, daily CSV, averages, ratios) each."""
     results = []
-    logs = run_branches(configs)
+    logs = _logs(configs)
     for config in configs:
         with _failing_point(config):
             log = next(logs)
@@ -413,9 +434,9 @@ def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     """Execute every run of the spec and write its output files.
 
-    Runs that differ only in seed, strategy and cav_share share their
-    human-only days and step in lockstep (see ``engine.run_branches``);
-    each such group is a task.  With jobs > 1
+    Runs that differ only in seed, beta (taste_spread), strategy and
+    cav_share share their human-only days and step in lockstep (see
+    ``engine.run_branches``); each such group is a task.  With jobs > 1
     (default: the machine's CPU count) a process pool hands out those
     groups, and its workers also format the daily CSVs; outputs do not
     depend on the execution order.  Returns the summary rows.
@@ -464,7 +485,7 @@ def replicate_and_test(
     # The t-test reads only the window averages, so no daily CSV is formatted.
     averages: dict[ScenarioConfig, WindowAverages] = {}
     for group in group_by(dict.fromkeys(config for pair in pairs for config in pair), prefix_key).values():
-        logs = run_branches(group)
+        logs = _logs(group)
         for config in group:
             with _failing_point(config):
                 averages[config] = _checked_averages(next(logs))

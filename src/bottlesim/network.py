@@ -28,6 +28,18 @@ def is_finite_number(x) -> bool:
         return False
 
 
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, or its type's name where Python refuses the repr.
+
+    Python 3.11 refuses to format an int of more than 4,300 digits, so a
+    message that quoted one with ``!r`` would raise in place of naming its field.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 @dataclass(frozen=True)
 class RouteParams:
     """BPR parameters of a single route."""
@@ -44,7 +56,7 @@ class RouteParams:
         for name, low in (("free_flow_time", 0), ("capacity", 0), ("exponent", 1)):
             value = getattr(self, name)
             if not (is_finite_number(value) and value > low):
-                raise ValueError(f"{name} must be a finite number > {low}, got {value!r}")
+                raise ValueError(f"{name} must be a finite number > {low}, got {quoted(value)}")
             object.__setattr__(self, name, float(value))
 
 
@@ -58,7 +70,7 @@ class TwoRouteNetwork:
     def __post_init__(self) -> None:
         for name in ("route_a", "route_b"):
             if not isinstance(getattr(self, name), RouteParams):
-                raise ValueError(f"{name} must be a RouteParams, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a RouteParams, got {quoted(getattr(self, name))}")
 
     @staticmethod
     def default() -> "TwoRouteNetwork":

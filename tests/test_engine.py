@@ -51,7 +51,8 @@ ANY_VALUE = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.sampled_from([2**63, 2**64, 10**400, -(10**400)]),
+    # 10**5000 has more digits than Python 3.11 formats, so it has no repr.
+    st.sampled_from([2**63, 2**64, 10**400, -(10**400), 10**5000, -(10**5000)]),
     st.floats(),  # NaN and both infinities included
     st.floats().map(np.float64),
     st.text(max_size=4),
@@ -528,30 +529,39 @@ class TestRunBranches:
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, congestion=2.0)]
-        with pytest.raises(ValueError, match="seed, strategy and cav_share"):
+        with pytest.raises(ValueError, match="seed, taste_spread, strategy and cav_share"):
             list(run_branches(configs))
 
     def test_no_configs_no_logs(self):
         assert list(run_branches([])) == []
 
     def test_prefix_key_ignores_only_the_fleet_knobs(self):
+        # The seed and taste_spread only set a row's draws and tastes, so they too share a group.
         config = small_config(cav_share=0.4, strategy="Malicious")
         assert prefix_key(config) == prefix_key(small_config())
         assert prefix_key(config) == prefix_key(small_config(seed=8))
+        assert prefix_key(config) == prefix_key(small_config(taste_spread=1e-9))
+        assert prefix_key(config) == prefix_key(small_config(taste_spread=50.0, seed=8))
+        assert prefix_key(config) != prefix_key(small_config(learning_rate=0.3))
+        assert prefix_key(config) != prefix_key(small_config(explore_rate=0.3))
         assert prefix_key(config) != prefix_key(small_config(congestion=2.0))
         assert prefix_key(config) != prefix_key(small_config(phase_lengths=(3, 3, 3, 4)))
 
 
 @st.composite
 def lockstep_groups(draw):
-    """Configs at 2 to 4 seeds, each under the same fleets, in random order."""
+    """Configs at 2 to 4 seeds and 1 to 3 taste spreads, each under the same fleets, in random order."""
     base = draw(small_configs())
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True))
+    spreads = draw(st.lists(
+        st.one_of(st.sampled_from([1e-9, 0.5, 5.0, 50.0]), st.floats(1e-3, 1e3)),
+        min_size=1, max_size=3, unique=True,
+    ))
     shares = st.one_of(st.sampled_from([0.0, 1.0]), _unit_interval())
     fleets = draw(st.lists(st.tuples(st.sampled_from(STRATEGY_NAMES), shares), min_size=1, max_size=4))
     configs = [
-        dataclasses.replace(base, seed=seed, strategy=s, cav_share=share)
-        for seed in seeds for s, share in fleets
+        dataclasses.replace(base, seed=seed, taste_spread=spread, strategy=s, cav_share=share)
+        for seed in seeds for spread in spreads for s, share in fleets
     ]
     return draw(st.permutations(configs))
 
@@ -569,6 +579,11 @@ class TestLockstep:
                       for c in _group((0, 0, 2, 3), _EVERY_FLEET)])
     @example(configs=[dataclasses.replace(c, seed=seed) for seed in (1, 2)
                       for c in _group((2, 3, 0, 0), _EVERY_FLEET)])
+    # The extreme spreads at two seeds, a seed's rows next to each other: row 1
+    # is seed 1 at 1e-9, while slot 1 of the draw buffer holds seed 2's draws.
+    @example(configs=[dataclasses.replace(c, seed=seed, taste_spread=spread)
+                      for seed in (1, 2) for spread in (50.0, 1e-9)
+                      for c in _group((3, 3, 3, 3), [("Social", 0.5), ("Selfish", 0.0)], 40)])
     def test_logs_equal_each_config_run_alone(self, configs):
         logs = list(run_branches(configs))
         assert [log.config for log in logs] == configs
@@ -582,6 +597,19 @@ class TestLockstep:
         list(run_branches(configs))
         # Three seed rows before the hand-over, then one group of six rows.
         assert calls == [3] * 4 + [6] * 6
+
+    def test_one_row_per_seed_and_spread_before_the_hand_over(self, monkeypatch):
+        configs = [dataclasses.replace(c, seed=seed, taste_spread=spread)
+                   for spread in (0.01, 5.0, 1000.0) for seed in (1, 2)
+                   for c in _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5)])]
+        states = stepped_states(monkeypatch)
+        calls = counted_step_days(monkeypatch)
+        list(run_branches(configs))
+        # Six rows drawing from two generators, then one group of twelve rows.
+        assert calls == [6] * 4 + [12] * 6
+        prefix, group = states
+        assert len(prefix.rows) == 6 and len(prefix.rngs) == 2 and list(prefix.row_rng) == [0, 1] * 3
+        assert len(group.rows) == 12 and len(group.rngs) == 2
 
     def test_mixed_survivor_counts_cannot_step_past_the_hand_over(self):
         state = SimulationState(small_config(cav_share=0.5), small_config(cav_share=0.25))
@@ -653,8 +681,8 @@ class TestOneBranchPath:
         assert len(built) == 1
         prefix, *groups = stepped
         assert [group.runs for group in groups] == [
-            [(3, (0, None))],
-            [(3, (6, STRATEGY_TABLE["Social"])), (3, (6, STRATEGY_TABLE["Selfish"]))],
+            [(3, 5.0, (0, None))],
+            [(3, 5.0, (6, STRATEGY_TABLE["Social"])), (3, 5.0, (6, STRATEGY_TABLE["Selfish"]))],
         ]
 
     def test_groups_own_their_mutable_state(self, monkeypatch):
@@ -770,6 +798,25 @@ class TestFleetMemo:
         # Each seed's run alone asks for its own counts; the shared memo asks once for both.
         counts = {r[-1].q_hdv_a for r in state.records}
         assert sorted(asked) == sorted(counts)
+
+    def test_spread_rows_of_a_fleet_share_one_memo(self, monkeypatch):
+        configs = [dataclasses.replace(MEMO_CONFIG, taste_spread=spread) for spread in (0.5, 5.0)]
+        asked = []
+        real = engine.fleet_optimize
+
+        def counting(weights, q_hdv_a, *args):
+            asked.append(q_hdv_a)
+            return real(weights, q_hdv_a, *args)
+
+        monkeypatch.setattr(engine, "fleet_optimize", counting)
+        logs = list(run_branches(configs))
+        together, asked[:] = list(asked), []
+        for config in configs:
+            list(run_branches([config]))
+        # One memo for both rows: one call per human count of either run, none twice.
+        counts = {r.q_hdv_a for log in logs for r in log.records if r.day > MEMO_CONFIG.m_day}
+        assert sorted(together) == sorted(counts)
+        assert len(together) <= len(asked)
 
     def test_every_branch_starts_from_its_own_empty_memo(self, monkeypatch):
         # Every group takes new memos at the hand-over, one per fleet, never the prefix's.

@@ -307,6 +307,16 @@ class TestRunExperiment:
         dealt = [[c.cav_share for c in task] for task in _tasks(configs, 2)]
         assert dealt == [[0.0, 0.0, 0.2, 0.2, 0.4, 0.4], [0.1, 0.1, 0.3, 0.3]]
 
+    def test_taste_spreads_share_a_task(self, tmp_path):
+        doc = dict(FAST, beta=[0.5, 2.0, 50.0], cav_share=[0.1, 0.4], congestion=[0.5, 1.0], seeds=[1, 2])
+        configs = load_config(write_config(tmp_path, doc)).run_points()
+        tasks = _tasks(configs, 1)
+        assert [len(task) for task in tasks] == [12, 12]
+        assert all(len({c.congestion for c in task}) == 1 for task in tasks)
+        # Two groups, four jobs: each group is dealt by share, all its spreads together.
+        for task in _tasks(configs, 4):
+            assert len(task) == 6 and {c.taste_spread for c in task} == {0.5, 2.0, 50.0}
+
     def test_daily_file_names_hash_every_field_but_the_seed(self, tmp_path):
         network = {
             "route_a": {"free_flow_time": 3, "capacity": 100, "exponent": 2},
@@ -694,12 +704,13 @@ class TestTinyCapacity:
 
 
 # Tastes near 1e307 overflow the survivors' perceived-time sum on day 1, in
-# the second of two groups.  (A network whose travel time overflows is a
-# config error: see TestTinyCapacity.)
+# the second row of the one lockstep group, which --jobs 2 deals to two
+# workers, one per share.  (A network whose travel time overflows is a config
+# error: see TestTinyCapacity.)
 OVERFLOWING = {
     "base_population": 1000,
     "phase_lengths": [5, 5, 5, 5],
-    "cav_share": 0.2,
+    "cav_share": [0.2, 0.4],
     "beta": [5.0, 1e307],
     "seeds": [1],
 }
@@ -714,7 +725,7 @@ class TestNonFiniteOutputs:
     def test_run_experiment_names_the_failing_point(self, tmp_path, jobs):
         spec = load_config(write_config(tmp_path, OVERFLOWING))
         spec.out_dir = tmp_path / "out"
-        assert len(_tasks(spec.run_points(), jobs)) == 2  # with jobs=2 the failure is in a worker
+        assert len(_tasks(spec.run_points(), jobs)) == jobs  # with jobs=2 the failure is in a worker
         with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: non-finite value on day 1")):
             run_experiment(spec, jobs=jobs)
         assert not (spec.out_dir / "summary.csv").exists()
@@ -733,21 +744,36 @@ class TestNonFiniteOutputs:
         with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: u_b is inf")):
             replicate_and_test(config, "tau", config, "tau_b", seeds=[1, 2])
 
-    def test_cli_exits_two_naming_the_point(self, tmp_path):
+    def sweep_overflowing(self, tmp_path, warnings, jobs):
+        """Exit status and standard error of the OVERFLOWING sweep run by the CLI."""
         config = write_config(tmp_path, OVERFLOWING)
         src = str(Path(bottlesim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = tmp_path / "out"
         entry = "import sys; from bottlesim.expcli import main; sys.exit(main(sys.argv[1:]))"
         proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", entry, "sweep", str(config), "--out", str(out),
-             "--jobs", "2"],
+            [sys.executable, "-W", warnings, "-c", entry, "sweep", str(config), "--out", str(out),
+             "--jobs", str(jobs)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == 2
-        assert FAILING_POINT in proc.stderr
-        assert "Traceback" not in proc.stderr
         assert not (out / "summary.csv").exists()
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stderr
+
+    def test_cli_exits_two_naming_the_point(self, tmp_path):
+        # The overflow makes an inf that the failing run's output check finds.
+        status, stderr = self.sweep_overflowing(tmp_path, "ignore", 2)
+        assert status == 2
+        assert FAILING_POINT in stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cli_names_the_point_when_warnings_are_errors(self, tmp_path, jobs):
+        # The overflow raises while both spreads' rows step, as the first run's
+        # log is awaited; the runs are then made one by one to name the failing one.
+        status, stderr = self.sweep_overflowing(tmp_path, "error::RuntimeWarning", jobs)
+        assert status == 2
+        assert f"{FAILING_POINT} failed: overflow encountered in reduce" in stderr
+        assert "beta=5.0" not in stderr
 
 
 def _huge_network(time_a, time_b):

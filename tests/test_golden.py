@@ -26,6 +26,8 @@ EXPERIMENTS = {
     },
     "congestion_2.6": {"strategy": "Selfish", "cav_share": 0.1, "congestion": 2.6, "seeds": [1]},
     "beta_1000": {"strategy": "Selfish", "cav_share": 0.1, "beta": 1000.0, "seeds": [1]},
+    # Several taste spreads, fleet shares and seeds in one sweep.
+    "beta_mix": {"strategy": "Selfish", "cav_share": [0.1, 0.4], "beta": [0.01, 5.0, 1000.0], "seeds": [1, 2]},
 }
 
 
