@@ -28,30 +28,34 @@ coin first, route coin second).  Day 1 consumes the exploration coin
 too, even though it is ignored, so later days never depend on day-1
 semantics.  Fleet vehicles consume no randomness at all.
 
-``run_branches`` steps runs that differ in seed, taste_spread, strategy
-and cav_share in lockstep, as rows of (R, n) arrays: a row per (seed,
-taste_spread) pair until the hand-over, as days 1..m_day have no fleet,
-then a row per distinct run, grouped by survivor count.  taste_spread
-only scales a row's tastes at set-up, so it is a per-row constant that
-no day reads.  Rows in the same generator state (the runs of one seed,
-whatever their spread) share one draw, every kernel is elementwise or
-reduces each row on its own, and no state is forked, so every run equals
-its config run alone, bit for bit; ``run_scenario`` is the one-run case.
-Configs with equal (or empty) fleets are the same run.  After the
-hand-over a fleet's decision depends on q_hdv_a alone, whatever the seed
-and spread: the rows of a fleet share one exact memo of it.
+``run_branches`` steps runs that differ in seed, taste_spread, population
+(congestion and base_population), strategy and cav_share in lockstep, as
+rows on one flat driver axis: a row per (seed, taste_spread, population)
+until the hand-over, as days 1..m_day have no fleet, then a row per
+distinct run holding its survivors.  Rows of equal length lie end to end
+as a (rows, n) block, whatever their population, and the rows of a
+(seed, population) and length share its generator and its draws.
+taste_spread only scales a row's tastes at set-up, so it is a per-row
+constant that no day reads.  Every elementwise kernel runs once a day
+over the whole axis; only the draws, the per-row counts, the time
+columns and the perceived sums go row by row or block by block.  No
+state is forked, so every run equals its config run alone, bit for bit;
+``run_scenario`` is the one-run case.  Configs with equal (or empty)
+fleets are the same run.  After the hand-over a fleet's decision depends
+on q_hdv_a and the survivor count alone, whatever the seed, spread and
+population: the rows of a fleet in a block share one exact memo of it.
 
-Tastes and estimates are (2, R, n) arrays with the route axis first (A,
+Tastes and estimates are (2, width) arrays with the route axis first (A,
 then B).  A day allocates no N-sized float array: its draw buffer holds
-two doubles per driver-row, each generator's coins at the front, and
-once the coins are compared it is the day's (2, R, n) scratch for the
-utilities, the learning candidates and the perceived times.  Every
-float select is ``np.where(mask, x, y)`` written as y ^ ((x ^ y) * mask)
-on int64 views of the bits: no branch to mispredict on the random route
-mask, and no float operation, so the selected bits are np.where's.  The
-arithmetic keeps its operands and their order -- (1 - alpha) * est +
-alpha * t, t + taste, and the tastes' mu - s * log(-log u) -- so the
-outputs are those of plain np.where kernels, byte for byte.
+two doubles per driver-row, each driver's two coins, and once the coins
+are compared it is the day's (2, width) scratch for the utilities, the
+learning candidates and the perceived times.  Every float select is
+``np.where(mask, x, y)`` written as y ^ ((x ^ y) * mask) on int64 views
+of the bits: no branch to mispredict on the random route mask, and no
+float operation, so the selected bits are np.where's.  The arithmetic
+keeps its operands and their order -- (1 - alpha) * est + alpha * t,
+t + taste, and the tastes' mu - s * log(-log u) -- so the outputs are
+those of plain np.where kernels, byte for byte.
 """
 
 from __future__ import annotations
@@ -207,58 +211,78 @@ class SimulationLog:
     records: list[DayRecord]
 
 
-class SimulationState:
-    """Mutable state of runs stepped in lockstep: driver arrays of R rows, generators, day counter.
+class Block(NamedTuple):
+    """Rows of one length ``n``, laid end to end on the state's flat driver axis.
 
-    ``SimulationState(config)`` is one run, the R=1 case.  More configs may
-    differ in seed, taste_spread, strategy and cav_share: until the
-    hand-over there is one row per (seed, taste_spread) pair, the rows of a
-    seed drawing from its one generator, and ``records`` holds a log per
-    row and survivor count, row-major.  ``step_day`` hands the fleet over
-    before day ``m_day + 1``; from then on each distinct run is a row
-    holding only its survivors, with one log, so the configs must share a
-    survivor count.
+    Row ``first + i`` holds the flat driver indices from ``start + i * n``
+    up to ``start + (i + 1) * n``; the block ends at ``stop``.  Each row
+    logs the perceived mean over its first c drivers for each survivor
+    count c in ``counts``.
+    """
+
+    first: int
+    rows: int
+    start: int
+    stop: int
+    n: int
+    counts: tuple[int, ...]
+
+
+class SimulationState:
+    """Mutable state of runs stepped in lockstep: driver arrays on one flat axis, generators, day counter.
+
+    ``SimulationState(config)`` is one run, the one-row case.  More configs
+    may differ in seed, taste_spread, population, strategy and cav_share.
+    Until the hand-over ``rows`` holds each distinct (seed, taste_spread,
+    population), and ``records`` a log per row and survivor count of its
+    population, row-major.  ``step_day`` hands the fleet over before day
+    ``m_day + 1``; from then on ``rows`` holds each distinct run, as
+    ``_run_key`` gives it, holding only its survivors, with one log.  Rows
+    of equal length form a ``Block``, whatever their population.  The rows
+    of a (seed, population) and length draw alike, so they share one
+    generator in ``rngs`` and its draws.
     """
 
     def __init__(self, *configs: ScenarioConfig) -> None:
         config = configs[0]
         if any(prefix_key(c) != prefix_key(config) for c in configs[1:]):
             raise ValueError(
-                "configs stepped together may differ only in seed, taste_spread, strategy and cav_share"
+                "configs stepped together may differ only in seed, taste_spread, congestion, "
+                "base_population, strategy and cav_share"
             )
         self.configs = configs
-        self.seeds = list(dict.fromkeys(c.seed for c in configs))
-        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        self.rows = list(dict.fromkeys((c.seed, c.taste_spread) for c in configs))
-        self.row_rng = np.array([self.seeds.index(seed) for seed, _ in self.rows])  # each row's generator
+        counts: dict[int, dict[int, None]] = {}  # the survivor counts of each population
+        for c in configs:
+            counts.setdefault(c.total_population, {})[c.survivor_count] = None
+        self._lay_out(
+            list(dict.fromkeys(map(_row_key, configs))), operator.itemgetter(2),
+            lambda key: np.random.default_rng(key[0]), lambda n: tuple(counts[n]),
+        )
         self.fleets = [(0, None)] * len(self.rows)  # each row's (fleet size, weights)
-        total = config.total_population
 
-        self._drivers(total)  # the draw buffer takes the taste draws first
-        draws = self.draws.reshape(len(self.rows), total, 2)
-        u = draws[:len(self.rngs)]  # each generator's draws, shared by its rows
-        for rng, out in zip(self.rngs, u):
-            rng.random(out=out)
-        # random() can return exactly 0.0, outside the open interval the
-        # inverse-CDF transform needs; nudge to the smallest positive double.
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        # mu - spread * log(-log(u)), in place: zero-mean Gumbel tastes (Euler-Mascheroni).
-        np.log(u, out=u)
-        np.negative(u, out=u)
-        np.log(u, out=u)
-        # A row's generator comes no later than the row, so from the last row
-        # back each row reads its generator's log(-log(u)) before it is overwritten.
-        for row in reversed(range(len(self.rows))):
-            spread = self.rows[row][1]
-            np.multiply(spread, u[self.row_rng[row]], out=draws[row])
-            np.subtract(-spread * 0.5772156649015329, draws[row], out=draws[row])
-        self.tastes = draws.transpose(2, 0, 1).copy()  # (route, row, driver)
+        # The draw buffer takes the taste draws first: (route A, route B) per driver.
+        self.draws = np.empty((2, self.width))
+        pairs = self.draws.reshape(-1, 2)
+        for rng, cut in self.draw_into:
+            u = pairs[cut]
+            rng.random(out=u)
+            # random() can return exactly 0.0, outside the open interval the
+            # inverse-CDF transform needs; nudge to the smallest positive double.
+            u[u == 0.0] = np.nextafter(0.0, 1.0)
+            # mu - spread * log(-log(u)), in place: zero-mean Gumbel tastes (Euler-Mascheroni).
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+        for source, cut in self.copies:  # the other rows of a generator take its log(-log(u))
+            pairs[cut] = pairs[source]
+        for (_, spread, _), cut in zip(self.rows, self.spans):
+            np.multiply(spread, pairs[cut], out=pairs[cut])
+            np.subtract(-spread * 0.5772156649015329, pairs[cut], out=pairs[cut])
+        self.tastes = pairs.T.copy()  # (route, flat driver)
         self.estimates = np.empty_like(self.tastes)
         self.estimates[0] = config.network.route_a.free_flow_time
         self.estimates[1] = config.network.route_b.free_flow_time
-        self.last_route = np.zeros(self.tastes.shape[1:], dtype=bool)  # True = route B, from day 1 on
-        # The survivor counts whose perceived mean each row logs.
-        self.counts = tuple(dict.fromkeys(c.survivor_count for c in configs))
+        self.last_route = np.zeros(self.width, dtype=bool)  # True = route B, from day 1 on
         self.memos: list[dict[int, FleetDecision]] | None = None  # set at the hand-over
 
         # Run constants, read once here rather than through the config's
@@ -272,59 +296,87 @@ class SimulationState:
         self.explore_rate = config.explore_rate
 
         self.day = 1  # next day to simulate
-        self.records: list[list[DayRecord]] = [[] for _ in self.rows for _ in self.counts]
+        self.records: list[list[DayRecord]] = [
+            [] for block in self.blocks for _ in range(block.rows) for _ in block.counts
+        ]
 
-    def _drivers(self, n: int) -> None:
-        """Set the acting drivers per row, and the day's draw buffer: 2 doubles per driver-row.
+    def _lay_out(self, rows: list[tuple], length, generator, counts) -> None:
+        """Lay ``rows`` out on the flat driver axis, in blocks of equal ``length(row)``.
 
-        Each generator fills its (n, 2) coins at the front; once they are
-        compared, ``step_day`` uses the whole buffer as (2, R, n) scratch.
-        Views of it are taken each day, so a copy of the state keeps none.
+        Blocks, and the rows in each, keep their first-seen order.  Sets
+        ``rows``, ``blocks``, ``spans`` (each row's slice of the axis) and
+        ``width``.  ``rngs`` maps each (seed, population, length) of the rows
+        to ``generator`` of it, which draws into the span of its first row
+        (``draw_into``); its other rows copy those draws (``copies``).  A
+        block logs ``counts(length)``.
         """
-        self.n = n
-        self.draws = np.empty((2, len(self.fleets), n))
+        self.rows, self.blocks, self.spans, start = [], [], [], 0
+        self.rngs, self.copies, sources = {}, [], {}
+        for n, members in group_by(rows, length).items():
+            self.blocks.append(Block(len(self.rows), len(members), start, start + len(members) * n, n, counts(n)))
+            self.rows += members
+            for seed, _, population, *_ in members:
+                cut = slice(start, start + n)
+                self.spans.append(cut)
+                start += n
+                key = seed, population, n
+                if key in sources:
+                    self.copies.append((sources[key], cut))
+                else:
+                    self.rngs[key], sources[key] = generator(key), cut
+        self.width = start  # driver-rows
+        self.draw_into = [(self.rngs[key], cut) for key, cut in sources.items()]
 
-    def _hand_over(self, configs: Sequence[ScenarioConfig]) -> None:
-        """Continue as the distinct runs of ``configs``, which share one survivor count.
+    def _hand_over(self) -> None:
+        """Continue as the distinct runs of the configs, a row each, in blocks by survivor count.
 
-        Each run becomes a row: contiguous copies of its (seed, spread)
-        row's survivors and of its log for that count.  The runs of a seed
-        share one copy of its generator, as they draw alike from here on,
-        and the runs of a fleet one empty memo, as its decisions ignore the
-        seed and the spread.
+        Each run's row is a copy of its prefix row's survivors, and its log a
+        copy of that row's log for the count.  The runs of a (seed,
+        population) and survivor count share one copy of its generator, as
+        they draw alike from here on, and the runs of a fleet and survivor
+        count one empty memo, as its decisions depend on q_hdv_a alone.
         """
-        count = configs[0].survivor_count
-        if any(c.survivor_count != count for c in configs):
-            raise RuntimeError("runs stepped together past the hand-over need equal survivor counts")
-        self.runs = list(dict.fromkeys(map(_run_key, configs)))
-        rows = [self.rows.index((seed, spread)) for seed, spread, _ in self.runs]
-        log = self.counts.index(count)
-        self.records = [list(self.records[row * len(self.counts) + log]) for row in rows]
-        seeds = list(dict.fromkeys(seed for seed, _, _ in self.runs))
-        self.rngs = [copy.deepcopy(self.rngs[self.seeds.index(seed)]) for seed in seeds]
-        self.seeds, self.row_rng = seeds, np.array([seeds.index(seed) for seed, _, _ in self.runs])
-        self.rows = [(seed, spread) for seed, spread, _ in self.runs]
+        starts = {row: cut.start for row, cut in zip(self.rows, self.spans)}
+        records = iter(self.records)
+        logs = {(row, count): next(records) for block in self.blocks
+                for row in self.rows[block.first:block.first + block.rows] for count in block.counts}
+        generators = self.rngs
+        self._lay_out(
+            list(dict.fromkeys(map(_run_key, self.configs))), _survivors,
+            lambda key: copy.deepcopy(generators[key[0], key[1], key[1]]), lambda n: (n,),
+        )
+        self.records = [list(logs[run[:3], _survivors(run)]) for run in self.rows]
+        segments = [(starts[run[:3]], _survivors(run)) for run in self.rows]
+
+        def gather(array: np.ndarray) -> np.ndarray:
+            return np.concatenate([array[..., s:s + n] for s, n in segments], axis=-1)
+
         # One array at a time, each replacing the prefix's, whose draw buffer goes
         # first: at N=10^5 this is the run's memory peak when the prefix is done.
         self.draws = None
-        self.tastes = self.tastes[:, rows, :count]
-        self.estimates = self.estimates[:, rows, :count]
-        self.last_route = self.last_route[rows, :count]
-        self.counts = (count,)
-        self.fleets = [fleet for _, _, fleet in self.runs]
-        self._drivers(count)
-        memos = {fleet: {} for fleet in self.fleets}
-        self.memos = [memos[fleet] for fleet in self.fleets]
+        self.tastes = gather(self.tastes)
+        self.estimates = gather(self.estimates)
+        self.last_route = gather(self.last_route)
+        self.draws = np.empty((2, self.width))
+        self.fleets = [fleet for *_, fleet in self.rows]
+        memos: dict[tuple, dict[int, FleetDecision]] = {}
+        self.memos = [memos.setdefault((_survivors(run), run[3]), {}) for run in self.rows]
 
 
-# Configs with equal survivor counts step as one group after the hand-over.
-SURVIVORS = operator.attrgetter("survivor_count")
+def _row_key(config: ScenarioConfig) -> tuple:
+    """(seed, taste_spread, population): the configs that share a row until the hand-over."""
+    return config.seed, config.taste_spread, config.total_population
 
 
 def _run_key(config: ScenarioConfig) -> tuple:
-    """(seed, taste_spread, (fleet size, weights)); equal fleets, or none at all, make the same run."""
+    """``_row_key`` and (fleet size, weights); equal fleets, or none at all, make the same run."""
     size = config.fleet_size
-    return config.seed, config.taste_spread, (size, STRATEGY_TABLE[config.strategy] if size else None)
+    return (*_row_key(config), (size, STRATEGY_TABLE[config.strategy] if size else None))
+
+
+def _survivors(run: tuple) -> int:
+    """The survivor count of a ``_run_key``."""
+    return run[2] - run[3][0]
 
 
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -350,38 +402,38 @@ def step_day(state: SimulationState) -> list[DayRecord]:
     if day > state.total_days:
         raise RuntimeError(f"run is complete after day {state.total_days}")
     if day == state.m_day + 1 and state.memos is None:
-        state._hand_over(state.configs)
+        state._hand_over()
 
     # Two draws per driver, exploration coin then route coin, id order, each
-    # generator's (n, 2) at the front of the buffer; on day 1 every driver explores.
-    rows, n, draws = len(state.fleets), state.n, state.draws
-    coins = draws.reshape(rows, n, 2)[:len(state.rngs)]
-    for rng, out in zip(state.rngs, coins):
-        rng.random(out=out)
-    explore = coins[..., 0] < (state.explore_rate if day > 1 else 1.0)
-    on_b = coins[..., 1] >= 0.5  # the day's single route mask: True = route B
-    if len(coins) < rows:  # the rows of one seed share its draws
-        explore, on_b = explore[state.row_rng], on_b[state.row_rng]
-    # The coins are read: the buffer is the day's (2, R, n) scratch from here on.
-    scratch, tastes, estimates = draws, state.tastes, state.estimates
+    # generator's into the span of its first row, which its other rows copy.
+    pairs = state.draws.reshape(-1, 2)
+    for rng, cut in state.draw_into:
+        rng.random(out=pairs[cut])
+    for source, cut in state.copies:
+        pairs[cut] = pairs[source]
+    # taken[r] holds the drivers on route r, and taken[2] the explorers.
+    taken = np.empty((3, state.width), dtype=bool)
+    explore = np.less(pairs[:, 0], state.explore_rate if day > 1 else 1.0, taken[2])  # day 1: all explore
+    on_b = np.greater_equal(pairs[:, 1], 0.5, taken[1])  # the day's single route mask: True = route B
+    # The coins are read: the buffer is the day's (2, width) scratch from here on.
+    scratch, tastes, estimates = state.draws, state.tastes, state.estimates
     np.subtract(tastes, estimates, scratch)
-    # taken[r] holds the drivers on route r: taken[1] = np.where(explore, on_b, greedy_b).
-    taken = np.empty((2, rows, n), dtype=bool)
+    # on_b = np.where(explore, on_b, greedy_b)
     greedy_b = np.less(scratch[0], scratch[1], taken[0])  # ties go to A
-    on_b = np.bitwise_xor(on_b, greedy_b, taken[1])
+    on_b ^= greedy_b
     on_b &= explore
     on_b ^= greedy_b
     np.logical_not(on_b, taken[0])
 
-    network, alpha = state.network, state.learning_rate
+    network, alpha, fleets, memos = state.network, state.learning_rate, state.fleets, state.memos
     # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
     days, columns = [], []
-    for row in range(len(on_b)):
-        q_hdv_b = int(np.count_nonzero(on_b[row]))
-        q_hdv_a = n - q_hdv_b
-        fleet_size, weights = state.fleets[row]
+    for row, cut in enumerate(state.spans):
+        q_hdv_b = int(np.count_nonzero(on_b[cut]))
+        q_hdv_a = cut.stop - cut.start - q_hdv_b
+        fleet_size, weights = fleets[row]
         if fleet_size:
-            memo = state.memos[row]
+            memo = memos[row]
             decision = memo.get(q_hdv_a)
             if decision is None:
                 decision = memo[q_hdv_a] = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, network)
@@ -394,19 +446,28 @@ def step_day(state: SimulationState) -> list[DayRecord]:
 
     # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
     columns = np.array([columns]).T
+    # Per block: its (2, rows, n) views of the scratch and tastes, and its rows' columns.
+    views = [
+        (scratch[:, b.start:b.stop].reshape(2, b.rows, b.n), tastes[:, b.start:b.stop].reshape(2, b.rows, b.n),
+         columns[:, b.first:b.first + b.rows])
+        for b in state.blocks
+    ]
     bits, est_bits = scratch.view(np.int64), estimates.view(np.int64)
     # The estimate of the route taken moves to (1 - alpha) * est + alpha * t.
     np.multiply(state.keep, estimates, scratch)
-    scratch += columns[2:]
-    _select(taken, bits, est_bits)
+    for block_scratch, _, block_columns in views:
+        block_scratch += block_columns[2:]
+    _select(taken[:2], bits, est_bits)
     state.last_route = on_b
 
     # Perceived time, t + taste, of the route taken: into the route-A half.
-    np.add(columns[:2], tastes, scratch)
+    for block_scratch, block_tastes, block_columns in views:
+        np.add(block_columns[:2], block_tastes, block_scratch)
     _select(on_b, bits[1], bits[0])
-    perceived = scratch[0]
 
-    stats = day_statistics(perceived, state.counts, days)
+    stats = []
+    for block, (block_scratch, _, _) in zip(state.blocks, views):
+        stats += day_statistics(block_scratch[0], block.counts, days[block.first:block.first + block.rows])
     records = [
         DayRecord(day, *values, mean_hdv, mean_perceived, mean_cav)
         for values, (mean_hdv, means, mean_cav) in zip(days, stats)
@@ -427,41 +488,87 @@ def group_by(configs: Iterable[ScenarioConfig], key) -> dict:
 
 
 def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` without its seed, taste_spread and fleet knobs: runs with equal keys step together."""
-    return dataclasses.replace(config, seed=0, taste_spread=1.0, strategy=STRATEGY_NAMES[0], cav_share=0.0)
+    """``config`` without the knobs that may differ between runs stepped together.
+
+    Those are the seed, taste_spread, population (congestion and
+    base_population) and fleet: runs with equal keys step together.
+    """
+    return dataclasses.replace(
+        config, seed=0, taste_spread=1.0, congestion=1.0, base_population=1,
+        strategy=STRATEGY_NAMES[0], cav_share=0.0,
+    )
+
+
+def _driver_rows(configs: Sequence[ScenarioConfig]) -> tuple[int, int]:
+    """Driver-rows of ``configs`` stepped as one state: before and after the hand-over."""
+    before = sum(population for _, _, population in dict.fromkeys(map(_row_key, configs)))
+    after = sum(map(_survivors, dict.fromkeys(map(_run_key, configs))))
+    return before, after
+
+
+def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
+    """Driver-row-days of stepping ``configs`` as one state: the work that grows with its arrays."""
+    if not configs:
+        return 0
+    shared = min(configs[0].m_day, configs[0].total_days)
+    before, after = _driver_rows(configs)
+    return before * shared + after * (configs[0].total_days - shared)
+
+
+# The most driver-rows one state holds.  A day's time per driver-row falls
+# as the state grows, while numpy's per-call cost is shared by more rows, and
+# stops falling at about this size: rows of 1,000 drivers took 33 ns per
+# driver-row-day at 7,200 driver-rows, 25-26 ns at 21,600-28,800 and no less
+# beyond, and rows of 250 took 37-40 ns from 14,400 to 57,600 (2-vCPU Xeon,
+# 2 MB L2, numpy 2.4.6).  A larger state saves no time, only holds more memory.
+MAX_DRIVER_ROWS = 2**15
+
+
+def _states(configs: list[ScenarioConfig]) -> list[list[ScenarioConfig]]:
+    """``configs`` cut into the configs of states of at most MAX_DRIVER_ROWS driver-rows.
+
+    A state takes the configs of whole prefix rows, in first-seen order; a
+    row larger than the cap is a state of its own.
+    """
+    states, size = [], MAX_DRIVER_ROWS
+    for members in group_by(configs, _row_key).values():
+        rows = max(_driver_rows(members))
+        if size + rows > MAX_DRIVER_ROWS:
+            states.append([])
+            size = 0
+        states[-1] += members
+        size += rows
+    return states
+
+
+def _run_state(configs: list[ScenarioConfig]) -> dict[tuple, list[DayRecord]]:
+    """Step ``configs`` as one state to the last day: the records of each distinct run."""
+    state = SimulationState(*configs)
+    while state.day <= state.total_days:
+        step_day(state)
+    if state.memos is None:  # a hand-over past the last day: each run takes its prefix log
+        state._hand_over()
+    return dict(zip(state.rows, state.records))
 
 
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """Run configs that differ only in seed, taste_spread, strategy and cav_share; yield their logs in order.
+    """Run configs that differ only in seed, taste_spread, population and fleet; yield their logs in order.
 
-    Days 1..m_day are stepped once, a row per (seed, taste_spread) pair.
-    At the hand-over the distinct runs are grouped by survivor count, and
-    each group steps its rows to the last day, so every log equals the one
-    its config gives alone; a repeated run's configs get copies of its
-    record list.  Each log owns its list and is complete when it is yielded.
+    The configs step as states of at most ``MAX_DRIVER_ROWS`` driver-rows
+    (see ``_states``).  In a state, days 1..m_day are stepped once, a row
+    per (seed, taste_spread, population), then a row per distinct run,
+    so every log equals the one its config gives alone; a repeated run's
+    configs get copies of its record list.  Each log owns its list and is
+    complete when it is yielded.
     """
     configs = list(configs)
-    if not configs:
-        return
-    state = SimulationState(*configs)
-    while state.day <= min(state.m_day, state.total_days):
-        step_day(state)
-    groups = group_by(configs, SURVIVORS)
     runs = [_run_key(c) for c in configs]
     last_use = {run: i for i, run in enumerate(runs)}
+    states = iter(_states(configs))
     finished: dict[tuple, list[DayRecord]] = {}  # records of each run simulated so far
     for i, (config, run) in enumerate(zip(configs, runs)):
-        if run not in finished:
-            group, members = copy.copy(state), groups.pop(config.survivor_count)
-            if not groups:
-                state = None  # the last group: the prefix arrays go before its days
-            group._hand_over(members)
-            while group.day <= group.total_days:
-                step_day(group)
-            finished.update(zip(group.runs, group.records))
-            # Drop the group's arrays before the caller evaluates the log: at
-            # N=10^5 they would add to the peak memory of the metrics' fleet curve.
-            del group
+        while run not in finished:
+            finished.update(_run_state(next(states)))
         records = finished.pop(run) if last_use[run] == i else list(finished[run])
         yield SimulationLog(config=config, records=records)
 

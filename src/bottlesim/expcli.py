@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,8 +35,8 @@ from .engine import (
     DayRecord,
     ScenarioConfig,
     SimulationLog,
-    SURVIVORS,
     _is_int,
+    driver_row_days,
     group_by,
     prefix_key,
     run_branches,
@@ -288,8 +289,29 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
+def _float_cells(values) -> list[str]:
+    """``_fmt`` of each value of a float column, each distinct nonzero float formatted once.
+
+    A run's float columns repeat most of their values.  Zero and None are
+    formatted each time: 0.0 and -0.0 are equal keys with different text.
+    """
+    memo: dict[float, str] = {}
+    cells = []
+    for value in values:
+        if not value:
+            cells.append(_fmt(value))
+            continue
+        cell = memo.get(value)
+        if cell is None:
+            cell = memo[value] = repr(value)
+        cells.append(cell)
+    return cells
+
+
 def _daily_rows(records: list[DayRecord]) -> list[str]:
-    return [",".join(map(_fmt, rec)) for rec in records]
+    """The CSV rows of ``records``: the day and the four counts by ``str``, the rest by ``_float_cells``."""
+    columns = list(zip(*records))
+    return list(map(",".join, zip(*[map(str, column) for column in columns[:5]], *map(_float_cells, columns[5:]))))
 
 
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
@@ -386,20 +408,36 @@ def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
 def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig]]:
     """The configs grouped by shared human-only days, one task per group.
 
-    With fewer groups than jobs, each group is dealt round-robin into
-    enough chunks to occupy every job, by whole survivor-count blocks, so
-    the runs that step in lockstep after the hand-over stay together;
-    each chunk repeats the shared days.
+    With fewer groups than jobs, each group is split into enough chunks to
+    occupy every job (see ``_split``); each chunk repeats the shared days
+    of its populations.
     """
     tasks = list(group_by(configs, prefix_key).values())
     if 0 < len(tasks) < jobs:
         parts = -(-jobs // len(tasks))
-        chunks = []
-        for group in tasks:
-            blocks = list(group_by(group, SURVIVORS).values())
-            chunks += [sum(blocks[i::parts], []) for i in range(min(parts, len(blocks)))]
-        tasks = chunks
+        tasks = [chunk for group in tasks for chunk in _split(group, parts)]
     return tasks
+
+
+def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]]:
+    """``group`` in up to ``parts`` chunks of about equal driver-row-days, each in the group's order.
+
+    The group is cut into whole blocks: one per population, or one per
+    population and survivor count when there are fewer populations than
+    parts, so the runs of a block still step as the rows of one array.
+    Largest first, each block joins the chunk with the fewest
+    driver-row-days so far.
+    """
+    block_of = operator.attrgetter("total_population")
+    if len(group_by(group, block_of)) < parts:
+        block_of = operator.attrgetter("total_population", "survivor_count")
+    blocks = group_by(group, block_of)
+    loads: list[list[ScenarioConfig]] = [[] for _ in range(min(parts, len(blocks)))]
+    chunk_of = {}
+    for key in sorted(blocks, key=lambda key: driver_row_days(blocks[key]), reverse=True):
+        chunk_of[key] = least = min(range(len(loads)), key=lambda i: driver_row_days(loads[i]))
+        loads[least] += blocks[key]
+    return [[c for c in group if chunk_of[block_of(c)] == i] for i in range(len(loads))]
 
 
 def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
@@ -434,12 +472,12 @@ def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     """Execute every run of the spec and write its output files.
 
-    Runs that differ only in seed, beta (taste_spread), strategy and
-    cav_share share their human-only days and step in lockstep (see
-    ``engine.run_branches``); each such group is a task.  With jobs > 1
-    (default: the machine's CPU count) a process pool hands out those
-    groups, and its workers also format the daily CSVs; outputs do not
-    depend on the execution order.  Returns the summary rows.
+    Runs that differ only in seed, beta (taste_spread), congestion,
+    strategy and cav_share share their human-only days and step in
+    lockstep (see ``engine.run_branches``); each such group is a task.
+    With jobs > 1 (default: the machine's CPU count) a process pool hands
+    out those groups, and its workers also format the daily CSVs; outputs
+    do not depend on the execution order.  Returns the summary rows.
     """
     configs = spec.run_points()
     if jobs is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -118,11 +118,25 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     return decision.cav_on_a, decision.objective_value / q_total
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added one at a time, left to right.
+
+    Python 3.12's ``sum`` of floats is compensated, so its last bits may
+    differ from those of 3.10 and 3.11, which add left to right.  Every
+    reported mean sums through this function, so outputs are byte-stable
+    across versions: ``[1e16, 1.0, -1e16]`` sums to 0.0.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _mean(values: list) -> float | None:
     """Mean of per-day values; None for an empty window or an absent day."""
     if not values or any(v is None for v in values):
         return None
-    return sum(values) / len(values)
+    return sequential_sum(values) / len(values)
 
 
 def _flow_mean(q_a: int, q_b: int, t_a: float, t_b: float) -> float | None:
@@ -209,8 +223,8 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTest
     if n < 2:
         raise ValueError(f"need at least 2 pairs, got {n}")
     d = [a - b for a, b in zip(sample_a, sample_b)]
-    mean_d = sum(d) / n
-    var_d = sum((x - mean_d) ** 2 for x in d) / (n - 1)
+    mean_d = sequential_sum(d) / n
+    var_d = sequential_sum((x - mean_d) ** 2 for x in d) / (n - 1)
     df = n - 1
     if var_d == 0.0:
         return TTestResult(

@@ -150,16 +150,12 @@ def logit_probability(t_a_hat: float, t_b_hat: float, taste_spread: float) -> fl
 
 def agent_snapshot(state: SimulationState, agent_id: int, row: int = 0) -> HumanAgent:
     """Snapshot of one driver's stored state in one row of the engine's arrays."""
+    block = next(b for b in state.blocks if b.first <= row < b.first + b.rows)
+    i = block.start + (row - block.first) * block.n + agent_id  # the driver's flat index
     return HumanAgent(
         id=agent_id,
-        tastes=TasteProfile(
-            eps_a=float(state.tastes[0, row, agent_id]),
-            eps_b=float(state.tastes[1, row, agent_id]),
-        ),
-        estimates=EstimateVector(
-            t_a_hat=float(state.estimates[0, row, agent_id]),
-            t_b_hat=float(state.estimates[1, row, agent_id]),
-        ),
+        tastes=TasteProfile(eps_a=float(state.tastes[0, i]), eps_b=float(state.tastes[1, i])),
+        estimates=EstimateVector(t_a_hat=float(state.estimates[0, i]), t_b_hat=float(state.estimates[1, i])),
         # No route is committed before day 1.
-        last_route=None if state.day == 1 else (ROUTE_B if state.last_route[row, agent_id] else ROUTE_A),
+        last_route=None if state.day == 1 else (ROUTE_B if state.last_route[i] else ROUTE_A),
     )

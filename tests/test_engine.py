@@ -167,7 +167,7 @@ class TestScenarioConfig:
 class TestInitSimulation:
     def test_population_starts_at_free_flow_knowledge(self):
         state = SimulationState(ScenarioConfig(seed=4))
-        assert state.n == 1000 and state.day == 1
+        assert [block.n for block in state.blocks] == [1000] and state.day == 1
         agent = agent_snapshot(state, 0)
         assert (agent.estimates.t_a_hat, agent.estimates.t_b_hat) == (5.0, 15.0)
         assert agent.last_route is None
@@ -245,12 +245,12 @@ class TestApplyMday:
         assert handover.q_hdv_a + handover.q_hdv_b == 900
         assert handover.q_cav_a + handover.q_cav_b == 100
         # The replaced drivers stop choosing and learning: the state drops them.
-        assert state.estimates.shape == state.tastes.shape == (2, 1, 900)
-        assert state.last_route.shape == (1, 900)
+        assert state.estimates.shape == state.tastes.shape == (2, 900)
+        assert state.last_route.shape == (900,)
         before = SimulationState(config)
         for _ in range(config.m_day):
             step_day(before)
-        assert np.array_equal(state.tastes, before.tastes[:, :, :900])
+        assert np.array_equal(state.tastes, before.tastes[:, :900])
 
     def test_full_share_leaves_no_humans(self):
         config = ScenarioConfig(
@@ -528,23 +528,25 @@ class TestRunBranches:
         assert second.records[0].t_a == t_a
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
-        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, congestion=2.0)]
-        with pytest.raises(ValueError, match="seed, taste_spread, strategy and cav_share"):
+        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, learning_rate=0.3)]
+        with pytest.raises(ValueError, match="seed, taste_spread, congestion, base_population, strategy and cav_share"):
             list(run_branches(configs))
 
     def test_no_configs_no_logs(self):
         assert list(run_branches([])) == []
 
     def test_prefix_key_ignores_only_the_fleet_knobs(self):
-        # The seed and taste_spread only set a row's draws and tastes, so they too share a group.
+        # The seed, taste_spread and population only set a row's draws, tastes and
+        # length, so they too share a group.
         config = small_config(cav_share=0.4, strategy="Malicious")
         assert prefix_key(config) == prefix_key(small_config())
         assert prefix_key(config) == prefix_key(small_config(seed=8))
         assert prefix_key(config) == prefix_key(small_config(taste_spread=1e-9))
         assert prefix_key(config) == prefix_key(small_config(taste_spread=50.0, seed=8))
+        assert prefix_key(config) == prefix_key(small_config(congestion=2.0))
+        assert prefix_key(config) == prefix_key(small_config(base_population=7, congestion=2.6))
         assert prefix_key(config) != prefix_key(small_config(learning_rate=0.3))
         assert prefix_key(config) != prefix_key(small_config(explore_rate=0.3))
-        assert prefix_key(config) != prefix_key(small_config(congestion=2.0))
         assert prefix_key(config) != prefix_key(small_config(phase_lengths=(3, 3, 3, 4)))
 
 
@@ -602,30 +604,98 @@ class TestLockstep:
         configs = [dataclasses.replace(c, seed=seed, taste_spread=spread)
                    for spread in (0.01, 5.0, 1000.0) for seed in (1, 2)
                    for c in _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5)])]
-        states = stepped_states(monkeypatch)
+        layouts = day_layouts(monkeypatch)
         calls = counted_step_days(monkeypatch)
         list(run_branches(configs))
-        # Six rows drawing from two generators, then one group of twelve rows.
+        # Six rows drawing from two generators, then twelve rows, one per run: the
+        # rows of a seed after its first copy its draws.
         assert calls == [6] * 4 + [12] * 6
-        prefix, group = states
-        assert len(prefix.rows) == 6 and len(prefix.rngs) == 2 and list(prefix.row_rng) == [0, 1] * 3
-        assert len(group.rows) == 12 and len(group.rngs) == 2
+        assert layouts[0] == ([(6, 12)], 2, 4)
+        assert layouts[-1] == ([(12, 6)], 2, 10)
 
-    def test_mixed_survivor_counts_cannot_step_past_the_hand_over(self):
-        state = SimulationState(small_config(cav_share=0.5), small_config(cav_share=0.25))
-        for _ in range(state.m_day):
+    def test_mixed_survivor_counts_step_together_past_the_hand_over(self):
+        configs = [small_config(cav_share=0.5), small_config(cav_share=0.25), small_config(cav_share=0.5, seed=8)]
+        state = SimulationState(*configs)
+        for _ in range(state.total_days):
             step_day(state)
-        with pytest.raises(RuntimeError, match="survivor counts"):
-            step_day(state)
+        # A block per survivor count, whatever the seed: 20 drivers in two rows, then 30 in one.
+        assert [(block.rows, block.n) for block in state.blocks] == [(2, 20), (1, 30)]
+        assert state.width == 70
+        for records, config in zip(state.records, [configs[0], configs[2], configs[1]], strict=True):
+            assert repr(records) == repr(stepped_log(config))
 
     def test_one_state_steps_its_seeds_through_the_hand_over(self):
         configs = [small_config(cav_share=0.5, seed=seed) for seed in (7, 8)]
         state = SimulationState(*configs)
         for _ in range(state.total_days):
             step_day(state)
-        assert state.estimates.shape == (2, 2, 20)
+        assert state.estimates.shape == (2, 40)
+        assert [(block.rows, block.n) for block in state.blocks] == [(2, 20)]
         for records, config in zip(state.records, configs, strict=True):
             assert repr(records) == repr(stepped_log(config))
+
+
+@st.composite
+def ragged_groups(draw):
+    """Configs drawn from 1 to 3 populations, seeds, spreads and fleets, repeats included, in random order."""
+    base = draw(small_configs())
+    populations = draw(st.lists(
+        st.tuples(st.integers(2, 30), st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.6])), min_size=1, max_size=3,
+    ))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True))
+    spreads = draw(st.lists(st.sampled_from([1e-9, 0.5, 5.0, 50.0]), min_size=1, max_size=2, unique=True))
+    shares = st.one_of(st.sampled_from([0.0, 1.0]), _unit_interval())
+    fleets = draw(st.lists(st.tuples(st.sampled_from(STRATEGY_NAMES), shares), min_size=1, max_size=4))
+    configs = [
+        dataclasses.replace(base, base_population=population, congestion=congestion, seed=seed,
+                            taste_spread=spread, strategy=strategy, cav_share=share)
+        for population, congestion in populations for seed in seeds for spread in spreads
+        for strategy, share in fleets
+    ]
+    return draw(st.lists(st.sampled_from(configs), min_size=1, max_size=24))
+
+
+class TestRaggedLockstep:
+    """Runs of any population and survivor count step as the rows of one state."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(configs=ragged_groups())
+    # Two populations whose shares leave 20 survivors each: one block after the
+    # hand-over, with shares 0 and 1 besides.
+    @example(configs=[
+        dataclasses.replace(c, base_population=population, seed=seed)
+        for population, fleets in ((40, [("Social", 0.5), ("Selfish", 1.0)]), (20, [("Selfish", 0.0), ("Malicious", 1.0)]))
+        for seed in (1, 2) for c in _group((2, 2, 3, 3), fleets)
+    ])
+    def test_logs_equal_each_config_run_alone(self, configs):
+        logs = list(run_branches(configs))
+        assert [log.config for log in logs] == configs
+        for log, config in zip(logs, configs, strict=True):
+            assert repr(log.records) == repr(run_scenario(config).records)
+
+    def test_one_step_day_call_per_day_whatever_the_population(self, monkeypatch):
+        configs = [small_config(congestion=congestion, cav_share=share, seed=seed)
+                   for congestion in (0.5, 1.0, 2.6) for share in (0.0, 0.25) for seed in (1, 2)]
+        calls = counted_step_days(monkeypatch)
+        layouts = day_layouts(monkeypatch)
+        list(run_branches(configs))
+        assert calls == [6] * 6 + [12] * 6
+        # Before the hand-over a block per population, then one per survivor count.
+        assert layouts[0] == ([(2, 20), (2, 40), (2, 104)], 6, 0)
+        assert layouts[-1] == ([(2, 20), (2, 15), (2, 40), (2, 30), (2, 104), (2, 78)], 12, 0)
+
+    def test_states_stay_within_the_driver_row_cap(self, monkeypatch):
+        configs = [small_config(congestion=congestion, cav_share=0.25, seed=seed)
+                   for congestion in (0.5, 1.0, 2.6) for seed in (1, 2)]
+        monkeypatch.setattr(engine, "MAX_DRIVER_ROWS", 100)
+        stepped = stepped_states(monkeypatch)
+        logs = list(run_branches(configs))
+        # Whole prefix rows, in first-seen order, as many as fit: 20 + 20 + 40, then
+        # the other 40, then each row of 104, above the cap, alone.
+        assert [[row[2] for row in state.rows] for state in stepped] == [[20, 20, 40], [40], [104], [104]]
+        assert all(state.width <= 100 for state in stepped[:2])
+        for log, config in zip(logs, configs, strict=True):
+            assert repr(log.records) == repr(run_scenario(config).records)
 
 
 def counted_step_days(monkeypatch):
@@ -634,8 +704,9 @@ def counted_step_days(monkeypatch):
     real = engine.step_day
 
     def counting(state):
-        calls.append(len(state.last_route))
-        return real(state)
+        records = real(state)
+        calls.append(len(state.rows))  # after the day, which may hand the fleet over first
+        return records
 
     monkeypatch.setattr(engine, "step_day", counting)
     return calls
@@ -655,6 +726,20 @@ def built_states(monkeypatch):
     return built
 
 
+def day_layouts(monkeypatch):
+    """Per ``step_day`` call, after the day: each block's (rows, n), the generators and the copied rows."""
+    layouts = []
+    real = engine.step_day
+
+    def recording(state):
+        records = real(state)
+        layouts.append(([(block.rows, block.n) for block in state.blocks], len(state.rngs), len(state.copies)))
+        return records
+
+    monkeypatch.setattr(engine, "step_day", recording)
+    return layouts
+
+
 def stepped_states(monkeypatch):
     """The states the engine steps, each once, in the order of their first day."""
     stepped = []
@@ -670,7 +755,7 @@ def stepped_states(monkeypatch):
 
 
 class TestOneBranchPath:
-    """The prefix state is built once; every survivor count continues on its own group state."""
+    """One state steps the whole group: its prefix rows, then a row per distinct run."""
 
     def test_one_state_and_one_row_per_distinct_run(self, monkeypatch):
         repeated = [("Social", 0.5), ("Selfish", 0.5), ("Social", 0.5)]
@@ -678,44 +763,48 @@ class TestOneBranchPath:
         built, stepped = built_states(monkeypatch), stepped_states(monkeypatch)
         assert len(list(run_branches(configs))) == len(configs)
         # The five share-0 configs are one run, and the second Social 0.5 repeats the first.
-        assert len(built) == 1
-        prefix, *groups = stepped
-        assert [group.runs for group in groups] == [
-            [(3, 5.0, (0, None))],
-            [(3, 5.0, (6, STRATEGY_TABLE["Social"])), (3, 5.0, (6, STRATEGY_TABLE["Selfish"]))],
+        assert len(built) == 1 and len(stepped) == 1
+        (state,) = stepped
+        assert state.rows == [
+            (3, 5.0, 12, (0, None)),
+            (3, 5.0, 12, (6, STRATEGY_TABLE["Social"])), (3, 5.0, 12, (6, STRATEGY_TABLE["Selfish"])),
         ]
+        assert [(block.first, block.rows, block.n) for block in state.blocks] == [(0, 1, 12), (1, 2, 6)]
 
     def test_groups_own_their_mutable_state(self, monkeypatch):
         configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2)
                    for c in _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.25)])]
         stepped = stepped_states(monkeypatch)
-        generators = {}
+        prefixes, generators = [], []
 
-        def hand_over(state, members, real=SimulationState._hand_over):
-            # The prefix's generators as the group takes them over.
-            generators[id(state)] = [rng.bit_generator.state for rng in state.rngs]
-            real(state, members)
+        def hand_over(state, real=SimulationState._hand_over):
+            # The prefix's arrays and logs, and the generators before and after the hand-over.
+            prefixes.append(copy.copy(state))
+            generators.append([rng.bit_generator.state for rng in state.rngs.values()])
+            real(state)
+            generators.append([rng.bit_generator.state for rng in state.rngs.values()])
 
         monkeypatch.setattr(SimulationState, "_hand_over", hand_over)
         list(run_branches(configs))
-        prefix, *groups = stepped
-        assert len(groups) == 2
-        for a, b in itertools.combinations([prefix, *groups], 2):
-            for name in ("tastes", "estimates", "last_route", "draws"):
-                assert not np.shares_memory(getattr(a, name), getattr(b, name))
-            assert not {id(rng) for rng in a.rngs} & {id(rng) for rng in b.rngs}
-            assert not {id(log) for log in a.records} & {id(log) for log in b.records}
-        for group in groups:
-            # Both seeds' generators, copied at the hand-over; each run of a seed draws from one.
-            assert len(group.rngs) == 2 and list(group.row_rng) == [0, 1]
-            assert generators[id(group)] == [rng.bit_generator.state for rng in prefix.rngs]
+        (state,), (prefix,) = stepped, prefixes
+        for a, b in itertools.product(("tastes", "estimates", "last_route", "draws"), repeat=2):
+            assert not np.shares_memory(getattr(prefix, a), getattr(state, b))
+        rngs = list(state.rngs.values())
+        assert not {id(rng) for rng in prefix.rngs.values()} & {id(rng) for rng in rngs}
+        assert len({id(rng) for rng in rngs}) == 4
+        assert not {id(log) for log in prefix.records} & {id(log) for log in state.records}
+        # A block per survivor count, each with copies of both seeds' generators.
+        assert [(block.rows, block.n) for block in state.blocks] == [(2, 6), (2, 9)]
+        assert list(state.rngs) == [(1, 12, 6), (2, 12, 6), (1, 12, 9), (2, 12, 9)] and state.copies == []
+        before, after = generators
+        assert len(before) == 2 and after == before * 2
 
     def test_prefix_state_dropped_before_the_last_group(self, monkeypatch):
         configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.25), ("Social", 0.5)])
         built = built_states(monkeypatch)
-        # The second config starts the last group; the third repeats the first.
+        # The one state is dropped before its first log is yielded.
         alive = [built[0]() is not None for _ in run_branches(configs)]
-        assert alive == [True, False, False]
+        assert alive == [False, False, False]
         assert [built[1]() is not None for _ in run_branches(configs[:1])] == [False]
 
 
@@ -774,7 +863,7 @@ class TestFleetMemo:
         assert set(memo) == {r.q_hdv_a for r in state.records[0] if r.day > state.m_day}
         for q_hdv_a, decision in memo.items():
             assert decision == fleet_optimize(
-                STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.n - q_hdv_a,
+                STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.width - q_hdv_a,
                 MEMO_CONFIG.fleet_size, MEMO_CONFIG.network,
             )
 
@@ -819,24 +908,50 @@ class TestFleetMemo:
         assert len(together) <= len(asked)
 
     def test_every_branch_starts_from_its_own_empty_memo(self, monkeypatch):
-        # Every group takes new memos at the hand-over, one per fleet, never the prefix's.
+        # The hand-over makes new memos, one per fleet and survivor count.
         configs = _group((2, 2, 3, 3), [("Social", 0.5), ("Selfish", 0.5), ("Malicious", 0.25)])
         prefixes, branches = [], []
-        real = engine.step_day
 
-        def recording(state):
-            if state.day == state.m_day:
-                prefixes.append(state.memos)
-            elif state.day == state.m_day + 1:
-                branches.extend((memo, dict(memo)) for memo in state.memos)
-            return real(state)
+        def hand_over(state, real=SimulationState._hand_over):
+            prefixes.append(state.memos)
+            real(state)
+            branches.extend((memo, dict(memo)) for memo in state.memos)
 
-        monkeypatch.setattr(engine, "step_day", recording)
+        monkeypatch.setattr(SimulationState, "_hand_over", hand_over)
         list(run_branches(configs))
         assert prefixes == [None] and len(branches) == 3
         assert [contents for _, contents in branches] == [{}, {}, {}]
         memos = [memo for memo, _ in branches]
         assert all(a is not b for a, b in itertools.combinations(memos, 2))
+
+    def test_equal_fleets_at_other_survivor_counts_keep_their_own_memos(self, monkeypatch):
+        # Four 100-vehicle Selfish fleets among 150, 400, 900 and 1900 survivors: the
+        # decision depends on the survivor count, so no two of them share a memo.
+        configs = [ScenarioConfig(congestion=congestion, cav_share=share, phase_lengths=(2, 2, 30, 0), seed=4)
+                   for congestion, share in ((0.25, 0.4), (0.5, 0.2), (1.0, 0.1), (2.0, 0.05))]
+        assert {c.fleet_size for c in configs} == {100}
+        asked = []
+        real = engine.fleet_optimize
+
+        def counting(weights, q_hdv_a, q_hdv_b, *args):
+            asked.append((q_hdv_a + q_hdv_b, q_hdv_a))
+            return real(weights, q_hdv_a, q_hdv_b, *args)
+
+        monkeypatch.setattr(engine, "fleet_optimize", counting)
+        memos = []
+
+        def hand_over(state, real=SimulationState._hand_over):
+            real(state)
+            memos.extend(state.memos)
+
+        monkeypatch.setattr(SimulationState, "_hand_over", hand_over)
+        logs = list(run_branches(configs))
+        assert len({id(memo) for memo in memos}) == 4
+        together, asked[:] = sorted(asked), []
+        alone = [run_scenario(config) for config in configs]
+        assert together == sorted(asked)
+        for log, solo in zip(logs, alone, strict=True):
+            assert repr(log.records) == repr(solo.records)
 
 
 # The parent's kernels, np.where selects on float64 arrays, recompute each day.
@@ -851,6 +966,11 @@ KERNEL_GROUPS = {
     "shared generators": [
         ScenarioConfig(base_population=20000, cav_share=0.1, strategy=strategy, seed=seed, phase_lengths=(2, 1, 2, 0))
         for seed, strategy in ((3, "Selfish"), (3, "Social"), (4, "Selfish"))
+    ],
+    # Two populations, two blocks before the hand-over; the same survivor count after it.
+    "ragged": [
+        ScenarioConfig(base_population=20000, congestion=congestion, cav_share=share, seed=seed, phase_lengths=(2, 1, 2, 0))
+        for congestion, share, seed in ((1.0, 0.1, 3), (1.25, 0.28, 3), (1.0, 0.1, 4))
     ],
 }
 
@@ -867,25 +987,36 @@ float_bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
 def assert_day_equals_np_where_kernels(state):
     """Step ``state`` one day and recompute the day with the np.where kernels, byte for byte."""
     if state.day == state.m_day + 1 and state.memos is None:
-        state._hand_over(state.configs)  # as step_day would, so the snapshot is the day's start
+        state._hand_over()  # as step_day would, so the snapshot is the day's start
     (taste_a, taste_b), (est_a, est_b) = state.tastes.copy(), state.estimates.copy()
     generators = copy.deepcopy(state.rngs)
     rate = state.explore_rate if state.day > 1 else 1.0
     records = step_day(state)
 
-    draws = np.array([rng.random((state.n, 2)) for rng in generators])
-    explore = (draws[..., 0] < rate)[state.row_rng]
-    on_b = (draws[..., 1] >= 0.5)[state.row_rng]
+    # Each generator's draws, which every row of its (seed, population, length) takes.
+    draws = {key: rng.random((key[2], 2)) for key, rng in generators.items()}
+    explore, on_b = [], []
+    for (seed, _, population, *_), cut in zip(state.rows, state.spans):
+        coins = draws[seed, population, cut.stop - cut.start]
+        explore.append(coins[:, 0] < rate)
+        on_b.append(coins[:, 1] >= 0.5)
+    explore, on_b = np.concatenate(explore), np.concatenate(on_b)
     on_b = np.where(explore, on_b, (taste_a - est_a) < (taste_b - est_b))
     assert np.array_equal(state.last_route, on_b)
-    times = []
-    for row, record in enumerate(records[::len(state.counts)]):
-        q_hdv_b = int(np.count_nonzero(on_b[row]))
-        assert (record.q_hdv_a, record.q_hdv_b) == (state.n - q_hdv_b, q_hdv_b)
-        times.append(network_travel_times(
-            state.network, record.q_hdv_a + record.q_cav_a, record.q_hdv_b + record.q_cav_b
-        ))
-    times = np.array([times]).T
+    times, logged, start = [], iter(records), 0
+    for block in state.blocks:
+        for row in range(block.rows):
+            q_hdv_b = int(np.count_nonzero(on_b[start:start + block.n]))
+            row_records = [next(logged) for _ in block.counts]
+            for record in row_records:
+                assert (record.q_hdv_a, record.q_hdv_b) == (block.n - q_hdv_b, q_hdv_b)
+            times.append(network_travel_times(
+                state.network, row_records[0].q_hdv_a + row_records[0].q_cav_a,
+                row_records[0].q_hdv_b + row_records[0].q_cav_b,
+            ))
+            start += block.n
+    # Each row's times, repeated for each of its drivers.
+    times = np.repeat(np.array(times).T, [cut.stop - cut.start for cut in state.spans], axis=1)
     alpha = state.learning_rate
     step = alpha * times
     est_a = np.where(on_b, est_a, (1 - alpha) * est_a + step[0])
@@ -893,11 +1024,15 @@ def assert_day_equals_np_where_kernels(state):
     assert state.estimates[0].tobytes() == est_a.tobytes()
     assert state.estimates[1].tobytes() == est_b.tobytes()
     perceived = np.where(on_b, times[1] + taste_b, times[0] + taste_a)
-    sums = {c: np.add.reduce(perceived[:, :c], axis=1).tolist() for c in state.counts}
-    logged = itertools.product(range(len(on_b)), state.counts)
-    for record, (row, count) in zip(records, logged, strict=True):
-        expected = np.float64(sums[count][row] / count)
-        assert np.float64(record.mean_perceived_hdv_time).tobytes() == expected.tobytes()
+    logged = iter(records)
+    for block in state.blocks:
+        rows = perceived[block.start:block.stop].reshape(block.rows, block.n)
+        sums = {c: np.add.reduce(rows[:, :c], axis=1).tolist() for c in block.counts}
+        for row in range(block.rows):
+            for count in block.counts:
+                expected = np.float64(sums[count][row] / count)
+                assert np.float64(next(logged).mean_perceived_hdv_time).tobytes() == expected.tobytes()
+    assert next(logged, None) is None
 
 
 class TestBranchFreeKernels:
@@ -906,11 +1041,14 @@ class TestBranchFreeKernels:
     @pytest.mark.parametrize("group", KERNEL_GROUPS)
     def test_every_day_equals_the_np_where_kernels(self, group):
         state = SimulationState(*KERNEL_GROUPS[group])
-        assert state.n >= 2 * 10**4
+        assert min(block.n for block in state.blocks) >= 2 * 10**4
+        assert len(state.blocks) == (2 if group == "ragged" else 1)
         while state.day <= state.total_days:
             assert_day_equals_np_where_kernels(state)
         assert len(state.fleets) == (1 if group == "R=1" else 3)
         assert len(state.rngs) == (2 if group == "shared generators" else len(state.fleets))
+        # The ragged group's two populations keep 18,000 survivors each: one block.
+        assert len(state.blocks) == 1
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(triples=st.lists(st.tuples(float_bits, float_bits, st.booleans()), min_size=1, max_size=64))
@@ -940,14 +1078,13 @@ class TestDayScratch:
         state = SimulationState(*configs)
         for _ in range(state.m_day + 1):
             step_day(state)
-        rows = len(state.fleets)
-        # The day's bool arrays: the exploration and route coins and the (2, R, n)
-        # routes taken, one byte each per driver-row, with one of the coins freed
-        # before numpy's cast buffer (getbufsize() int64 elements) feeds the selects.
-        # Python objects, a few kB, fit in that freed coin.  A float64 temporary, 8
-        # bytes per driver-row, breaks the bound.
-        bound = 4 * rows * state.n + np.getbufsize() * 8
-        assert bound < 8 * rows * state.n
+        # The day's bool arrays: the (3, width) routes taken and explorers, one byte
+        # each per driver-row, and, where rows share a generator, its coins compared
+        # before each row takes them, then numpy's cast buffer (getbufsize() int64
+        # elements) feeding the selects.  Python objects, a few kB, fit in the fourth
+        # byte.  A float64 temporary, 8 bytes per driver-row, breaks the bound.
+        bound = 4 * state.width + np.getbufsize() * 8
+        assert bound < 8 * state.width
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -959,24 +1096,24 @@ class TestDayScratch:
         assert peak - start < bound
 
     def test_groups_share_no_memory_with_their_prefix(self):
-        fleets = [("Social", 0.5), ("Selfish", 0.5)]
+        fleets = [("Social", 0.5), ("Selfish", 0.25)]
         configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2) for c in _group((2, 2, 3, 3), fleets, 40)]
         names = ("tastes", "estimates", "last_route", "draws")
         prefix = SimulationState(*configs)
         for _ in range(prefix.m_day):
             step_day(prefix)
         before = {name: getattr(prefix, name).copy() for name in names}
-        for members in (configs[:2], configs[2:]):  # one fleet per seed, then the other seed's
-            group = copy.copy(prefix)
-            group._hand_over(members)
-            for a, b in itertools.product(names, repeat=2):
-                assert not np.shares_memory(getattr(group, a), getattr(prefix, b))
-            while group.day <= group.total_days:
-                step_day(group)
-            for records, config in zip(group.records, members, strict=True):
-                assert repr(records) == repr(stepped_log(config))
-            for name in names:  # bytes: the draw buffer ends a day holding bit patterns, not floats
-                assert getattr(prefix, name).tobytes() == before[name].tobytes()
+        group = copy.copy(prefix)
+        group._hand_over()
+        for a, b in itertools.product(names, repeat=2):
+            assert not np.shares_memory(getattr(group, a), getattr(prefix, b))
+        while group.day <= group.total_days:
+            step_day(group)
+        # The runs, a block per survivor count: Social 0.5 at both seeds, then Selfish 0.25.
+        for records, config in zip(group.records, [configs[0], configs[2], configs[1], configs[3]], strict=True):
+            assert repr(records) == repr(stepped_log(config))
+        for name in names:  # bytes: the draw buffer ends a day holding bit patterns, not floats
+            assert getattr(prefix, name).tobytes() == before[name].tobytes()
 
     @pytest.mark.parametrize("days", [1, 3, 4])  # before, at and after the hand-over on day 4
     def test_a_deep_copy_steps_as_its_original(self, days):

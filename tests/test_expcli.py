@@ -24,12 +24,16 @@ from bottlesim import (
     paired_t_test,
     run_scenario,
 )
+from bottlesim.engine import driver_row_days
+from bottlesim.metrics import sequential_sum
 from bottlesim.expcli import (
     SUMMARY_COLUMNS,
     ConfigError,
     ExperimentSpec,
     _AXES,
     _FIELDS,
+    _daily_rows,
+    _fmt,
     _tasks,
     load_config,
     main,
@@ -288,32 +292,31 @@ class TestRunExperiment:
         doc = dict(FAST, cav_share=[0.1, 0.5], strategy=["Selfish", "Social"],
                    congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
-        for jobs in (1, 2):
-            tasks = _tasks(configs, jobs)
-            assert len(tasks) == 2
-            assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
-            for task in tasks:
-                # Both seeds of a congestion value step together.
-                assert len({c.congestion for c in task}) == 1
-                assert len(task) == 8
-        # Fewer groups than jobs: each group is dealt round-robin by whole
-        # survivor-count blocks, so the fleets at one share stay together.
+        # One group: both populations, seeds and fleets share a task.
+        assert _tasks(configs, 1) == [configs]
+        # Fewer groups than jobs: the group is cut by population first, each
+        # population's runs together, the larger one first.
+        tasks = _tasks(configs, 2)
+        assert [[c.congestion for c in task] for task in tasks] == [[1.0] * 8, [0.5] * 8]
+        assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
+        # One population: cut by survivor count, so the fleets at one share stay together.
         one_group = [c for c in configs if c.congestion == 0.5]
         blocks = [[c for c in one_group if c.cav_share == share] for share in (0.1, 0.5)]
         assert _tasks(one_group, 2) == blocks
         assert _tasks(one_group, 8) == blocks
+        # Blocks are dealt by driver-row-days, largest first, each to the least loaded
+        # chunk; each chunk steps its own 2 x 60 drivers through the 10 shared days.
         shares = [0.0, 0.1, 0.2, 0.3, 0.4]
         configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1, 2]))).run_points()
-        dealt = [[c.cav_share for c in task] for task in _tasks(configs, 2)]
-        assert dealt == [[0.0, 0.0, 0.2, 0.2, 0.4, 0.4], [0.1, 0.1, 0.3, 0.3]]
+        tasks = _tasks(configs, 2)
+        assert [[c.cav_share for c in task] for task in tasks] == [[0.0, 0.0, 0.3, 0.3, 0.4, 0.4], [0.1, 0.1, 0.2, 0.2]]
+        assert [driver_row_days(task) for task in tasks] == [1200 + 20 * (60 + 42 + 36), 1200 + 20 * (54 + 48)]
 
     def test_taste_spreads_share_a_task(self, tmp_path):
         doc = dict(FAST, beta=[0.5, 2.0, 50.0], cav_share=[0.1, 0.4], congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
-        tasks = _tasks(configs, 1)
-        assert [len(task) for task in tasks] == [12, 12]
-        assert all(len({c.congestion for c in task}) == 1 for task in tasks)
-        # Two groups, four jobs: each group is dealt by share, all its spreads together.
+        assert _tasks(configs, 1) == [configs]
+        # One group, four jobs: it is cut by population and share, all spreads together.
         for task in _tasks(configs, 4):
             assert len(task) == 6 and {c.taste_spread for c in task} == {0.5, 2.0, 50.0}
 
@@ -352,6 +355,31 @@ class TestRunExperiment:
         keys = [(r["strategy"], r["cav_share"], r["beta"], r["congestion"], r["seed"]) for r in rows]
         assert keys == sorted(keys)
         assert keys[0][0] == "Altruistic"
+
+
+# Floats a daily column may repeat, including the keys a dict cannot tell apart.
+CELL_FLOATS = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.5, -1.5, 12.345678901234567, 1e300, math.inf, -math.inf, math.nan]
+
+
+class TestDailyRows:
+    """Each distinct float of a column is formatted once, to the bytes of formatting every cell."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(days=st.lists(
+        st.tuples(*[st.integers(0, 3000)] * 5,
+                  *[st.one_of(st.none(), st.sampled_from(CELL_FLOATS), st.floats())] * 5),
+        max_size=30,
+    ))
+    def test_rows_equal_every_cell_formatted(self, days):
+        records = [bottlesim.DayRecord(*day) for day in days]
+        assert _daily_rows(records) == [",".join(map(_fmt, record)) for record in records]
+
+    def test_zeros_of_either_sign_keep_their_text(self):
+        records = [bottlesim.DayRecord(day, 1, 0, 0, 0, -0.0, 0.0, 0.0, -0.0, None) for day in (1, 2)]
+        records.append(bottlesim.DayRecord(3, 1, 0, 0, 0, 0.0, -0.0, -0.0, 0.0, 1.0))
+        assert _daily_rows(records) == [
+            "1,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "2,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "3,1,0,0,0,0.0,-0.0,-0.0,0.0,1.0",
+        ]
 
 
 class TestReplicateAndTest:
@@ -398,8 +426,9 @@ class TestReplicateAndTest:
         calls = []
 
         def counted(state):
-            calls.append(len(state.last_route))
-            return step_day(state)
+            records = step_day(state)
+            calls.append(len(state.rows))
+            return records
 
         monkeypatch.setattr(bottlesim.engine, "step_day", counted)
         result = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2])
@@ -798,7 +827,7 @@ class TestOverflowingEquitySpread:
             q_a = int(day["q_hdv_a"]) + int(day["q_cav_a"])
             q_b = int(day["q_hdv_b"]) + int(day["q_cav_b"])
             sigmas.append(abs(float(day["t_a"]) - float(day["t_b"])) * math.sqrt(q_a * q_b) / (q_a + q_b))
-        assert float(summary["equity_gap"]) == sum(sigmas) / len(sigmas)
+        assert float(summary["equity_gap"]) == sequential_sum(sigmas) / len(sigmas)
         return float(summary["equity_gap"])
 
     def test_both_routes_at_1e200_run_to_a_finite_gap(self, tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from bottlesim import (
     run_scenario,
     system_optimum,
 )
+from bottlesim.metrics import _mean, sequential_sum
 
 NET = TwoRouteNetwork.default()
 
@@ -425,3 +428,28 @@ class TestPairedTTest:
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError, match="at least 2"):
             paired_t_test([1.0], [2.0])
+
+
+class TestSequentialSum:
+    """Means sum left to right, as Python before 3.12 does, so summaries are byte-stable on 3.12."""
+
+    def test_cancellation_is_not_compensated(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python 3.12) gives 1.0.
+        assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+        assert _mean([1e16, 1.0, -1e16]) == 0.0
+
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)), max_size=50))
+    @settings(deadline=None, derandomize=True, database=None)
+    def test_adds_left_to_right_from_zero(self, values):
+        total = sequential_sum(iter(values))
+        expected = functools.reduce(operator.add, values, 0)
+        assert repr(total) == repr(expected)
+
+    def test_t_statistic_sums_left_to_right(self):
+        sample_a = [1e16, 1.0, -1e16, 3.0]
+        d = [a - 0.0 for a in sample_a]
+        mean_d = functools.reduce(operator.add, d, 0) / 4
+        var_d = functools.reduce(operator.add, [(x - mean_d) ** 2 for x in d], 0) / 3
+        assert mean_d == 0.75  # a compensated sum gives 4.0 / 4
+        result = paired_t_test(sample_a, [0.0] * 4)
+        assert result.t_statistic == mean_d / math.sqrt(var_d / 4)
