@@ -21,9 +21,9 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +36,7 @@ from .engine import (
     ScenarioConfig,
     SimulationLog,
     _is_int,
+    _row_key,
     driver_row_days,
     group_by,
     prefix_key,
@@ -278,14 +279,28 @@ def _csv_text(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows, ""])
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+def _tmp(path: Path) -> Path:
+    """The name ``path``'s text is written under until it is moved into place."""
+    return path.with_name(path.name + ".tmp")
+
+
+def _write_tmp(path: Path, text: str) -> None:
+    """Write ``text`` to ``_tmp(path)``; a write that fails leaves no file there."""
+    tmp = _tmp(path)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_tmp(path, text)
+    try:
+        os.replace(_tmp(path), path)
+    except BaseException:
+        _tmp(path).unlink(missing_ok=True)
         raise
 
 
@@ -386,11 +401,23 @@ def _logs(configs: list[ScenarioConfig]) -> Iterator[SimulationLog]:
         yield log
 
 
-Result = tuple[ScenarioConfig, str, WindowAverages, RatioReport]
+# A run's summary inputs: (config, window averages, ratios).  Its daily CSV
+# is on disk by then, so no CSV text is held or crosses the pool's pipe.
+Result = tuple[ScenarioConfig, WindowAverages, RatioReport]
 
 
-def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
-    """Run configs that share their human-only days: (config, daily CSV, averages, ratios) each."""
+def _daily_path(out_dir: Path, config: ScenarioConfig) -> Path:
+    """The daily CSV of ``config``'s run: named by the hash of its config point and the seed."""
+    return out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv"
+
+
+def _run_group(configs: list[ScenarioConfig], out_dir: Path) -> list[Result]:
+    """Run configs that share their human-only days: (config, averages, ratios) each.
+
+    Each run's daily CSV is written to ``out_dir`` under the temporary name
+    of its file (``_tmp`` of ``_daily_path``) as soon as its log passes its
+    checks; ``run_experiment`` moves it into place once every run is done.
+    """
     results = []
     logs = _logs(configs)
     for config in configs:
@@ -401,7 +428,8 @@ def _run_group(configs: list[ScenarioConfig]) -> list[Result]:
             averages = _checked_averages(log)
             ratios = ratio_report(averages)
             _check_finite(ratios)
-        results.append((config, _csv_text(DAILY_HEADER, rows), averages, ratios))
+        _write_tmp(_daily_path(out_dir, config), _csv_text(DAILY_HEADER, rows))
+        results.append((config, averages, ratios))
     return results
 
 
@@ -409,8 +437,9 @@ def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig
     """The configs grouped by shared human-only days, one task per group.
 
     With fewer groups than jobs, each group is split into enough chunks to
-    occupy every job (see ``_split``); each chunk repeats the shared days
-    of its populations.
+    occupy every job (see ``_split``).  A chunk steps the human-only days
+    of its own prefix rows, so none is stepped twice while a group has at
+    least as many prefix rows as chunks.
     """
     tasks = list(group_by(configs, prefix_key).values())
     if 0 < len(tasks) < jobs:
@@ -422,15 +451,16 @@ def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig
 def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]]:
     """``group`` in up to ``parts`` chunks of about equal driver-row-days, each in the group's order.
 
-    The group is cut into whole blocks: one per population, or one per
-    population and survivor count when there are fewer populations than
-    parts, so the runs of a block still step as the rows of one array.
-    Largest first, each block joins the chunk with the fewest
-    driver-row-days so far.
+    The group is cut into whole blocks: one per prefix row
+    (``engine._row_key``: seed, taste_spread, population), so no two
+    chunks step the same human-only days, or, when there are fewer prefix
+    rows than parts, one per prefix row and survivor count, so the runs of
+    a block still step as the rows of one array.  Largest first, each
+    block joins the chunk with the fewest driver-row-days so far.
     """
-    block_of = operator.attrgetter("total_population")
+    block_of = _row_key
     if len(group_by(group, block_of)) < parts:
-        block_of = operator.attrgetter("total_population", "survivor_count")
+        block_of = lambda config: (_row_key(config), config.survivor_count)
     blocks = group_by(group, block_of)
     loads: list[list[ScenarioConfig]] = [[] for _ in range(min(parts, len(blocks)))]
     chunk_of = {}
@@ -441,31 +471,19 @@ def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]
 
 
 def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
-    """Write one daily CSV per run plus a consolidated summary.csv.
+    """Write summary.csv into ``out_dir``, one row per run; return the rows.
 
-    ``results`` holds (config, daily CSV text, window averages, ratios)
-    per run.  Files are UTF-8 with LF line endings and a leading header
-    row; each daily file is named by the hash of its config point and the
-    seed.  Rows are sorted by (strategy, cav_share, beta, congestion,
-    seed), so the output is independent of the runs' completion order,
-    and the summary is written last: its presence marks a complete
-    experiment.  Returns the summary rows.
+    ``results`` holds (config, window averages, ratios) per run.  The file
+    is UTF-8 with LF line endings and a leading header row.  Rows are
+    sorted by (strategy, cav_share, beta, congestion, seed), so the output
+    is independent of the runs' completion order.  ``run_experiment``
+    calls it once the runs' daily CSVs are in place: the summary is
+    written last, and its presence marks a complete experiment.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_path = out_dir / "summary.csv"
-    summary_path.unlink(missing_ok=True)
-    for stale in out_dir.glob("daily_*.csv"):
-        stale.unlink()
-
     results = sorted(results, key=lambda item: _point_key(item[0]))
-    summary_rows = []
-    for config, daily, averages, ratios in results:
-        _write_text(out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv", daily)
-        summary_rows.append(_summary_row(config, averages, ratios))
-
+    summary_rows = [_summary_row(*result) for result in results]
     lines = [",".join(_fmt(row[col]) for col in SUMMARY_COLUMNS) for row in summary_rows]
-    _write_text(summary_path, _csv_text(SUMMARY_HEADER, lines))
+    _write_text(Path(out_dir) / "summary.csv", _csv_text(SUMMARY_HEADER, lines))
     return summary_rows
 
 
@@ -474,23 +492,49 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
 
     Runs that differ only in seed, beta (taste_spread), congestion,
     strategy and cav_share share their human-only days and step in
-    lockstep (see ``engine.run_branches``); each such group is a task.
-    With jobs > 1 (default: the machine's CPU count) a process pool hands
-    out those groups, and its workers also format the daily CSVs; outputs
-    do not depend on the execution order.  Returns the summary rows.
+    lockstep (see ``engine.run_branches``); each such group is a task,
+    cut into chunks when there are fewer groups than jobs (see
+    ``_tasks``).  With jobs > 1 (default: the machine's CPU count) a
+    process pool hands out the tasks.  A task writes each run's daily CSV
+    under a temporary name (see ``_run_group``).  Once every task has
+    returned, the previous experiment's summary.csv and daily CSVs are
+    removed, the new daily CSVs moved into place and summary.csv written
+    last; outputs do not depend on the execution order.  If a run fails,
+    the pool finishes, the temporaries are removed and ``out_dir`` is
+    left as it was: a previous experiment stays whole, and the
+    directories this call made are removed.  Returns the summary rows.
     """
     configs = spec.run_points()
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    out_dir = Path(spec.out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = _tasks(configs, jobs)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_run_group, tasks))
-    else:
-        chunks = [_run_group(task) for task in tasks]
-    return write_outputs([result for chunk in chunks for result in chunk], spec.out_dir)
+    try:
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                chunks = list(pool.map(_run_group, tasks, itertools.repeat(out_dir)))
+        else:
+            chunks = [_run_group(task, out_dir) for task in tasks]
+        results = [result for chunk in chunks for result in chunk]
+        (out_dir / "summary.csv").unlink(missing_ok=True)
+        for stale in out_dir.glob("daily_*.csv"):
+            stale.unlink()
+        for config, *_ in results:
+            path = _daily_path(out_dir, config)
+            os.replace(_tmp(path), path)
+    except BaseException:
+        # Leaving the pool's block waited for its workers: no task writes any more.
+        for config in configs:
+            _tmp(_daily_path(out_dir, config)).unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: the failure came after the commit began
+                path.rmdir()
+        raise
+    return write_outputs(results, out_dir)
 
 
 def replicate_and_test(

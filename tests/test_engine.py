@@ -1079,8 +1079,8 @@ class TestDayScratch:
         for _ in range(state.m_day + 1):
             step_day(state)
         # The day's bool arrays: the (3, width) routes taken and explorers, one byte
-        # each per driver-row, and, where rows share a generator, its coins compared
-        # before each row takes them, then numpy's cast buffer (getbufsize() int64
+        # each per driver-row; rows that share a generator copy its float draws in
+        # place and allocate nothing.  Then numpy's cast buffer (getbufsize() int64
         # elements) feeding the selects.  Python objects, a few kB, fit in the fourth
         # byte.  A float64 temporary, 8 bytes per driver-row, breaks the bound.
         bound = 4 * state.width + np.getbufsize() * 8

@@ -24,8 +24,8 @@ from bottlesim import (
     paired_t_test,
     run_scenario,
 )
-from bottlesim.engine import driver_row_days
-from bottlesim.metrics import sequential_sum
+from bottlesim.engine import _row_key, driver_row_days, group_by
+from bottlesim.metrics import RatioReport, WindowAverages, sequential_sum
 from bottlesim.expcli import (
     SUMMARY_COLUMNS,
     ConfigError,
@@ -34,6 +34,7 @@ from bottlesim.expcli import (
     _FIELDS,
     _daily_rows,
     _fmt,
+    _run_group,
     _tasks,
     load_config,
     main,
@@ -294,31 +295,72 @@ class TestRunExperiment:
         configs = load_config(write_config(tmp_path, doc)).run_points()
         # One group: both populations, seeds and fleets share a task.
         assert _tasks(configs, 1) == [configs]
-        # Fewer groups than jobs: the group is cut by population first, each
-        # population's runs together, the larger one first.
+        # Fewer groups than jobs: the group is cut by prefix row (seed, spread,
+        # population), each row's runs together; the two rows of 60 drivers are
+        # dealt first, one to each chunk, and then the two rows of 30.
         tasks = _tasks(configs, 2)
-        assert [[c.congestion for c in task] for task in tasks] == [[1.0] * 8, [0.5] * 8]
+        assert [[c.seed for c in task] for task in tasks] == [[1] * 8, [2] * 8]
         assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
-        # One population: cut by survivor count, so the fleets at one share stay together.
+        assert sum(map(driver_row_days, tasks)) == driver_row_days(configs)
+        # Fewer prefix rows than jobs: cut by prefix row and survivor count, so
+        # the fleets of one row at one share stay together.
         one_group = [c for c in configs if c.congestion == 0.5]
-        blocks = [[c for c in one_group if c.cav_share == share] for share in (0.1, 0.5)]
-        assert _tasks(one_group, 2) == blocks
+        assert _tasks(one_group, 2) == [[c for c in one_group if c.seed == seed] for seed in (1, 2)]
+        blocks = [[c for c in one_group if (c.seed, c.cav_share) == key]
+                  for key in ((1, 0.1), (2, 0.1), (1, 0.5), (2, 0.5))]
         assert _tasks(one_group, 8) == blocks
         # Blocks are dealt by driver-row-days, largest first, each to the least loaded
-        # chunk; each chunk steps its own 2 x 60 drivers through the 10 shared days.
+        # chunk; each chunk of the one prefix row steps its 60 drivers through the 10 shared days.
         shares = [0.0, 0.1, 0.2, 0.3, 0.4]
+        configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1]))).run_points()
+        tasks = _tasks(configs, 2)
+        assert [[c.cav_share for c in task] for task in tasks] == [[0.0, 0.3, 0.4], [0.1, 0.2]]
+        assert [driver_row_days(task) for task in tasks] == [600 + 10 * (60 + 42 + 36), 600 + 10 * (54 + 48)]
+        # With a row per seed, each chunk steps only its own seed's human-only days.
         configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1, 2]))).run_points()
         tasks = _tasks(configs, 2)
-        assert [[c.cav_share for c in task] for task in tasks] == [[0.0, 0.0, 0.3, 0.3, 0.4, 0.4], [0.1, 0.1, 0.2, 0.2]]
-        assert [driver_row_days(task) for task in tasks] == [1200 + 20 * (60 + 42 + 36), 1200 + 20 * (54 + 48)]
+        assert [[c.seed for c in task] for task in tasks] == [[1] * 5, [2] * 5]
+        assert [driver_row_days(task) for task in tasks] == [600 + 10 * (60 + 54 + 48 + 42 + 36)] * 2
 
     def test_taste_spreads_share_a_task(self, tmp_path):
         doc = dict(FAST, beta=[0.5, 2.0, 50.0], cav_share=[0.1, 0.4], congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
         assert _tasks(configs, 1) == [configs]
-        # One group, four jobs: it is cut by population and share, all spreads together.
-        for task in _tasks(configs, 4):
-            assert len(task) == 6 and {c.taste_spread for c in task} == {0.5, 2.0, 50.0}
+        # One group of 12 prefix rows, four jobs: it is cut by prefix row, each
+        # (seed, spread, population) with all its shares in one chunk.
+        tasks = _tasks(configs, 4)
+        assert len(tasks) == 4
+        rows = group_by(configs, _row_key)
+        for task in tasks:
+            for key, members in group_by(task, _row_key).items():
+                assert members == rows[key]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 5, 12])
+    def test_chunks_step_each_prefix_row_once(self, tmp_path, jobs):
+        # 2 seeds x 3 spreads x 2 populations: 12 prefix rows, at least one per chunk.
+        doc = dict(FAST, cav_share=[0.05, 0.2, 0.8], beta=[0.1, 5.0, 50.0], congestion=[0.5, 1.0],
+                   seeds=[1, 2])
+        configs = load_config(write_config(tmp_path, doc)).run_points()
+        tasks = _tasks(configs, jobs)
+        assert len(tasks) == jobs
+        assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
+        assert sum(map(driver_row_days, tasks)) == driver_row_days(configs)
+
+    def test_run_group_writes_temporaries_and_returns_no_csv_text(self, tmp_path):
+        spec = load_config(write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], seeds=[1, 2])))
+        spec.out_dir = tmp_path / "out"
+        run_experiment(spec, jobs=1)
+        results = _run_group(spec.run_points(), tmp_path)
+        # Only (config, averages, ratios) come back: no CSV text rides the pool's pipe.
+        assert [config for config, *_ in results] == spec.run_points()
+        for result in results:
+            assert [type(value) for value in result] == [ScenarioConfig, WindowAverages, RatioReport]
+            assert not any(isinstance(value, str) for value in result)
+        # Each daily CSV is on disk under its temporary name, as run_experiment writes it.
+        temporaries = sorted(tmp_path.glob("daily_*.csv.tmp"))
+        assert [p.name for p in temporaries] == sorted(p.name + ".tmp" for p in spec.out_dir.glob("daily_*.csv"))
+        for tmp in temporaries:
+            assert tmp.read_bytes() == (spec.out_dir / tmp.stem).read_bytes()
 
     def test_daily_file_names_hash_every_field_but_the_seed(self, tmp_path):
         network = {
@@ -733,9 +775,9 @@ class TestTinyCapacity:
 
 
 # Tastes near 1e307 overflow the survivors' perceived-time sum on day 1, in
-# the second row of the one lockstep group, which --jobs 2 deals to two
-# workers, one per share.  (A network whose travel time overflows is a config
-# error: see TestTinyCapacity.)
+# the second prefix row of the one lockstep group; --jobs 2 deals each prefix
+# row, one per spread, to its own worker.  (A network whose travel time
+# overflows is a config error: see TestTinyCapacity.)
 OVERFLOWING = {
     "base_population": 1000,
     "phase_lengths": [5, 5, 5, 5],
@@ -758,6 +800,24 @@ class TestNonFiniteOutputs:
         with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: non-finite value on day 1")):
             run_experiment(spec, jobs=jobs)
         assert not (spec.out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_leaves_the_output_directory_as_it_was(self, tmp_path, jobs):
+        # The previous experiment is the sweep's finite half, so the failing sweep
+        # writes the temporaries of files that the previous one holds under their names.
+        out = tmp_path / "out"
+        previous = load_config(write_config(tmp_path, dict(OVERFLOWING, beta=5.0), "previous.json"))
+        previous.out_dir = out
+        run_experiment(previous, jobs=1)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 3
+        spec = load_config(write_config(tmp_path, OVERFLOWING))
+        for out_dir in (out, tmp_path / "fresh" / "out"):
+            spec.out_dir = out_dir
+            with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed")):
+                run_experiment(spec, jobs=jobs)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # and no *.tmp
+        assert not (tmp_path / "fresh").exists()
 
     def test_non_finite_daily_value_fails_the_run(self, tmp_path):
         # Tastes near 1e307 overflow the survivors' perceived-time sum on day 2.
@@ -797,8 +857,9 @@ class TestNonFiniteOutputs:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cli_names_the_point_when_warnings_are_errors(self, tmp_path, jobs):
-        # The overflow raises while both spreads' rows step, as the first run's
-        # log is awaited; the runs are then made one by one to name the failing one.
+        # The overflow raises while the task's rows step (both spreads' at --jobs 1),
+        # as its first run's log is awaited; the runs are then made one by one to
+        # name the failing one.
         status, stderr = self.sweep_overflowing(tmp_path, "error::RuntimeWarning", jobs)
         assert status == 2
         assert f"{FAILING_POINT} failed: overflow encountered in reduce" in stderr
