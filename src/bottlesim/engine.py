@@ -28,7 +28,7 @@ coin first, route coin second).  Day 1 consumes the exploration coin
 too, even though it is ignored, so later days never depend on day-1
 semantics.  Fleet vehicles consume no randomness at all.
 
-``run_branches`` steps runs that differ in seed, taste_spread, population
+``run_state`` steps runs that differ in seed, taste_spread, population
 (congestion and base_population), strategy and cav_share in lockstep, as
 rows on one flat driver axis: a row per (seed, taste_spread, population)
 until the hand-over, as days 1..m_day have no fleet, then a row per
@@ -44,6 +44,10 @@ state is forked, so every run equals its config run alone, bit for bit;
 fleets are the same run.  After the hand-over a fleet's decision depends
 on q_hdv_a and the survivor count alone, whatever the seed, spread and
 population: the rows of a fleet in a block share one exact memo of it.
+
+``plan`` alone decides which runs step together as one state: the runs
+of a group, unless a pool's workers need more chunks than there are
+groups, or the state would hold more than ``MAX_DRIVER_ROWS`` driver-rows.
 
 Tastes and estimates are (2, width) arrays with the route axis first (A,
 then B).  A day allocates no N-sized float array: its draw buffer holds
@@ -508,8 +512,6 @@ def _driver_rows(configs: Sequence[ScenarioConfig]) -> tuple[int, int]:
 
 def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
     """Driver-row-days of stepping ``configs`` as one state: the work that grows with its arrays."""
-    if not configs:
-        return 0
     shared = min(configs[0].m_day, configs[0].total_days)
     before, after = _driver_rows(configs)
     return before * shared + after * (configs[0].total_days - shared)
@@ -524,58 +526,89 @@ def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
 MAX_DRIVER_ROWS = 2**15
 
 
-def _states(configs: list[ScenarioConfig]) -> list[list[ScenarioConfig]]:
-    """``configs`` cut into the configs of states of at most MAX_DRIVER_ROWS driver-rows.
+def plan(configs: Iterable[ScenarioConfig], parts: int = 1) -> list[list[ScenarioConfig]]:
+    """The configs of each lockstep state that runs ``configs``, each state in their order.
+
+    Configs of equal ``prefix_key`` form a group.  With fewer groups than
+    ``parts``, each group is cut into enough chunks to give every part one
+    (see ``_split``).  Each chunk is then cut at ``MAX_DRIVER_ROWS`` (see
+    ``_capped``).
+    """
+    groups = list(group_by(configs, prefix_key).values())
+    if 0 < len(groups) < parts:
+        groups = [chunk for group in groups for chunk in _split(group, -(-parts // len(groups)))]
+    return [state for chunk in groups for state in _capped(chunk)]
+
+
+def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]]:
+    """``group`` in up to ``parts`` chunks of about equal driver-row-days, each in the group's order.
+
+    The group is cut into whole blocks: one per prefix row (``_row_key``),
+    so no two chunks step the same human-only days, or, when there are
+    fewer prefix rows than parts, one per prefix row and survivor count, so
+    the runs of a block still step as the rows of one array.  Largest
+    first, each block joins the chunk with the fewest driver-row-days so
+    far: its runs' days after the hand-over, and its prefix row's shared
+    days unless the chunk steps that row already.
+    """
+    block_of = _row_key
+    if len(group_by(group, block_of)) < parts:
+        block_of = lambda config: (_row_key(config), config.survivor_count)
+    blocks = group_by(group, block_of)
+    shared = min(group[0].m_day, group[0].total_days)
+    loads = [0] * min(parts, len(blocks))
+    stepped: list[set] = [set() for _ in loads]  # the prefix rows of each chunk
+    chunk_of = {}
+    for key, members in sorted(blocks.items(), key=lambda item: driver_row_days(item[1]), reverse=True):
+        chunk_of[key] = least = min(range(len(loads)), key=loads.__getitem__)
+        _, _, population = row = _row_key(members[0])
+        loads[least] += driver_row_days(members) - (row in stepped[least]) * population * shared
+        stepped[least].add(row)
+    chunks: list[list[ScenarioConfig]] = [[] for _ in loads]
+    for config in group:
+        chunks[chunk_of[block_of(config)]].append(config)
+    return chunks
+
+
+def _capped(configs: list[ScenarioConfig]) -> list[list[ScenarioConfig]]:
+    """``configs`` cut into states of at most MAX_DRIVER_ROWS driver-rows, each in their order.
 
     A state takes the configs of whole prefix rows, in first-seen order; a
     row larger than the cap is a state of its own.
     """
-    states, size = [], MAX_DRIVER_ROWS
-    for members in group_by(configs, _row_key).values():
+    state_of, states, size = {}, 0, MAX_DRIVER_ROWS
+    for key, members in group_by(configs, _row_key).items():
         rows = max(_driver_rows(members))
         if size + rows > MAX_DRIVER_ROWS:
-            states.append([])
-            size = 0
-        states[-1] += members
+            states, size = states + 1, 0
+        state_of[key] = states
         size += rows
-    return states
+    # States are numbered in the first-seen order of their rows, so group_by keeps it.
+    return list(group_by(configs, lambda config: state_of[_row_key(config)]).values())
 
 
-def _run_state(configs: list[ScenarioConfig]) -> dict[tuple, list[DayRecord]]:
-    """Step ``configs`` as one state to the last day: the records of each distinct run."""
+def run_state(configs: list[ScenarioConfig]) -> list[SimulationLog]:
+    """Step ``configs``, which share their ``prefix_key``, as one state to the last day: a log each.
+
+    Days 1..m_day are stepped once, a row per (seed, taste_spread, population),
+    then a row per distinct run, so every log equals the one its config gives
+    alone.  Each log owns a copy of its run's record list.
+    """
     state = SimulationState(*configs)
     while state.day <= state.total_days:
         step_day(state)
     if state.memos is None:  # a hand-over past the last day: each run takes its prefix log
         state._hand_over()
-    return dict(zip(state.rows, state.records))
+    records = dict(zip(state.rows, state.records))
+    return [SimulationLog(config, list(records[_run_key(config)])) for config in configs]
 
 
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """Run configs that differ only in seed, taste_spread, population and fleet; yield their logs in order.
-
-    The configs step as states of at most ``MAX_DRIVER_ROWS`` driver-rows
-    (see ``_states``).  In a state, days 1..m_day are stepped once, a row
-    per (seed, taste_spread, population), then a row per distinct run,
-    so every log equals the one its config gives alone; a repeated run's
-    configs get copies of its record list.  Each log owns its list and is
-    complete when it is yielded.
-    """
-    configs = list(configs)
-    runs = [_run_key(c) for c in configs]
-    last_use = {run: i for i, run in enumerate(runs)}
-    states = iter(_states(configs))
-    finished: dict[tuple, list[DayRecord]] = {}  # records of each run simulated so far
-    for i, (config, run) in enumerate(zip(configs, runs)):
-        while run not in finished:
-            finished.update(_run_state(next(states)))
-        records = finished.pop(run) if last_use[run] == i else list(finished[run])
-        yield SimulationLog(config=config, records=records)
+    """Run ``configs`` as the lockstep states of ``plan``; yield each config's log, state by state."""
+    for state in plan(configs):
+        yield from run_state(state)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationLog:
-    """Run all four phases and return the full log.
-
-    Equal configs (same seed included) produce equal logs.
-    """
-    return next(run_branches([config]))
+    """Run all four phases of ``config`` and return its log; equal configs give equal logs."""
+    return run_state([config])[0]

@@ -36,12 +36,9 @@ from .engine import (
     ScenarioConfig,
     SimulationLog,
     _is_int,
-    _row_key,
-    driver_row_days,
-    group_by,
-    prefix_key,
-    run_branches,
+    plan,
     run_scenario,
+    run_state,
 )
 from .fleet import STRATEGY_NAMES
 from .metrics import (
@@ -183,12 +180,12 @@ def _axis_values(fieldname: str, attr: str, base: ScenarioConfig, values: list) 
 
     A repeated value would run the same point twice.
     """
-    held = []
+    held: dict = {}  # a dict keeps the values' order and finds a repeat at once
     for value in values:
         value = getattr(_checked(fieldname, dataclasses.replace, base, **{attr: value}), attr)
         if value in held:
             raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
-        held.append(value)
+        held[value] = None
     return tuple(held)
 
 
@@ -380,25 +377,17 @@ def _checked_averages(log: SimulationLog) -> WindowAverages:
     return averages
 
 
-def _logs(configs: list[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """The logs of ``run_branches(configs)``, in order.
+def _logs(state: list[ScenarioConfig]) -> Iterator[SimulationLog]:
+    """The logs of ``run_state(state)``, in order; after a failed step, each config's log run alone.
 
-    The caller awaits each log under its config's ``_failing_point``, but
-    rows step together: a step that fails on any row raises while the next
-    config's log is awaited.  So from a failure on, the configs not yet
-    yielded run alone, each to the log run_branches would give it, and the
-    failure is raised again while the failing config's own log is awaited.
+    A step fails for every row stepping together, and the caller awaits each
+    log under its config's ``_failing_point``: so the failure is raised again
+    while the failing config's own run is awaited.
     """
-    logs = run_branches(configs)
-    for i in range(len(configs)):
-        try:
-            log = next(logs)
-        except Exception:
-            if i == len(configs) - 1:  # the rows stepping are this config's
-                raise
-            yield from map(run_scenario, configs[i:])
-            return
-        yield log
+    try:
+        return iter(run_state(state))
+    except Exception:
+        return map(run_scenario, state)
 
 
 # A run's summary inputs: (config, window averages, ratios).  Its daily CSV
@@ -412,7 +401,7 @@ def _daily_path(out_dir: Path, config: ScenarioConfig) -> Path:
 
 
 def _run_group(configs: list[ScenarioConfig], out_dir: Path) -> list[Result]:
-    """Run configs that share their human-only days: (config, averages, ratios) each.
+    """Run the configs of one lockstep state (see ``engine.plan``): (config, averages, ratios) each.
 
     Each run's daily CSV is written to ``out_dir`` under the temporary name
     of its file (``_tmp`` of ``_daily_path``) as soon as its log passes its
@@ -431,43 +420,6 @@ def _run_group(configs: list[ScenarioConfig], out_dir: Path) -> list[Result]:
         _write_tmp(_daily_path(out_dir, config), _csv_text(DAILY_HEADER, rows))
         results.append((config, averages, ratios))
     return results
-
-
-def _tasks(configs: list[ScenarioConfig], jobs: int) -> list[list[ScenarioConfig]]:
-    """The configs grouped by shared human-only days, one task per group.
-
-    With fewer groups than jobs, each group is split into enough chunks to
-    occupy every job (see ``_split``).  A chunk steps the human-only days
-    of its own prefix rows, so none is stepped twice while a group has at
-    least as many prefix rows as chunks.
-    """
-    tasks = list(group_by(configs, prefix_key).values())
-    if 0 < len(tasks) < jobs:
-        parts = -(-jobs // len(tasks))
-        tasks = [chunk for group in tasks for chunk in _split(group, parts)]
-    return tasks
-
-
-def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]]:
-    """``group`` in up to ``parts`` chunks of about equal driver-row-days, each in the group's order.
-
-    The group is cut into whole blocks: one per prefix row
-    (``engine._row_key``: seed, taste_spread, population), so no two
-    chunks step the same human-only days, or, when there are fewer prefix
-    rows than parts, one per prefix row and survivor count, so the runs of
-    a block still step as the rows of one array.  Largest first, each
-    block joins the chunk with the fewest driver-row-days so far.
-    """
-    block_of = _row_key
-    if len(group_by(group, block_of)) < parts:
-        block_of = lambda config: (_row_key(config), config.survivor_count)
-    blocks = group_by(group, block_of)
-    loads: list[list[ScenarioConfig]] = [[] for _ in range(min(parts, len(blocks)))]
-    chunk_of = {}
-    for key in sorted(blocks, key=lambda key: driver_row_days(blocks[key]), reverse=True):
-        chunk_of[key] = least = min(range(len(loads)), key=lambda i: driver_row_days(loads[i]))
-        loads[least] += blocks[key]
-    return [[c for c in group if chunk_of[block_of(c)] == i] for i in range(len(loads))]
 
 
 def write_outputs(results: list[Result], out_dir: str | Path) -> list[dict]:
@@ -492,17 +444,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
 
     Runs that differ only in seed, beta (taste_spread), congestion,
     strategy and cav_share share their human-only days and step in
-    lockstep (see ``engine.run_branches``); each such group is a task,
-    cut into chunks when there are fewer groups than jobs (see
-    ``_tasks``).  With jobs > 1 (default: the machine's CPU count) a
-    process pool hands out the tasks.  A task writes each run's daily CSV
-    under a temporary name (see ``_run_group``).  Once every task has
-    returned, the previous experiment's summary.csv and daily CSVs are
-    removed, the new daily CSVs moved into place and summary.csv written
-    last; outputs do not depend on the execution order.  If a run fails,
-    the pool finishes, the temporaries are removed and ``out_dir`` is
-    left as it was: a previous experiment stays whole, and the
-    directories this call made are removed.  Returns the summary rows.
+    lockstep states, cut into chunks when there are fewer groups than
+    jobs (see ``engine.plan``).  Each state is a task.  With jobs > 1
+    (default: the machine's CPU count) a process pool hands out the tasks.
+    A task writes each run's daily CSV under a temporary name (see
+    ``_run_group``).  Once every task has returned, the previous
+    experiment's summary.csv and daily CSVs are removed, the new daily
+    CSVs moved into place and summary.csv written last; outputs do not
+    depend on the execution order.  If a run fails, the pool finishes,
+    the temporaries are removed and ``out_dir`` is left as it was: a
+    previous experiment stays whole, and the directories this call made
+    are removed.  Returns the summary rows.
     """
     configs = spec.run_points()
     if jobs is None:
@@ -512,7 +464,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     out_dir = Path(spec.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks(configs, jobs)
+    tasks = plan(configs, jobs)
     try:
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -566,9 +518,9 @@ def replicate_and_test(
     ]
     # The t-test reads only the window averages, so no daily CSV is formatted.
     averages: dict[ScenarioConfig, WindowAverages] = {}
-    for group in group_by(dict.fromkeys(config for pair in pairs for config in pair), prefix_key).values():
-        logs = _logs(group)
-        for config in group:
+    for state in plan(dict.fromkeys(config for pair in pairs for config in pair)):
+        logs = _logs(state)
+        for config in state:
             with _failing_point(config):
                 averages[config] = _checked_averages(next(logs))
 

@@ -530,7 +530,17 @@ class TestRunBranches:
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, learning_rate=0.3)]
         with pytest.raises(ValueError, match="seed, taste_spread, congestion, base_population, strategy and cav_share"):
-            list(run_branches(configs))
+            SimulationState(*configs)
+
+    def test_configs_of_any_prefix_key_run(self):
+        # Each learning_rate, explore_rate and phase_lengths is a state of its own.
+        configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, learning_rate=0.3),
+                   small_config(explore_rate=0.3, seed=8), small_config(cav_share=0.5, phase_lengths=(3, 3, 3, 4)),
+                   small_config(cav_share=0.5, learning_rate=0.3)]
+        logs = list(run_branches(configs))
+        assert sorted(map(repr, (log.config for log in logs))) == sorted(map(repr, configs))
+        for log in logs:
+            assert repr(log.records) == repr(run_scenario(log.config).records)
 
     def test_no_configs_no_logs(self):
         assert list(run_branches([])) == []
@@ -806,6 +816,51 @@ class TestOneBranchPath:
         alive = [built[0]() is not None for _ in run_branches(configs)]
         assert alive == [False, False, False]
         assert [built[1]() is not None for _ in run_branches(configs[:1])] == [False]
+
+
+def naive_split(group, parts):
+    """The chunks of ``engine._split``, each chunk's driver-row-days recomputed for every block."""
+    block_of = engine._row_key
+    if len(engine.group_by(group, block_of)) < parts:
+        block_of = lambda config: (engine._row_key(config), config.survivor_count)
+    blocks = engine.group_by(group, block_of)
+    loads = [[] for _ in range(min(parts, len(blocks)))]
+    chunk_of = {}
+    for key in sorted(blocks, key=lambda key: engine.driver_row_days(blocks[key]), reverse=True):
+        least = min(range(len(loads)), key=lambda i: engine.driver_row_days(loads[i]) if loads[i] else 0)
+        chunk_of[key] = least
+        loads[least] += blocks[key]
+    return [[c for c in group if chunk_of[block_of(c)] == i] for i in range(len(loads))]
+
+
+class TestPlan:
+    """``plan`` decides which configs step together as one state."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(group=ragged_groups(), parts=st.integers(1, 8))
+    # Two prefix rows for three parts: a chunk takes several blocks of one row,
+    # whose shared days count once.
+    @example(group=[small_config(congestion=congestion, cav_share=share)
+                    for congestion in (0.5, 1.0) for share in (0.0, 0.1, 0.25, 0.4, 0.5)], parts=3)
+    # Every day shared, and none.
+    @example(group=[small_config(phase_lengths=(5, 0, 0, 0), cav_share=share, seed=seed)
+                    for seed in (1, 2, 3) for share in (0.1, 0.5)], parts=2)
+    @example(group=[small_config(phase_lengths=(0, 0, 5, 5), cav_share=share, congestion=congestion)
+                    for congestion in (0.5, 2.6) for share in (0.1, 0.25, 0.5)], parts=5)
+    def test_split_equals_the_naive_split(self, group, parts):
+        assert engine._split(group, parts) == naive_split(group, parts)
+
+    def test_states_keep_the_given_order_of_interleaved_prefix_rows(self, monkeypatch):
+        # Sorted by share, then spread, as a sweep's points are: the prefix rows interleave.
+        configs = [small_config(cav_share=share, taste_spread=spread)
+                   for share in (0.1, 0.5) for spread in (0.5, 5.0, 50.0)]
+        assert engine.plan(configs) == [configs]
+        assert [log.config for log in run_branches(configs)] == configs
+        # A row holds 36 + 20 survivors after the hand-over; a cap of two rows
+        # cuts the third off, and each state keeps the given order.
+        monkeypatch.setattr(engine, "MAX_DRIVER_ROWS", 112)
+        assert engine.plan(configs) == [[c for c in configs if c.taste_spread < 50.0],
+                                        [c for c in configs if c.taste_spread == 50.0]]
 
 
 class TestIdenticalBranches:

@@ -24,7 +24,7 @@ from bottlesim import (
     paired_t_test,
     run_scenario,
 )
-from bottlesim.engine import _row_key, driver_row_days, group_by
+from bottlesim.engine import _row_key, driver_row_days, group_by, plan
 from bottlesim.metrics import RatioReport, WindowAverages, sequential_sum
 from bottlesim.expcli import (
     SUMMARY_COLUMNS,
@@ -35,7 +35,6 @@ from bottlesim.expcli import (
     _daily_rows,
     _fmt,
     _run_group,
-    _tasks,
     load_config,
     main,
     replicate_and_test,
@@ -278,7 +277,7 @@ class TestRunExperiment:
     def test_group_split_across_workers_matches_serial(self, tmp_path):
         doc = dict(FAST, strategy=list(bottlesim.STRATEGY_NAMES), cav_share=[0.0, 0.3, 1.0], seeds=[4])
         spec = load_config(write_config(tmp_path, doc))
-        tasks = _tasks(spec.run_points(), 2)
+        tasks = plan(spec.run_points(), 2)
         assert len(tasks) == 2  # one group of 15 runs, dealt to two workers
         spec.out_dir = tmp_path / "seq"
         run_experiment(spec, jobs=1)
@@ -294,41 +293,41 @@ class TestRunExperiment:
                    congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
         # One group: both populations, seeds and fleets share a task.
-        assert _tasks(configs, 1) == [configs]
+        assert plan(configs, 1) == [configs]
         # Fewer groups than jobs: the group is cut by prefix row (seed, spread,
         # population), each row's runs together; the two rows of 60 drivers are
         # dealt first, one to each chunk, and then the two rows of 30.
-        tasks = _tasks(configs, 2)
+        tasks = plan(configs, 2)
         assert [[c.seed for c in task] for task in tasks] == [[1] * 8, [2] * 8]
         assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
         assert sum(map(driver_row_days, tasks)) == driver_row_days(configs)
         # Fewer prefix rows than jobs: cut by prefix row and survivor count, so
         # the fleets of one row at one share stay together.
         one_group = [c for c in configs if c.congestion == 0.5]
-        assert _tasks(one_group, 2) == [[c for c in one_group if c.seed == seed] for seed in (1, 2)]
+        assert plan(one_group, 2) == [[c for c in one_group if c.seed == seed] for seed in (1, 2)]
         blocks = [[c for c in one_group if (c.seed, c.cav_share) == key]
                   for key in ((1, 0.1), (2, 0.1), (1, 0.5), (2, 0.5))]
-        assert _tasks(one_group, 8) == blocks
+        assert plan(one_group, 8) == blocks
         # Blocks are dealt by driver-row-days, largest first, each to the least loaded
         # chunk; each chunk of the one prefix row steps its 60 drivers through the 10 shared days.
         shares = [0.0, 0.1, 0.2, 0.3, 0.4]
         configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1]))).run_points()
-        tasks = _tasks(configs, 2)
+        tasks = plan(configs, 2)
         assert [[c.cav_share for c in task] for task in tasks] == [[0.0, 0.3, 0.4], [0.1, 0.2]]
         assert [driver_row_days(task) for task in tasks] == [600 + 10 * (60 + 42 + 36), 600 + 10 * (54 + 48)]
         # With a row per seed, each chunk steps only its own seed's human-only days.
         configs = load_config(write_config(tmp_path, dict(FAST, cav_share=shares, seeds=[1, 2]))).run_points()
-        tasks = _tasks(configs, 2)
+        tasks = plan(configs, 2)
         assert [[c.seed for c in task] for task in tasks] == [[1] * 5, [2] * 5]
         assert [driver_row_days(task) for task in tasks] == [600 + 10 * (60 + 54 + 48 + 42 + 36)] * 2
 
     def test_taste_spreads_share_a_task(self, tmp_path):
         doc = dict(FAST, beta=[0.5, 2.0, 50.0], cav_share=[0.1, 0.4], congestion=[0.5, 1.0], seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
-        assert _tasks(configs, 1) == [configs]
+        assert plan(configs, 1) == [configs]
         # One group of 12 prefix rows, four jobs: it is cut by prefix row, each
         # (seed, spread, population) with all its shares in one chunk.
-        tasks = _tasks(configs, 4)
+        tasks = plan(configs, 4)
         assert len(tasks) == 4
         rows = group_by(configs, _row_key)
         for task in tasks:
@@ -341,7 +340,7 @@ class TestRunExperiment:
         doc = dict(FAST, cav_share=[0.05, 0.2, 0.8], beta=[0.1, 5.0, 50.0], congestion=[0.5, 1.0],
                    seeds=[1, 2])
         configs = load_config(write_config(tmp_path, doc)).run_points()
-        tasks = _tasks(configs, jobs)
+        tasks = plan(configs, jobs)
         assert len(tasks) == jobs
         assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
         assert sum(map(driver_row_days, tasks)) == driver_row_days(configs)
@@ -451,7 +450,7 @@ class TestReplicateAndTest:
         def no_run(configs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(bottlesim.expcli, "run_branches", no_run)
+        monkeypatch.setattr(bottlesim.expcli, "run_state", no_run)
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
         with pytest.raises(ValueError, match="at least 2 distinct seeds"):
             replicate_and_test(config, "tau_b", config, "tau", seeds=seeds)
@@ -796,7 +795,7 @@ class TestNonFiniteOutputs:
     def test_run_experiment_names_the_failing_point(self, tmp_path, jobs):
         spec = load_config(write_config(tmp_path, OVERFLOWING))
         spec.out_dir = tmp_path / "out"
-        assert len(_tasks(spec.run_points(), jobs)) == jobs  # with jobs=2 the failure is in a worker
+        assert len(plan(spec.run_points(), jobs)) == jobs  # with jobs=2 the failure is in a worker
         with pytest.raises(RuntimeError, match=re.escape(f"{FAILING_POINT} failed: non-finite value on day 1")):
             run_experiment(spec, jobs=jobs)
         assert not (spec.out_dir / "summary.csv").exists()
