@@ -7,7 +7,6 @@ its daily split to optimize a configurable collective objective.
 """
 
 from .engine import (
-    DayRecord,
     ScenarioConfig,
     SimulationLog,
     SimulationState,
@@ -43,7 +42,6 @@ from .network import RouteParams, TwoRouteNetwork, bpr_travel_time, network_trav
 
 __all__ = [
     "ConfigError",
-    "DayRecord",
     "ExperimentSpec",
     "FleetDecision",
     "RatioReport",

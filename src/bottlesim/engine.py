@@ -18,7 +18,7 @@ Each simulated day executes in a fixed order:
 3. combined flows determine the two travel times;
 4. every human driver folds the experienced time into the estimate of
    the route it took;
-5. per-group means are recorded.
+5. each run's counts, travel times and perceived mean are logged.
 
 Determinism: each seed has one numpy PCG64 generator
 (``numpy.random.default_rng``), consumed in a fully specified order --
@@ -90,6 +90,8 @@ def _is_int(value) -> bool:
 # A run's largest arrays hold two float64 per driver of a row (the draw
 # buffer, tastes and estimates), and numpy refuses more than intp.max bytes.
 MAX_POPULATION = np.iinfo(np.intp).max // 16
+# A run's largest column holds four int64 per day, its flows: the same rule.
+MAX_DAYS = np.iinfo(np.intp).max // 32
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ class ScenarioConfig:
                 and all(_is_int(p) and p >= 0 for p in phases)):
             raise ValueError(f"phase_lengths must be four nonnegative integers, got {quoted(phases)}")
         object.__setattr__(self, "phase_lengths", tuple(phases))
+        if self.total_days > MAX_DAYS:
+            raise ValueError(f"phase_lengths must sum to at most {MAX_DAYS} days, got {quoted(phases)}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {quoted(self.seed)}")
         if not isinstance(self.network, TwoRouteNetwork):
@@ -186,33 +190,20 @@ class ScenarioConfig:
         return sum(self.phase_lengths)
 
 
-class DayRecord(NamedTuple):
-    """Flows, travel times and group means of one simulated day.
+@dataclass(eq=False)
+class SimulationLog:
+    """Config plus the per-day columns of a completed run, day 1 first.
 
-    Group means are None exactly when the group is empty that day;
-    mean_perceived_hdv_time averages experienced time plus taste over
-    the drivers that stay human for the whole run, in every phase.
-    Records are immutable, so logs may share them.
+    ``flows`` is (days, 4) int64: q_hdv_a, q_hdv_b, q_cav_a, q_cav_b; ``times``
+    (days, 2) float64: t_a, t_b; ``perceived`` (days,) float64: the mean of
+    experienced time plus taste over the drivers that stay human for the whole
+    run, NaN if none do.  ``metrics.flow_mean`` derives the group mean times.
     """
 
-    day: int
-    q_hdv_a: int
-    q_hdv_b: int
-    q_cav_a: int
-    q_cav_b: int
-    t_a: float
-    t_b: float
-    mean_hdv_time: float | None
-    mean_perceived_hdv_time: float | None
-    mean_cav_time: float | None
-
-
-@dataclass
-class SimulationLog:
-    """Config plus the ordered day records of a completed run."""
-
     config: ScenarioConfig
-    records: list[DayRecord]
+    flows: np.ndarray
+    times: np.ndarray
+    perceived: np.ndarray
 
 
 class Block(NamedTuple):
@@ -238,13 +229,15 @@ class SimulationState:
     ``SimulationState(config)`` is one run, the one-row case.  More configs
     may differ in seed, taste_spread, population, strategy and cav_share.
     Until the hand-over ``rows`` holds each distinct (seed, taste_spread,
-    population), and ``records`` a log per row and survivor count of its
-    population, row-major.  ``step_day`` hands the fleet over before day
+    population), and each row logs a perceived mean per survivor count of
+    its population.  ``step_day`` hands the fleet over before day
     ``m_day + 1``; from then on ``rows`` holds each distinct run, as
-    ``_run_key`` gives it, holding only its survivors, with one log.  Rows
+    ``_run_key`` gives it, holding only its survivors, with one mean.  Rows
     of equal length form a ``Block``, whatever their population.  The rows
     of a (seed, population) and length draw alike, so they share one
-    generator in ``rngs`` and its draws.
+    generator in ``rngs`` and its draws.  Config ``i``'s log is ``[:, i]``
+    of the (total_days, configs, ...) ``flows``, ``times`` and ``perceived``;
+    a day fills it from row ``row_of[i]`` and that row's mean ``log_of[i]``.
     """
 
     def __init__(self, *configs: ScenarioConfig) -> None:
@@ -259,8 +252,7 @@ class SimulationState:
         for c in configs:
             counts.setdefault(c.total_population, {})[c.survivor_count] = None
         self._lay_out(
-            list(dict.fromkeys(map(_row_key, configs))), operator.itemgetter(2),
-            lambda key: np.random.default_rng(key[0]), lambda n: tuple(counts[n]),
+            _row_key, operator.itemgetter(2), lambda key: np.random.default_rng(key[0]), lambda n: tuple(counts[n]),
         )
         self.fleets = [(0, None)] * len(self.rows)  # each row's (fleet size, weights)
 
@@ -300,56 +292,57 @@ class SimulationState:
         self.explore_rate = config.explore_rate
 
         self.day = 1  # next day to simulate
-        self.records: list[list[DayRecord]] = [
-            [] for block in self.blocks for _ in range(block.rows) for _ in block.counts
-        ]
+        shape = self.total_days, len(configs)
+        self.flows = np.empty((*shape, 4), np.int64)
+        self.times, self.perceived = np.empty((*shape, 2)), np.empty(shape)
 
-    def _lay_out(self, rows: list[tuple], length, generator, counts) -> None:
-        """Lay ``rows`` out on the flat driver axis, in blocks of equal ``length(row)``.
+    def _lay_out(self, key, length, generator, counts) -> None:
+        """Lay the distinct ``key(config)`` out as rows of the flat driver axis, in blocks of equal ``length(row)``.
 
         Blocks, and the rows in each, keep their first-seen order.  Sets
         ``rows``, ``blocks``, ``spans`` (each row's slice of the axis) and
         ``width``.  ``rngs`` maps each (seed, population, length) of the rows
         to ``generator`` of it, which draws into the span of its first row
         (``draw_into``); its other rows copy those draws (``copies``).  A
-        block logs ``counts(length)``.
+        block logs ``counts(length)``, each row a mean per count, row-major:
+        ``row_of`` and ``log_of`` index each config's row and mean.
         """
         self.rows, self.blocks, self.spans, start = [], [], [], 0
-        self.rngs, self.copies, sources = {}, [], {}
-        for n, members in group_by(rows, length).items():
+        self.rngs, self.copies, sources, logs = {}, [], {}, []
+        keys = list(map(key, self.configs))
+        for n, members in group_by(dict.fromkeys(keys), length).items():
             self.blocks.append(Block(len(self.rows), len(members), start, start + len(members) * n, n, counts(n)))
             self.rows += members
+            logs += [(row, count) for row in members for count in counts(n)]
             for seed, _, population, *_ in members:
                 cut = slice(start, start + n)
                 self.spans.append(cut)
                 start += n
-                key = seed, population, n
-                if key in sources:
-                    self.copies.append((sources[key], cut))
+                rng_key = seed, population, n
+                if rng_key in sources:
+                    self.copies.append((sources[rng_key], cut))
                 else:
-                    self.rngs[key], sources[key] = generator(key), cut
+                    self.rngs[rng_key], sources[rng_key] = generator(rng_key), cut
         self.width = start  # driver-rows
         self.draw_into = [(self.rngs[key], cut) for key, cut in sources.items()]
+        index = {row: i for i, row in enumerate(self.rows)}
+        log_index = {log: i for i, log in enumerate(logs)}
+        self.row_of = np.array([index[row] for row in keys])
+        self.log_of = np.array([log_index[row, c.survivor_count] for row, c in zip(keys, self.configs)])
 
     def _hand_over(self) -> None:
         """Continue as the distinct runs of the configs, a row each, in blocks by survivor count.
 
-        Each run's row is a copy of its prefix row's survivors, and its log a
-        copy of that row's log for the count.  The runs of a (seed,
-        population) and survivor count share one copy of its generator, as
-        they draw alike from here on, and the runs of a fleet and survivor
+        Each run's row is a copy of its prefix row's survivors.  The runs of a
+        (seed, population) and survivor count share one copy of its generator,
+        as they draw alike from here on, and the runs of a fleet and survivor
         count one empty memo, as its decisions depend on q_hdv_a alone.
         """
         starts = {row: cut.start for row, cut in zip(self.rows, self.spans)}
-        records = iter(self.records)
-        logs = {(row, count): next(records) for block in self.blocks
-                for row in self.rows[block.first:block.first + block.rows] for count in block.counts}
         generators = self.rngs
         self._lay_out(
-            list(dict.fromkeys(map(_run_key, self.configs))), _survivors,
-            lambda key: copy.deepcopy(generators[key[0], key[1], key[1]]), lambda n: (n,),
+            _run_key, _survivors, lambda key: copy.deepcopy(generators[key[0], key[1], key[1]]), lambda n: (n,),
         )
-        self.records = [list(logs[run[:3], _survivors(run)]) for run in self.rows]
         segments = [(starts[run[:3]], _survivors(run)) for run in self.rows]
 
         def gather(array: np.ndarray) -> np.ndarray:
@@ -395,8 +388,8 @@ def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     y ^= x
 
 
-def step_day(state: SimulationState) -> list[DayRecord]:
-    """Simulate the next day of every row; append its records to the logs and return them.
+def step_day(state: SimulationState) -> None:
+    """Simulate the next day of every row and fill each config's columns for it.
 
     From day ``m_day + 1`` on the highest-index drivers are fleet
     vehicles: they stop choosing and learning and become count mass
@@ -430,8 +423,8 @@ def step_day(state: SimulationState) -> list[DayRecord]:
     np.logical_not(on_b, taken[0])
 
     network, alpha, fleets, memos = state.network, state.learning_rate, state.fleets, state.memos
-    # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
-    days, columns = [], []
+    # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
+    flows, columns = [], []
     for row, cut in enumerate(state.spans):
         q_hdv_b = int(np.count_nonzero(on_b[cut]))
         q_hdv_a = cut.stop - cut.start - q_hdv_b
@@ -445,7 +438,7 @@ def step_day(state: SimulationState) -> list[DayRecord]:
         else:
             q_cav_a = q_cav_b = 0
         t_a, t_b = network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
-        days.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b))
+        flows.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b))
         columns.append((t_a, t_b, alpha * t_a, alpha * t_b))
 
     # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
@@ -469,18 +462,13 @@ def step_day(state: SimulationState) -> list[DayRecord]:
         np.add(block_columns[:2], block_tastes, block_scratch)
     _select(on_b, bits[1], bits[0])
 
-    stats = []
-    for block, (block_scratch, _, _) in zip(state.blocks, views):
-        stats += day_statistics(block_scratch[0], block.counts, days[block.first:block.first + block.rows])
-    records = [
-        DayRecord(day, *values, mean_hdv, mean_perceived, mean_cav)
-        for values, (mean_hdv, means, mean_cav) in zip(days, stats)
-        for mean_perceived in means
-    ]
-    for log, record in zip(state.records, records):
-        log.append(record)
+    # Each config's entry of the day: its row's counts and times, and its row's mean for its survivor count.
+    means = [day_statistics(block_scratch[0], block.counts).ravel()
+             for block, (block_scratch, *_) in zip(state.blocks, views)]
+    state.flows[day - 1] = np.array(flows)[state.row_of]
+    state.times[day - 1] = columns[:2, state.row_of, 0].T
+    state.perceived[day - 1] = np.concatenate(means)[state.log_of]
     state.day = day + 1
-    return records
 
 
 def group_by(configs: Iterable[ScenarioConfig], key) -> dict:
@@ -592,15 +580,13 @@ def run_state(configs: list[ScenarioConfig]) -> list[SimulationLog]:
 
     Days 1..m_day are stepped once, a row per (seed, taste_spread, population),
     then a row per distinct run, so every log equals the one its config gives
-    alone.  Each log owns a copy of its run's record list.
+    alone.  Each log's columns are its config's own slice of the state's.
     """
     state = SimulationState(*configs)
     while state.day <= state.total_days:
         step_day(state)
-    if state.memos is None:  # a hand-over past the last day: each run takes its prefix log
-        state._hand_over()
-    records = dict(zip(state.rows, state.records))
-    return [SimulationLog(config, list(records[_run_key(config)])) for config in configs]
+    return [SimulationLog(config, state.flows[:, i], state.times[:, i], state.perceived[:, i])
+            for i, config in enumerate(configs)]
 
 
 def run_branches(configs: Iterable[ScenarioConfig]) -> Iterator[SimulationLog]:

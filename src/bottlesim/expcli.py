@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from .engine import (
-    DayRecord,
     ScenarioConfig,
     SimulationLog,
     _is_int,
@@ -46,6 +47,7 @@ from .metrics import (
     TTestResult,
     WindowAverages,
     compute_window_averages,
+    flow_mean,
     paired_t_test,
     ratio_report,
 )
@@ -63,7 +65,7 @@ POINT_COLUMNS = ("strategy", "cav_share", "beta", "congestion", "seed")
 WINDOW_METRICS = _field_names(WindowAverages)
 SUMMARY_COLUMNS = POINT_COLUMNS + WINDOW_METRICS + _field_names(RatioReport)
 SUMMARY_HEADER = ",".join(SUMMARY_COLUMNS)
-DAILY_HEADER = ",".join(DayRecord._fields)
+DAILY_HEADER = "day,q_hdv_a,q_hdv_b,q_cav_a,q_cav_b,t_a,t_b,mean_hdv_time,mean_perceived_hdv_time,mean_cav_time"
 
 
 class ConfigError(ValueError):
@@ -320,10 +322,26 @@ def _float_cells(values) -> list[str]:
     return cells
 
 
-def _daily_rows(records: list[DayRecord]) -> list[str]:
-    """The CSV rows of ``records``: the day and the four counts by ``str``, the rest by ``_float_cells``."""
-    columns = list(zip(*records))
-    return list(map(",".join, zip(*[map(str, column) for column in columns[:5]], *map(_float_cells, columns[5:]))))
+def _daily_rows(log: SimulationLog) -> list[str]:
+    """The CSV rows of ``log``: the day and the four counts by ``str``, the rest by ``_float_cells``.
+
+    A group's mean time is NA on a day without its flow, and the perceived
+    mean on every day of a run without survivors.  Any other value must be
+    finite, or a RuntimeError names the first day that is not.
+    """
+    flows, times = log.flows, log.times
+    hdv, cav = flows[:, :2], flows[:, 2:]
+    # Each float column and the days it is present on.
+    floats = [(times[:, 0], True), (times[:, 1], True), (flow_mean(hdv, times), hdv.any(axis=1)),
+              (log.perceived, log.config.survivor_count > 0), (flow_mean(cav, times), cav.any(axis=1))]
+    finite = np.logical_and.reduce([np.isfinite(values) | np.logical_not(present) for values, present in floats])
+    cells = [_float_cells(np.where(present, values, None).tolist()) for values, present in floats]
+    days = map(str, range(1, len(flows) + 1))
+    rows = list(map(",".join, zip(days, *[map(str, column) for column in flows.T.tolist()], *cells)))
+    if not finite.all():
+        day = int(np.argmin(finite))
+        raise RuntimeError(f"non-finite value on day {day + 1}: {rows[day]}")
+    return rows
 
 
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
@@ -344,18 +362,6 @@ def _check_finite(*stats) -> None:
         for name, value in vars(stat).items():
             if value is not None and not math.isfinite(value):
                 raise RuntimeError(f"{name} is {value}")
-
-
-def _check_finite_rows(rows: list[str]) -> None:
-    """Raise RuntimeError if a formatted daily row holds a non-finite number.
-
-    ``_fmt`` writes a non-finite float as inf, -inf or nan, and nothing
-    else in a row as a lowercase letter but the e of an exponent, so this
-    scans the text the run writes instead of every record field again.
-    """
-    for row in rows:
-        if "inf" in row or "nan" in row:
-            raise RuntimeError(f"non-finite value on day {row.split(',', 1)[0]}: {row}")
 
 
 @contextlib.contextmanager
@@ -412,8 +418,7 @@ def _run_group(configs: list[ScenarioConfig], out_dir: Path) -> list[Result]:
     for config in configs:
         with _failing_point(config):
             log = next(logs)
-            rows = _daily_rows(log.records)
-            _check_finite_rows(rows)
+            rows = _daily_rows(log)
             averages = _checked_averages(log)
             ratios = ratio_report(averages)
             _check_finite(ratios)

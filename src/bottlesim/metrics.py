@@ -1,9 +1,11 @@
 """Reported statistics: daily group means, window averages, gaps, ratios.
 
-A simulation produces one record per day.  The statistics of interest
-are arithmetic means of per-day quantities over two windows of the
-run's phases: the baseline window (phase 2, before the fleet is
-introduced) and the evaluation window (phase 4, at the end of the run).
+A simulation logs per-day columns: the four counts, the two route times
+and the survivors' mean perceived time (see ``engine.SimulationLog``).
+The statistics of interest are arithmetic means of per-day quantities
+over two windows of the run's phases: the baseline window (phase 2,
+before the fleet is introduced) and the evaluation window (phase 4, at
+the end of the run).
 Group statistics over an empty group (no fleet, or no surviving human
 drivers) are reported as absent (None), never as zero, and absence
 propagates through window averages and ratios.
@@ -79,28 +81,33 @@ class TTestResult:
     degenerate: bool = False
 
 
-def day_statistics(
-    perceived: np.ndarray, survivor_counts: Sequence[int],
-    days: Sequence[tuple[int, int, int, int, float, float]],
-) -> list[tuple[float | None, list[float | None], float | None]]:
-    """Per-day group means of R runs, from one completed day of each.
+def day_statistics(perceived: np.ndarray, survivor_counts: Sequence[int]) -> np.ndarray:
+    """Per-day perceived means of R runs, from one completed day of each.
 
     ``perceived`` has one row per run: the perceived time of every current
     human driver in index order, the experienced time plus the taste of
-    the route taken.  Per row, ``days`` holds (q_hdv_a, q_hdv_b, q_cav_a,
-    q_cav_b, t_a, t_b).
-    Returns, per row, (mean human time, the mean perceived time over the
-    first c drivers for each c in ``survivor_counts``, mean fleet time),
-    each None when its group is empty.
+    the route taken.  Returns an (R, len(survivor_counts)) array: per row,
+    the mean over its first c drivers for each c in ``survivor_counts``
+    (each at most the row's length), NaN where c is 0.
     """
-    n = perceived.shape[1]
-    # np.mean's own reduction, row by row: each row sums as it would alone.
-    sums = [np.add.reduce(perceived[:, :c], axis=1).tolist() if 0 < c <= n else None for c in survivor_counts]
-    stats = []
-    for row, (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b) in enumerate(days):
-        means = [None if s is None else s[row] / c for s, c in zip(sums, survivor_counts)]
-        stats.append((_flow_mean(q_hdv_a, q_hdv_b, t_a, t_b), means, _flow_mean(q_cav_a, q_cav_b, t_a, t_b)))
-    return stats
+    means = np.full((len(perceived), len(survivor_counts)), np.nan)
+    for i, c in enumerate(survivor_counts):
+        if c:
+            # np.mean's own reduction, row by row: each row sums as it would alone.
+            np.divide(np.add.reduce(perceived[:, :c], axis=1), c, out=means[:, i])
+    return means
+
+
+def flow_mean(q: np.ndarray, t) -> np.ndarray:
+    """Per day, the flow-weighted mean (q_a * t_a + q_b * t_b) / (q_a + q_b) of two per-route values.
+
+    ``q`` is (days, 2) route counts, and ``t`` (t_a, t_b) per day or for all
+    days.  A day without flow gives NaN; its mean is absent.  Each mean has
+    the bits of the scalar formula on Python numbers.
+    """
+    t = np.asarray(t)
+    with np.errstate(all="ignore"):  # Python's float arithmetic, which this repeats, warns of nothing
+        return (q[:, 0] * t[..., 0] + q[:, 1] * t[..., 1]) / (q[:, 0] + q[:, 1])
 
 
 @lru_cache(maxsize=None)
@@ -132,17 +139,11 @@ def sequential_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _mean(values: list) -> float | None:
-    """Mean of per-day values; None for an empty window or an absent day."""
-    if not values or any(v is None for v in values):
+def _mean(values: np.ndarray, present=True) -> float | None:
+    """Mean of per-day values; None for an empty window or a day not ``present``."""
+    if not len(values) or not np.all(present):
         return None
-    return sequential_sum(values) / len(values)
-
-
-def _flow_mean(q_a: int, q_b: int, t_a: float, t_b: float) -> float | None:
-    """Flow-weighted mean of two per-route values; None for no flow."""
-    total = q_a + q_b
-    return (q_a * t_a + q_b * t_b) / total if total > 0 else None
+    return sequential_sum(values.tolist()) / len(values)
 
 
 def compute_window_averages(log: "SimulationLog") -> WindowAverages:
@@ -155,33 +156,42 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     at that day's total flow; the equity gap is the flow-weighted
     standard deviation of the two route times around S.
     """
-    p1, p2, p3, p4 = log.config.phase_lengths
-    if len(log.records) < log.config.total_days:
-        raise ValueError(
-            f"phase windows reach day {log.config.total_days}, "
-            f"outside the log (days 1..{len(log.records)})"
-        )
-    base = log.records[p1 : p1 + p2]
-    post = log.records[p1 + p2 + p3 : p1 + p2 + p3 + p4]
-    gaps = []
-    sigmas = []
-    for rec in post:
-        q_a = rec.q_hdv_a + rec.q_cav_a
-        q_b = rec.q_hdv_b + rec.q_cav_b
-        s = _flow_mean(q_a, q_b, rec.t_a, rec.t_b)
-        gaps.append(s - system_optimum(log.config.network, q_a + q_b)[1])
+    config = log.config
+    p1, p2, p3, _ = config.phase_lengths
+    if len(log.flows) < config.total_days:
+        raise ValueError(f"phase windows reach day {config.total_days}, outside the log (days 1..{len(log.flows)})")
+    base, post = slice(p1, p1 + p2), slice(p1 + p2 + p3, config.total_days)
+    flows, times = log.flows[post], log.times[post]
+    q = flows[:, :2] + flows[:, 2:]  # every vehicle, per route
+    s = flow_mean(q, times)
+    with np.errstate(all="ignore"):  # as in flow_mean
+        gaps = s - [system_optimum(config.network, total)[1] for total in q.sum(axis=1).tolist()]
+        deviations = (times - s[:, None]).tolist()
+    # Python's ** is libm's pow, whose bits numpy's power does not match: square one by one.
+    squares, overflowed = [], []
+    for day, (d_a, d_b) in enumerate(deviations):
         try:
-            sigmas.append(math.sqrt(_flow_mean(q_a, q_b, (rec.t_a - s) ** 2, (rec.t_b - s) ** 2)))
-        except OverflowError:  # a squared deviation overflows: the same spread in closed form
-            sigmas.append(abs(rec.t_a - rec.t_b) * math.sqrt(q_a * q_b) / (q_a + q_b))
+            squares.append((d_a ** 2, d_b ** 2))
+        except OverflowError:
+            squares.append((0.0, 0.0))
+            overflowed.append(day)
+    sigmas = np.sqrt(flow_mean(q, np.reshape(squares, (-1, 2))))
+    for day in overflowed:  # a squared deviation overflows: the same spread in closed form
+        (q_a, q_b), (t_a, t_b) = q[day].tolist(), times[day].tolist()
+        sigmas[day] = abs(t_a - t_b) * math.sqrt(q_a * q_b) / (q_a + q_b)
+
+    def group_mean(q, t):  # a group's daily flow_mean, absent if the group is empty on some day
+        return _mean(flow_mean(q, t), q.any(axis=1))
+
+    survivors = config.survivor_count > 0
     return WindowAverages(
-        tau_b=_mean([rec.mean_hdv_time for rec in base]),
-        tau=_mean([rec.mean_hdv_time for rec in post]),
-        u_b=_mean([rec.mean_perceived_hdv_time for rec in base]),
-        u=_mean([rec.mean_perceived_hdv_time for rec in post]),
-        rho=_mean([rec.mean_cav_time for rec in post]),
-        frac_a_hdv=_mean([_flow_mean(rec.q_hdv_a, rec.q_hdv_b, 1.0, 0.0) for rec in post]),
-        frac_a_cav=_mean([_flow_mean(rec.q_cav_a, rec.q_cav_b, 1.0, 0.0) for rec in post]),
+        tau_b=group_mean(log.flows[base, :2], log.times[base]),
+        tau=group_mean(flows[:, :2], times),
+        u_b=_mean(log.perceived[base], survivors),
+        u=_mean(log.perceived[post], survivors),
+        rho=group_mean(flows[:, 2:], times),
+        frac_a_hdv=group_mean(flows[:, :2], (1.0, 0.0)),
+        frac_a_cav=group_mean(flows[:, 2:], (1.0, 0.0)),
         opt_gap=_mean(gaps),
         equity_gap=_mean(sigmas),
     )

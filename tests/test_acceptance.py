@@ -26,6 +26,7 @@ from bottlesim import (
     system_optimum,
 )
 from bottlesim.expcli import load_config, main, replicate_and_test, run_experiment
+from bottlesim.metrics import flow_mean
 from scalar_model import (
     EULER_MASCHERONI,
     ROUTE_A,
@@ -77,7 +78,7 @@ def test_01_baseline_stabilization():
     start = time.perf_counter()
     log = run_scenario(ScenarioConfig(seed=1))
     elapsed = time.perf_counter() - start
-    flows_on_a = [r.q_hdv_a + r.q_cav_a for r in log.records[100:200]]
+    flows_on_a = (log.flows[100:200, 0] + log.flows[100:200, 2]).tolist()
     spread = float(np.std(flows_on_a))
     check(
         "criterion 1 baseline stabilization",
@@ -129,15 +130,13 @@ def test_04_social_small_share():
 def test_05_social_full_share():
     log, averages, _ = results_for(cav_share=1.0, strategy="Social", seed=1)
     config = log.config
-    exact_match = all(
-        record.q_hdv_a + record.q_cav_a == system_optimum(config.network, 1000)[0]
-        for record in log.records[config.m_day :]
-    )
+    post = log.flows[config.m_day :]
+    exact_match = all(q_a == system_optimum(config.network, 1000)[0] for q_a in (post[:, 0] + post[:, 2]).tolist())
     check(
         "criterion 5 social full share",
         averages.opt_gap < 0.05 and exact_match,
         f"opt_gap={averages.opt_gap:.6f} (<0.05), split matches system optimum "
-        f"on all {len(log.records) - config.m_day} post-replacement days: {exact_match}",
+        f"on all {len(post)} post-replacement days: {exact_match}",
     )
 
 
@@ -161,12 +160,12 @@ def test_06_system_optimum_location():
 def test_07_altruistic_small_share():
     log, averages, ratios = results_for(cav_share=0.2, strategy="Altruistic", seed=1)
     config = log.config
-    post = log.records[config.m_day :]
+    post = log.flows[config.m_day :].tolist()
     # PAPER.md's Altruistic weights (0, 1) are written out, not looked up, so a
     # wrong strategy table cannot agree with itself.
     matched = sum(
-        r.q_cav_a == plain_loop_fleet_split((0.0, 1.0), r.q_hdv_a, r.q_hdv_b, config.fleet_size)
-        for r in post
+        q_cav_a == plain_loop_fleet_split((0.0, 1.0), q_hdv_a, q_hdv_b, config.fleet_size)
+        for q_hdv_a, q_hdv_b, q_cav_a, _ in post
     )
     # With 800 humans and 200 vehicles, minimizing human time sends the whole
     # fleet to B whenever q_hdv_a >= 462, and at least 95 % of it to A only when
@@ -185,7 +184,7 @@ def test_07_altruistic_small_share():
 def test_08_malicious_oscillation():
     def hdv_time_variance(strategy, seed):
         log, _, _ = results_for(cav_share=0.6, strategy=strategy, seed=seed)
-        return float(np.var([r.mean_hdv_time for r in log.records[300:400]]))
+        return float(np.var(flow_mean(log.flows[300:400, :2], log.times[300:400])))
 
     primary_ratio = hdv_time_variance("Malicious", 1) / hdv_time_variance("Selfish", 1)
     fallback = all(
@@ -321,11 +320,11 @@ def test_13_property_suites():
         assert social.objective_value / q_total == pytest.approx(minimal_mean)
 
     # equity spread is zero exactly when the route times coincide
-    from bottlesim import DayRecord, SimulationLog
+    from bottlesim import SimulationLog
 
     def spread_of(t_a, t_b, q_a=400, q_b=600):
-        record = DayRecord(1, q_a, q_b, 0, 0, t_a, t_b, None, None, None)
-        log = SimulationLog(ScenarioConfig(phase_lengths=(0, 0, 0, 1), network=net), [record])
+        log = SimulationLog(ScenarioConfig(phase_lengths=(0, 0, 0, 1), network=net),
+                            np.array([[q_a, q_b, 0, 0]]), np.array([[t_a, t_b]]), np.zeros(1))
         return compute_window_averages(log).equity_gap
 
     assert spread_of(12.0, 12.0) == 0.0

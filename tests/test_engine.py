@@ -26,7 +26,8 @@ from bottlesim import (
     step_day,
 )
 from bottlesim import engine
-from bottlesim.engine import prefix_key
+from bottlesim.engine import MAX_DAYS, SimulationLog, prefix_key
+from bottlesim.expcli import DAILY_HEADER, _daily_rows
 from scalar_model import (
     ROUTE_A,
     ROUTE_B,
@@ -38,6 +39,28 @@ from scalar_model import (
     sample_taste,
     update_estimate,
 )
+
+
+def columns(log, days=None):
+    """A log's columns over its first ``days``, as bytes: equal exactly when every value is equal bit for bit."""
+    return log.flows[:days].tobytes(), log.times[:days].tobytes(), log.perceived[:days].tobytes()
+
+
+def state_log(state, i=0):
+    """The log of config ``i`` of ``state`` over the days stepped so far."""
+    days = state.day - 1
+    return SimulationLog(state.configs[i], state.flows[:days, i], state.times[:days, i], state.perceived[:days, i])
+
+
+def records(log):
+    """Each day of ``log`` by name, read back from its daily CSV rows; None where the CSV has NA."""
+    names = DAILY_HEADER.split(",")
+    parsed = []
+    for row in _daily_rows(log):
+        cells = row.split(",")
+        values = [int(cell) for cell in cells[:5]] + [None if cell == "NA" else float(cell) for cell in cells[5:]]
+        parsed.append(SimpleNamespace(**dict(zip(names, values))))
+    return parsed
 
 
 def small_config(**kwargs):
@@ -113,11 +136,20 @@ class TestScenarioConfig:
             ({"taste_spread": True}, "taste_spread"),
             # An array's == compares elementwise, so this one compares equal to "Selfish".
             ({"strategy": np.array(["Selfish"])}, "strategy"),
+            # More days than a run's (days, 4) int64 flow column can index.
+            ({"phase_lengths": (10**30, 1, 1, 1)}, "phase_lengths"),
+            ({"phase_lengths": (MAX_DAYS, 0, 0, 1)}, "phase_lengths"),
         ],
     )
     def test_named_field_rejections(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**kwargs)
+
+    def test_longest_run_numpy_can_index_is_accepted(self):
+        # Accepted, though no machine holds its columns: that is a runtime failure.
+        config = ScenarioConfig(phase_lengths=(MAX_DAYS - 3, 1, 1, 1))
+        assert config.total_days == MAX_DAYS
+        assert config.total_days * 32 <= np.iinfo(np.intp).max
 
     @pytest.mark.parametrize("congestion", [math.inf, -math.inf, math.nan, 10**400, 1e308])
     def test_non_finite_congestion_rejected(self, congestion):
@@ -194,7 +226,8 @@ class TestInitSimulation:
 class TestStepDay:
     def test_day_one_matches_pinned_realization(self):
         state = SimulationState(ScenarioConfig(seed=1))
-        (record,) = step_day(state)
+        step_day(state)
+        (record,) = records(state_log(state))
         assert record.q_hdv_a == 518  # binomial(1000, 0.5) at this seed and generator
         assert record.q_cav_a == record.q_cav_b == 0
         assert record.mean_cav_time is None
@@ -203,7 +236,8 @@ class TestStepDay:
     def test_day_two_matches_pinned_realization(self):
         state = SimulationState(ScenarioConfig(seed=1))
         step_day(state)
-        assert step_day(state)[0].q_hdv_a == 850
+        step_day(state)
+        assert state.flows[1, 0, 0] == 850
 
     def test_greedy_limit_all_choose_faster_route(self):
         # frozen free-flow estimates plus negligible tastes: everyone picks A
@@ -214,7 +248,7 @@ class TestStepDay:
             seed=3,
         )
         log = run_scenario(config)
-        assert log.records[1].q_hdv_a == 200
+        assert log.flows[1, 0] == 200
 
     def test_stepping_past_the_last_day_raises(self):
         config = ScenarioConfig(base_population=10, phase_lengths=(1, 0, 0, 0))
@@ -231,7 +265,8 @@ class TestApplyMday:
         config = small_config(cav_share=0.0)
         state = SimulationState(config)
         for _ in range(config.m_day + 1):
-            (record,) = step_day(state)
+            step_day(state)
+        record = records(state_log(state))[-1]
         assert record.day == config.m_day + 1
         assert record.q_hdv_a + record.q_hdv_b == 40
         assert record.q_cav_a == record.q_cav_b == 0
@@ -241,7 +276,7 @@ class TestApplyMday:
         # The scalar oracle steps the survivors across the hand-over on their own.
         config = ScenarioConfig(cav_share=0.1, seed=5, phase_lengths=(1, 2, 1, 0))
         state, _ = assert_engine_replays_oracle(config)
-        handover = state.records[0][config.m_day]
+        handover = records(state_log(state))[config.m_day]
         assert handover.q_hdv_a + handover.q_hdv_b == 900
         assert handover.q_cav_a + handover.q_cav_b == 100
         # The replaced drivers stop choosing and learning: the state drops them.
@@ -257,25 +292,26 @@ class TestApplyMday:
             base_population=50, cav_share=1.0, strategy="Social", phase_lengths=(2, 2, 2, 2), seed=11
         )
         log = run_scenario(config)
-        for record in log.records[4:]:
+        for record in records(log)[4:]:
             assert record.q_hdv_a == record.q_hdv_b == 0
             assert record.mean_hdv_time is None
             assert record.mean_cav_time is not None
         # the survivor set is empty from the start, so perceived means never exist
-        assert all(record.mean_perceived_hdv_time is None for record in log.records)
+        assert all(record.mean_perceived_hdv_time is None for record in records(log))
 
 
 class TestRunScenario:
     def test_share_zero_never_creates_a_fleet(self):
         log = run_scenario(small_config(cav_share=0.0))
-        assert len(log.records) == 12
-        assert all(r.q_cav_a + r.q_cav_b == 0 for r in log.records)
+        assert (log.flows.shape, log.times.shape, log.perceived.shape) == ((12, 4), (12, 2), (12,))
+        assert (log.flows.dtype, log.times.dtype, log.perceived.dtype) == (np.int64, np.float64, np.float64)
+        assert not log.flows[:, 2:].any()
 
     def test_phase_integrity_and_conservation(self):
         config = small_config(cav_share=0.3, strategy="Social")
         log = run_scenario(config)
         m_day = config.m_day
-        for record in log.records:
+        for record in records(log):
             total = record.q_hdv_a + record.q_hdv_b + record.q_cav_a + record.q_cav_b
             assert total == config.total_population
             fleet = record.q_cav_a + record.q_cav_b
@@ -283,17 +319,18 @@ class TestRunScenario:
 
     def test_identical_configs_identical_logs(self):
         config = small_config(cav_share=0.2, strategy="Malicious", seed=123)
-        assert run_scenario(config) == run_scenario(config)
+        assert columns(run_scenario(config)) == columns(run_scenario(config))
 
     def test_records_are_consecutive_days_from_one(self):
         log = run_scenario(small_config())
-        assert [r.day for r in log.records] == list(range(1, 13))
+        assert [r.day for r in records(log)] == list(range(1, 13))
 
     def test_survivor_perceived_mean_ignores_future_fleet_members(self):
         # four drivers, two become fleet: perceived means use ids 0 and 1 only
         config = ScenarioConfig(base_population=4, cav_share=0.5, phase_lengths=(1, 0, 0, 0), seed=2)
         state = SimulationState(config)
-        (record,) = step_day(state)
+        step_day(state)
+        (record,) = records(state_log(state))
         t = {ROUTE_A: record.t_a, ROUTE_B: record.t_b}
         perceived = []
         for i in range(2):
@@ -378,10 +415,10 @@ def assert_engine_replays_oracle(config):
     """
     state = SimulationState(config)
     days = list(scalar_oracle(config))
-    for expected in days:
-        (record,) = step_day(state)
-        assert (record.q_hdv_a, record.q_hdv_b, record.q_cav_a, record.q_cav_b) == expected.counts
-        assert (record.t_a, record.t_b) == expected.times
+    for day, expected in enumerate(days):
+        step_day(state)
+        assert tuple(state.flows[day, 0].tolist()) == expected.counts
+        assert tuple(state.times[day, 0].tolist()) == expected.times
         for i in range(expected.n_hdv):
             agent = agent_snapshot(state, i)
             assert agent.last_route == expected.routes[i]
@@ -431,10 +468,10 @@ class TestEngineProperties:
     def test_run_scenario_equals_scalar_oracle(self, config):
         state, oracle = assert_engine_replays_oracle(config)
         log = run_scenario(config)
-        assert log.records == state.records[0]
+        assert columns(log) == columns(state_log(state))
 
         survivors = config.survivor_count
-        for record, expected in zip(log.records, oracle, strict=True):
+        for record, expected in zip(records(log), oracle, strict=True):
             humans = config.total_population if record.day <= config.m_day else survivors
             fleet = 0 if record.day <= config.m_day else config.fleet_size
             assert record.q_hdv_a + record.q_hdv_b == humans
@@ -460,11 +497,11 @@ class TestEngineProperties:
 
 
 def stepped_log(config):
-    """The config's records from a plain day loop on one state: the reference for run_branches."""
+    """The config's ``columns`` from a plain day loop on one state: the reference for run_branches."""
     state = SimulationState(config)
     for _ in range(config.total_days):
         step_day(state)
-    return state.records[0]
+    return columns(state_log(state))
 
 
 @st.composite
@@ -503,29 +540,29 @@ class TestRunBranches:
         logs = list(run_branches(configs))
         assert [log.config for log in logs] == configs
         for log, config in zip(logs, configs, strict=True):
-            # repr is exact for floats, so this compares every value bit for bit.
-            assert repr(log.records) == repr(stepped_log(config))
+            assert columns(log) == stepped_log(config)
 
     def test_run_scenario_is_the_one_branch_case(self):
         config = small_config(cav_share=0.3, strategy="Disruptive")
-        assert repr(run_scenario(config).records) == repr(stepped_log(config))
+        assert columns(run_scenario(config)) == stepped_log(config)
 
     def test_branch_logs_share_no_state(self):
         # Two forks, then two configs simulated once as one run.
         for fleets in ([("Social", 0.5), ("Selfish", 0.5)], [("Social", 0.0), ("Selfish", 0.0)]):
             first, second = run_branches(_group((2, 2, 2, 2), fleets))
-            assert first.records[:4] == second.records[:4]
-            assert first.records is not second.records
-            first.records.clear()
-            assert len(second.records) == 8
+            assert columns(first, 4) == columns(second, 4)
+            for name in ("flows", "times", "perceived"):
+                assert not np.shares_memory(getattr(first, name), getattr(second, name))
 
     def test_shared_records_are_immutable(self):
-        # One survivor count, so the two logs may share their prefix records.
+        # One survivor count, so the two logs step as one row until the hand-over:
+        # a write to one log's columns still leaves the other's as they were.
         first, second = run_branches(_group((2, 2, 2, 2), [("Social", 0.5), ("Selfish", 0.5)]))
-        t_a = second.records[0].t_a
-        with pytest.raises(AttributeError):
-            first.records[0].t_a = -1.0
-        assert second.records[0].t_a == t_a
+        before = columns(second)
+        first.flows[:] = -1
+        first.times[:] = -1.0
+        first.perceived[:] = -1.0
+        assert columns(second) == before
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, learning_rate=0.3)]
@@ -540,7 +577,7 @@ class TestRunBranches:
         logs = list(run_branches(configs))
         assert sorted(map(repr, (log.config for log in logs))) == sorted(map(repr, configs))
         for log in logs:
-            assert repr(log.records) == repr(run_scenario(log.config).records)
+            assert columns(log) == columns(run_scenario(log.config))
 
     def test_no_configs_no_logs(self):
         assert list(run_branches([])) == []
@@ -600,7 +637,7 @@ class TestLockstep:
         logs = list(run_branches(configs))
         assert [log.config for log in logs] == configs
         for log, config in zip(logs, configs, strict=True):
-            assert repr(log.records) == repr(run_scenario(config).records)
+            assert columns(log) == columns(run_scenario(config))
 
     def test_one_step_day_call_per_day(self, monkeypatch):
         configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2, 3)
@@ -631,8 +668,8 @@ class TestLockstep:
         # A block per survivor count, whatever the seed: 20 drivers in two rows, then 30 in one.
         assert [(block.rows, block.n) for block in state.blocks] == [(2, 20), (1, 30)]
         assert state.width == 70
-        for records, config in zip(state.records, [configs[0], configs[2], configs[1]], strict=True):
-            assert repr(records) == repr(stepped_log(config))
+        for i, config in enumerate(configs):
+            assert columns(state_log(state, i)) == stepped_log(config)
 
     def test_one_state_steps_its_seeds_through_the_hand_over(self):
         configs = [small_config(cav_share=0.5, seed=seed) for seed in (7, 8)]
@@ -641,8 +678,8 @@ class TestLockstep:
             step_day(state)
         assert state.estimates.shape == (2, 40)
         assert [(block.rows, block.n) for block in state.blocks] == [(2, 20)]
-        for records, config in zip(state.records, configs, strict=True):
-            assert repr(records) == repr(stepped_log(config))
+        for i, config in enumerate(configs):
+            assert columns(state_log(state, i)) == stepped_log(config)
 
 
 @st.composite
@@ -681,7 +718,7 @@ class TestRaggedLockstep:
         logs = list(run_branches(configs))
         assert [log.config for log in logs] == configs
         for log, config in zip(logs, configs, strict=True):
-            assert repr(log.records) == repr(run_scenario(config).records)
+            assert columns(log) == columns(run_scenario(config))
 
     def test_one_step_day_call_per_day_whatever_the_population(self, monkeypatch):
         configs = [small_config(congestion=congestion, cav_share=share, seed=seed)
@@ -705,7 +742,7 @@ class TestRaggedLockstep:
         assert [[row[2] for row in state.rows] for state in stepped] == [[20, 20, 40], [40], [104], [104]]
         assert all(state.width <= 100 for state in stepped[:2])
         for log, config in zip(logs, configs, strict=True):
-            assert repr(log.records) == repr(run_scenario(config).records)
+            assert columns(log) == columns(run_scenario(config))
 
 
 def counted_step_days(monkeypatch):
@@ -714,9 +751,8 @@ def counted_step_days(monkeypatch):
     real = engine.step_day
 
     def counting(state):
-        records = real(state)
+        real(state)
         calls.append(len(state.rows))  # after the day, which may hand the fleet over first
-        return records
 
     monkeypatch.setattr(engine, "step_day", counting)
     return calls
@@ -742,9 +778,8 @@ def day_layouts(monkeypatch):
     real = engine.step_day
 
     def recording(state):
-        records = real(state)
+        real(state)
         layouts.append(([(block.rows, block.n) for block in state.blocks], len(state.rngs), len(state.copies)))
-        return records
 
     monkeypatch.setattr(engine, "step_day", recording)
     return layouts
@@ -758,7 +793,7 @@ def stepped_states(monkeypatch):
     def stepping(state):
         if not any(state is seen for seen in stepped):
             stepped.append(state)
-        return real(state)
+        real(state)
 
     monkeypatch.setattr(engine, "step_day", stepping)
     return stepped
@@ -788,7 +823,7 @@ class TestOneBranchPath:
         prefixes, generators = [], []
 
         def hand_over(state, real=SimulationState._hand_over):
-            # The prefix's arrays and logs, and the generators before and after the hand-over.
+            # The prefix's arrays, and the generators before and after the hand-over.
             prefixes.append(copy.copy(state))
             generators.append([rng.bit_generator.state for rng in state.rngs.values()])
             real(state)
@@ -802,7 +837,9 @@ class TestOneBranchPath:
         rngs = list(state.rngs.values())
         assert not {id(rng) for rng in prefix.rngs.values()} & {id(rng) for rng in rngs}
         assert len({id(rng) for rng in rngs}) == 4
-        assert not {id(log) for log in prefix.records} & {id(log) for log in state.records}
+        # The hand-over only re-indexes the configs' columns, which the state keeps.
+        assert all(getattr(prefix, name) is getattr(state, name) for name in ("flows", "times", "perceived"))
+        assert prefix.row_of.tolist() == [0, 0, 1, 1] and state.row_of.tolist() == [0, 2, 1, 3]
         # A block per survivor count, each with copies of both seeds' generators.
         assert [(block.rows, block.n) for block in state.blocks] == [(2, 6), (2, 9)]
         assert list(state.rngs) == [(1, 12, 6), (2, 12, 6), (1, 12, 9), (2, 12, 9)] and state.copies == []
@@ -873,8 +910,8 @@ class TestIdenticalBranches:
         m_day, total_days = configs[0].m_day, configs[0].total_days
         assert sum(calls) == m_day + (total_days - m_day)
         assert [log.config for log in logs] == configs
-        expected = repr(stepped_log(configs[0]))
-        assert all(repr(log.records) == expected for log in logs)
+        expected = stepped_log(configs[0])
+        assert all(columns(log) == expected for log in logs)
 
     def test_equal_rounded_fleets_run_once(self, monkeypatch):
         configs = _group((2, 2, 3, 3), [("Selfish", 0.25), ("Selfish", 0.26), ("Social", 0.25)])
@@ -884,8 +921,8 @@ class TestIdenticalBranches:
         # The Social fleet has other weights, so it is a run of its own.
         assert sum(calls) == 4 + 2 * 6
         assert selfish.config != rounded.config
-        assert repr(selfish.records) == repr(rounded.records) == repr(stepped_log(configs[1]))
-        assert repr(social.records) == repr(stepped_log(configs[2]))
+        assert columns(selfish) == columns(rounded) == stepped_log(configs[1])
+        assert columns(social) == stepped_log(configs[2])
 
 
 MEMO_CONFIG = ScenarioConfig(
@@ -906,7 +943,7 @@ class TestFleetMemo:
 
         monkeypatch.setattr(engine, "fleet_optimize", counting)
         log = run_scenario(MEMO_CONFIG)
-        counts = [r.q_hdv_a for r in log.records if r.day > MEMO_CONFIG.m_day]
+        counts = log.flows[MEMO_CONFIG.m_day:, 0].tolist()
         assert len(set(counts)) < len(counts)  # the humans come back to a count
         assert sorted(asked) == sorted(set(counts))
 
@@ -915,7 +952,7 @@ class TestFleetMemo:
         for _ in range(MEMO_CONFIG.total_days):
             step_day(state)
         (memo,) = state.memos
-        assert set(memo) == {r.q_hdv_a for r in state.records[0] if r.day > state.m_day}
+        assert set(memo) == set(state.flows[state.m_day:, 0, 0].tolist())
         for q_hdv_a, decision in memo.items():
             assert decision == fleet_optimize(
                 STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.width - q_hdv_a,
@@ -940,7 +977,7 @@ class TestFleetMemo:
         first, second = state.memos
         assert first is second and sorted(first) == sorted(set(asked))
         # Each seed's run alone asks for its own counts; the shared memo asks once for both.
-        counts = {r[-1].q_hdv_a for r in state.records}
+        counts = set(state.flows[state.m_day, :, 0].tolist())
         assert sorted(asked) == sorted(counts)
 
     def test_spread_rows_of_a_fleet_share_one_memo(self, monkeypatch):
@@ -958,7 +995,7 @@ class TestFleetMemo:
         for config in configs:
             list(run_branches([config]))
         # One memo for both rows: one call per human count of either run, none twice.
-        counts = {r.q_hdv_a for log in logs for r in log.records if r.day > MEMO_CONFIG.m_day}
+        counts = {q for log in logs for q in log.flows[MEMO_CONFIG.m_day:, 0].tolist()}
         assert sorted(together) == sorted(counts)
         assert len(together) <= len(asked)
 
@@ -1006,7 +1043,7 @@ class TestFleetMemo:
         alone = [run_scenario(config) for config in configs]
         assert together == sorted(asked)
         for log, solo in zip(logs, alone, strict=True):
-            assert repr(log.records) == repr(solo.records)
+            assert columns(log) == columns(solo)
 
 
 # The parent's kernels, np.where selects on float64 arrays, recompute each day.
@@ -1046,7 +1083,8 @@ def assert_day_equals_np_where_kernels(state):
     (taste_a, taste_b), (est_a, est_b) = state.tastes.copy(), state.estimates.copy()
     generators = copy.deepcopy(state.rngs)
     rate = state.explore_rate if state.day > 1 else 1.0
-    records = step_day(state)
+    step_day(state)
+    day = state.day - 2
 
     # Each generator's draws, which every row of its (seed, population, length) takes.
     draws = {key: rng.random((key[2], 2)) for key, rng in generators.items()}
@@ -1058,18 +1096,18 @@ def assert_day_equals_np_where_kernels(state):
     explore, on_b = np.concatenate(explore), np.concatenate(on_b)
     on_b = np.where(explore, on_b, (taste_a - est_a) < (taste_b - est_b))
     assert np.array_equal(state.last_route, on_b)
-    times, logged, start = [], iter(records), 0
-    for block in state.blocks:
-        for row in range(block.rows):
-            q_hdv_b = int(np.count_nonzero(on_b[start:start + block.n]))
-            row_records = [next(logged) for _ in block.counts]
-            for record in row_records:
-                assert (record.q_hdv_a, record.q_hdv_b) == (block.n - q_hdv_b, q_hdv_b)
-            times.append(network_travel_times(
-                state.network, row_records[0].q_hdv_a + row_records[0].q_cav_a,
-                row_records[0].q_hdv_b + row_records[0].q_cav_b,
-            ))
-            start += block.n
+    # Every row is some config's, and each config logs its row's counts and times.
+    rows = state.row_of.tolist()
+    assert sorted(set(rows)) == list(range(len(state.spans)))
+    flows = {row: state.flows[day, i].tolist() for i, row in enumerate(rows)}
+    assert state.flows[day].tolist() == [flows[row] for row in rows]
+    times = []
+    for row, cut in enumerate(state.spans):
+        q_hdv_a, q_hdv_b, q_cav_a, q_cav_b = flows[row]
+        on_route_b = int(np.count_nonzero(on_b[cut]))
+        assert (q_hdv_a, q_hdv_b) == (cut.stop - cut.start - on_route_b, on_route_b)
+        times.append(network_travel_times(state.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b))
+    assert state.times[day].tolist() == [list(times[row]) for row in rows]
     # Each row's times, repeated for each of its drivers.
     times = np.repeat(np.array(times).T, [cut.stop - cut.start for cut in state.spans], axis=1)
     alpha = state.learning_rate
@@ -1079,15 +1117,13 @@ def assert_day_equals_np_where_kernels(state):
     assert state.estimates[0].tobytes() == est_a.tobytes()
     assert state.estimates[1].tobytes() == est_b.tobytes()
     perceived = np.where(on_b, times[1] + taste_b, times[0] + taste_a)
-    logged = iter(records)
-    for block in state.blocks:
-        rows = perceived[block.start:block.stop].reshape(block.rows, block.n)
-        sums = {c: np.add.reduce(rows[:, :c], axis=1).tolist() for c in block.counts}
-        for row in range(block.rows):
-            for count in block.counts:
-                expected = np.float64(sums[count][row] / count)
-                assert np.float64(next(logged).mean_perceived_hdv_time).tobytes() == expected.tobytes()
-    assert next(logged, None) is None
+    # Each config's mean over its row's first survivor-count drivers.
+    for i, (config, row) in enumerate(zip(state.configs, rows)):
+        block = next(block for block in state.blocks if block.first <= row < block.first + block.rows)
+        count = config.survivor_count
+        sums = np.add.reduce(perceived[block.start:block.stop].reshape(block.rows, block.n)[:, :count], axis=1)
+        expected = np.float64(sums.tolist()[row - block.first] / count)
+        assert np.float64(state.perceived[day, i]).tobytes() == expected.tobytes()
 
 
 class TestBranchFreeKernels:
@@ -1164,9 +1200,8 @@ class TestDayScratch:
             assert not np.shares_memory(getattr(group, a), getattr(prefix, b))
         while group.day <= group.total_days:
             step_day(group)
-        # The runs, a block per survivor count: Social 0.5 at both seeds, then Selfish 0.25.
-        for records, config in zip(group.records, [configs[0], configs[2], configs[1], configs[3]], strict=True):
-            assert repr(records) == repr(stepped_log(config))
+        for i, config in enumerate(configs):
+            assert columns(state_log(group, i)) == stepped_log(config)
         for name in names:  # bytes: the draw buffer ends a day holding bit patterns, not floats
             assert getattr(prefix, name).tobytes() == before[name].tobytes()
 
@@ -1183,5 +1218,6 @@ class TestDayScratch:
             while state.day <= state.total_days:
                 step_day(state)
                 step_day(twin)
-        assert repr(twin.records) == repr(state.records)
+        for name in ("flows", "times", "perceived"):
+            assert getattr(twin, name).tobytes() == getattr(state, name).tobytes()
         assert not np.shares_memory(twin.draws, state.draws)

@@ -27,6 +27,7 @@ from bottlesim import (
 from bottlesim.engine import _row_key, driver_row_days, group_by, plan
 from bottlesim.metrics import RatioReport, WindowAverages, sequential_sum
 from bottlesim.expcli import (
+    DAILY_HEADER,
     SUMMARY_COLUMNS,
     ConfigError,
     ExperimentSpec,
@@ -398,29 +399,85 @@ class TestRunExperiment:
         assert keys[0][0] == "Altruistic"
 
 
-# Floats a daily column may repeat, including the keys a dict cannot tell apart.
-CELL_FLOATS = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.5, -1.5, 12.345678901234567, 1e300, math.inf, -math.inf, math.nan]
+# Finite floats a daily column may repeat, including the keys a dict cannot tell apart.
+CELL_FLOATS = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.5, -1.5, 12.345678901234567, 1e300]
+
+
+def column_log(days, survivors=True):
+    """A log of (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b, perceived) per day; at share 1 if not ``survivors``."""
+    config = ScenarioConfig(cav_share=0.0 if survivors else 1.0)
+    flows = np.array([day[:4] for day in days], dtype=np.int64).reshape(-1, 4)
+    floats = np.array([day[4:] for day in days], dtype=float).reshape(-1, 3)
+    return bottlesim.SimulationLog(config, flows, floats[:, :2], floats[:, 2])
+
+
+def scalar_row(day, q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b, perceived, survivors=True):
+    """A daily CSV row written from the scalar definitions: a mean of an empty group is NA."""
+    humans, fleet = q_hdv_a + q_hdv_b, q_cav_a + q_cav_b
+    cells = [
+        day, q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b,
+        (q_hdv_a * t_a + q_hdv_b * t_b) / humans if humans else None,
+        perceived if survivors else None,
+        (q_cav_a * t_a + q_cav_b * t_b) / fleet if fleet else None,
+    ]
+    return ",".join(map(_fmt, cells))
 
 
 class TestDailyRows:
     """Each distinct float of a column is formatted once, to the bytes of formatting every cell."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(days=st.lists(
-        st.tuples(*[st.integers(0, 3000)] * 5,
-                  *[st.one_of(st.none(), st.sampled_from(CELL_FLOATS), st.floats())] * 5),
-        max_size=30,
-    ))
-    def test_rows_equal_every_cell_formatted(self, days):
-        records = [bottlesim.DayRecord(*day) for day in days]
-        assert _daily_rows(records) == [",".join(map(_fmt, record)) for record in records]
+    @given(
+        days=st.lists(
+            st.tuples(*[st.one_of(st.just(0), st.integers(0, 3000))] * 4,
+                      *[st.one_of(st.sampled_from(CELL_FLOATS), st.floats(-1e300, 1e300))] * 3),
+            max_size=30,
+        ),
+        survivors=st.booleans(),
+    )
+    def test_rows_equal_every_cell_formatted(self, days, survivors):
+        expected = [scalar_row(d, *day, survivors=survivors) for d, day in enumerate(days, start=1)]
+        # A mean of finite values may still overflow: such a day fails, as the next test shows.
+        if not any(cell in row for row in expected for cell in ("inf", "nan")):
+            assert _daily_rows(column_log(days, survivors)) == expected
 
     def test_zeros_of_either_sign_keep_their_text(self):
-        records = [bottlesim.DayRecord(day, 1, 0, 0, 0, -0.0, 0.0, 0.0, -0.0, None) for day in (1, 2)]
-        records.append(bottlesim.DayRecord(3, 1, 0, 0, 0, 0.0, -0.0, -0.0, 0.0, 1.0))
-        assert _daily_rows(records) == [
-            "1,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "2,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "3,1,0,0,0,0.0,-0.0,-0.0,0.0,1.0",
+        # The human mean is -0.0 only when both weighted times are: -0.0 + 0.0 is 0.0.
+        days = [(1, 0, 0, 0, -0.0, 0.0, -0.0)] * 2 + [(1, 1, 0, 0, -0.0, -0.0, 0.0)]
+        assert _daily_rows(column_log(days)) == [
+            "1,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "2,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "3,1,1,0,0,-0.0,-0.0,-0.0,0.0,NA",
         ]
+
+    @pytest.mark.parametrize("cav_share", [0.0, 0.3, 1.0])
+    def test_na_marks_exactly_the_empty_groups(self, cav_share):
+        config = ScenarioConfig(base_population=40, cav_share=cav_share, phase_lengths=(3, 2, 2, 3), seed=3)
+        rows = [row.split(",") for row in _daily_rows(run_scenario(config))]
+        header = DAILY_HEADER.split(",")
+        na = {(int(row[0]), header[k]) for row in rows for k, cell in enumerate(row) if cell == "NA"}
+        expected = {(day, "mean_cav_time") for day in range(1, config.m_day + 1)}
+        if cav_share == 0.0:  # no fleet on any day
+            expected |= {(day, "mean_cav_time") for day in range(1, config.total_days + 1)}
+        if cav_share == 1.0:  # no survivors: no perceived mean, and no humans after the hand-over
+            expected |= {(day, "mean_perceived_hdv_time") for day in range(1, config.total_days + 1)}
+            expected |= {(day, "mean_hdv_time") for day in range(config.m_day + 1, config.total_days + 1)}
+        assert na == expected
+
+    @pytest.mark.parametrize("column", ["t_a", "t_b", "mean_hdv_time", "mean_perceived_hdv_time", "mean_cav_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_present_value_fails_the_run(self, column, value):
+        day = [3, 2, 1, 1, 10.0, 20.0, 12.0]  # humans, fleet vehicles and survivors: every mean is present
+        if column in ("t_a", "t_b"):
+            day[4 + (column == "t_b")] = value
+        elif column == "mean_perceived_hdv_time":
+            day[6] = value
+        else:
+            # Finite times whose mean over one present group is not: 2e308 overflows,
+            # and 1e308 against -1e308 overflows both ways, to nan.  The other group is empty.
+            day[:4] = (2, 2, 0, 0) if column == "mean_hdv_time" else (0, 0, 2, 2)
+            day[4:6] = (1e308, 1e308 if value == math.inf else -1e308)
+        days = [(3, 2, 1, 1, 10.0, 20.0, 12.0), tuple(day), (3, 2, 1, 1, 10.0, 20.0, 12.0)]
+        with pytest.raises(RuntimeError, match=r"^non-finite value on day 2: 2,"):
+            _daily_rows(column_log(days))
 
 
 class TestReplicateAndTest:
@@ -467,9 +524,8 @@ class TestReplicateAndTest:
         calls = []
 
         def counted(state):
-            records = step_day(state)
+            step_day(state)
             calls.append(len(state.rows))
-            return records
 
         monkeypatch.setattr(bottlesim.engine, "step_day", counted)
         result = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2])

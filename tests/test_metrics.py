@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottlesim import (
-    DayRecord,
     RouteParams,
     ScenarioConfig,
     SimulationLog,
@@ -22,83 +22,87 @@ from bottlesim import (
     run_scenario,
     system_optimum,
 )
-from bottlesim.metrics import _mean, sequential_sum
+from bottlesim.metrics import _mean, flow_mean, sequential_sum
 
 NET = TwoRouteNetwork.default()
 
 
-def make_record(day, q_hdv_a, q_hdv_b, q_cav_a=0, q_cav_b=0, mean_hdv=None, mean_perceived=None, mean_cav=None):
-    t_a = bpr_travel_time(NET.route_a, q_hdv_a + q_cav_a)
-    t_b = bpr_travel_time(NET.route_b, q_hdv_b + q_cav_b)
-    return DayRecord(
-        day=day,
-        q_hdv_a=q_hdv_a,
-        q_hdv_b=q_hdv_b,
-        q_cav_a=q_cav_a,
-        q_cav_b=q_cav_b,
-        t_a=t_a,
-        t_b=t_b,
-        mean_hdv_time=mean_hdv,
-        mean_perceived_hdv_time=mean_perceived,
-        mean_cav_time=mean_cav,
+def make_log(flows, phase_lengths=(100, 100, 100, 100), network=NET, times=None, perceived=None, cav_share=0.0):
+    """A log of the given (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b) per day.
+
+    The times default to each route's BPR time at its day's flow, and the
+    perceived means to 0.0.
+    """
+    if times is None:
+        times = [(bpr_travel_time(network.route_a, q[0] + q[2]), bpr_travel_time(network.route_b, q[1] + q[3]))
+                 for q in flows]
+    config = ScenarioConfig(phase_lengths=phase_lengths, network=network, cav_share=cav_share)
+    return SimulationLog(
+        config, np.array(flows, dtype=np.int64).reshape(-1, 4), np.array(times, dtype=float).reshape(-1, 2),
+        np.zeros(len(flows)) if perceived is None else np.array(perceived, dtype=float),
     )
 
 
-def make_log(records, phase_lengths=(100, 100, 100, 100), network=NET):
-    config = ScenarioConfig(phase_lengths=phase_lengths, network=network)
-    return SimulationLog(config=config, records=records)
-
-
-def _perceived(routes, taste_a, taste_b, days):
-    """The engine's perceived times of each row's drivers, by np.where from each row's day."""
-    t_a, t_b = np.array([day[4:] for day in days], dtype=float).T[:, :, None]
+def _perceived(routes, taste_a, taste_b, times):
+    """The engine's perceived times of each row's drivers, by np.where from each row's (t_a, t_b)."""
+    t_a, t_b = np.array(times, dtype=float).T[:, :, None]
     return np.where(routes, t_b + taste_b, t_a + taste_a)
 
 
 class TestDayStatistics:
+    """A day's group means: the flow means of the counts and times, and the survivors' perceived mean."""
+
     def test_constant_sample(self):
-        routes = np.zeros((1, 5), dtype=np.int8)  # everyone on A
-        days = [(5, 0, 0, 0, 10.0, 20.0)]
-        ((mean_hdv, _, _),) = day_statistics(_perceived(routes, np.zeros((1, 5)), np.zeros((1, 5)), days), [0], days)
-        assert mean_hdv == 10.0
+        assert flow_mean(np.array([[5, 0]]), np.array([[10.0, 20.0]])).tolist() == [10.0]  # everyone on A
+        routes = np.zeros((1, 5), dtype=np.int8)
+        means = day_statistics(_perceived(routes, np.zeros((1, 5)), np.zeros((1, 5)), [(10.0, 20.0)]), [5])
+        assert means.tolist() == [[10.0]]
 
     def test_perceived_mean_averages_time_plus_taste(self):
         routes = np.zeros((1, 2), dtype=np.int8)
         taste_a = np.array([[2.0, -2.0]])
         taste_b = np.array([[50.0, 50.0]])  # unused, both drivers on A
-        days = [(2, 0, 0, 0, 10.0, 20.0)]
-        ((_, (mean_perceived,), _),) = day_statistics(_perceived(routes, taste_a, taste_b, days), [2], days)
+        ((mean_perceived,),) = day_statistics(_perceived(routes, taste_a, taste_b, [(10.0, 20.0)]), [2])
         assert mean_perceived == pytest.approx(10.0)
 
     def test_fleet_weighted_mean(self):
-        routes = np.zeros((1, 0), dtype=np.int8)
-        days = [(0, 0, 60, 40, 10.0, 20.0)]
-        ((_, _, mean_cav),) = day_statistics(_perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), days), [0], days)
-        assert mean_cav == pytest.approx(14.0)
+        assert flow_mean(np.array([[60, 40]]), np.array([[10.0, 20.0]])).tolist() == [pytest.approx(14.0)]
 
     def test_empty_groups_are_absent(self):
+        # No flow, or no survivors: NaN, which the counts and survivor count mark as absent.
+        assert np.isnan(flow_mean(np.array([[0, 0]]), np.array([[10.0, 20.0]]))).all()
         routes = np.zeros((1, 0), dtype=np.int8)
-        days = [(0, 0, 0, 0, 10.0, 20.0)]
-        ((mean_hdv, (mean_perceived,), mean_cav),) = day_statistics(
-            _perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), days), [0], days
-        )
-        assert mean_hdv is None and mean_perceived is None and mean_cav is None
+        means = day_statistics(_perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), [(10.0, 20.0)]), [0])
+        assert means.shape == (1, 1) and np.isnan(means).all()
+
+    def test_flow_mean_is_the_scalar_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        q = rng.integers(0, 3000, size=(200, 2))
+        t = rng.random((200, 2)) * 10.0 ** rng.integers(-3, 300, size=(200, 2))
+        means = flow_mean(q, t).tolist()
+        for (q_a, q_b), (t_a, t_b), mean in zip(q.tolist(), t.tolist(), means):
+            expected = (q_a * t_a + q_b * t_b) / (q_a + q_b) if q_a + q_b else math.nan
+            assert repr(mean) == repr(expected)
+        shares = flow_mean(q, (1.0, 0.0)).tolist()
+        for (q_a, q_b), share in zip(q.tolist(), shares):
+            assert repr(share) == repr((q_a * 1.0 + q_b * 0.0) / (q_a + q_b) if q_a + q_b else math.nan)
 
     def test_rows_and_survivor_counts_each_equal_their_own_day(self):
         rng = np.random.default_rng(4)
         routes = rng.random((3, 9)) < 0.5
         taste_a, taste_b = rng.normal(size=(2, 3, 9))
         pairs = [(10.0, 20.0), (11.5, 19.25), (7.0, 30.0)]
-        days = [(9 - int(np.count_nonzero(r)), int(np.count_nonzero(r)), 2, 1, *p) for r, p in zip(routes, pairs)]
-        stats = day_statistics(_perceived(routes, taste_a, taste_b, days), [9, 4, 0, 12], days)
-        for row, (mean_hdv, perceived, mean_cav) in enumerate(stats):
+        means = day_statistics(_perceived(routes, taste_a, taste_b, pairs), [9, 4, 0])
+        assert means.shape == (3, 3)
+        for row, perceived in enumerate(means.tolist()):
             t_a, t_b = pairs[row]
             one = slice(row, row + 1)
-            alone = day_statistics(_perceived(routes[one], taste_a[one], taste_b[one], days[one]), [9], days[one])
-            assert (mean_hdv, perceived[0], mean_cav) == (alone[0][0], alone[0][1][0], alone[0][2])
-            # Fewer survivors than drivers average the first ones; none, or more than there are, is absent.
+            alone = day_statistics(_perceived(routes[one], taste_a[one], taste_b[one], pairs[one]), [9])
+            assert perceived[0] == alone[0, 0]
+            # Fewer survivors than drivers average the first ones; none is absent.
             first = np.where(routes[row, :4], t_b + taste_b[row, :4], t_a + taste_a[row, :4])
-            assert perceived[1:] == [float(np.add.reduce(first)) / 4, None, None]
+            assert perceived[1] == float(np.add.reduce(first)) / 4
+            assert math.isnan(perceived[2])
 
 
 # Per-row means rely on np.add.reduce(axis=1) summing each row as the 1-D
@@ -134,41 +138,39 @@ class TestRowReductions:
             assert [s.tobytes() for s in sums] == [np.add.reduce(row).tobytes() for row in view]
 
 
+def even_days(times):
+    """A log of 500 humans on each route, both route times ``times[d - 1]`` on day d: its human mean."""
+    return make_log([(500, 500, 0, 0)] * len(times), times=[(t, t) for t in times])
+
+
 class TestWindowAverage:
     def test_constant_series(self):
-        records = [make_record(d, 500, 500, mean_hdv=12.5) for d in range(1, 401)]
-        assert compute_window_averages(make_log(records)).tau_b == 12.5
+        assert compute_window_averages(even_days([12.5] * 400)).tau_b == 12.5
 
     def test_mixed_series(self):
-        records = [
-            make_record(d, 500, 500, mean_hdv=10.0 if d <= 150 else 20.0) for d in range(1, 401)
-        ]
-        assert compute_window_averages(make_log(records)).tau_b == 15.0
+        times = [10.0 if d <= 150 else 20.0 for d in range(1, 401)]
+        assert compute_window_averages(even_days(times)).tau_b == 15.0
 
     def test_window_uses_exactly_the_named_days(self):
-        records = [make_record(d, 500, 500, mean_hdv=float(d)) for d in range(1, 401)]
-        assert compute_window_averages(make_log(records)).tau == pytest.approx(350.5)
+        assert compute_window_averages(even_days([float(d) for d in range(1, 401)])).tau == pytest.approx(350.5)
 
     def test_absent_day_makes_window_absent(self):
-        records = [
-            make_record(d, 500, 500, mean_hdv=None if d == 350 else 1.0) for d in range(1, 401)
-        ]
-        assert compute_window_averages(make_log(records)).tau is None
+        # No human drives on day 350; a fleet vehicle does, so the day has traffic.
+        flows = [(0, 0, 1, 0) if d == 350 else (500, 500, 0, 0) for d in range(1, 401)]
+        averages = compute_window_averages(make_log(flows))
+        assert averages.tau is None and averages.tau_b is not None
 
     def test_empty_window_is_absent(self):
-        records = [make_record(d, 500, 500, mean_hdv=1.0) for d in range(1, 11)]
-        averages = compute_window_averages(make_log(records, (5, 0, 5, 0)))
+        averages = compute_window_averages(make_log([(500, 500, 0, 0)] * 10, (5, 0, 5, 0)))
         assert averages.tau_b is None and averages.tau is None
         assert averages.opt_gap is None and averages.equity_gap is None
 
     def test_range_outside_log_rejected(self):
-        records = [make_record(d, 500, 500, mean_hdv=1.0) for d in range(1, 11)]
         with pytest.raises(ValueError, match="outside"):
-            compute_window_averages(make_log(records, (5, 6, 0, 0)))
+            compute_window_averages(make_log([(500, 500, 0, 0)] * 10, (5, 6, 0, 0)))
 
     def test_route_a_share(self):
-        records = [make_record(d, 600, 400, mean_hdv=1.0) for d in range(1, 11)]
-        log = make_log(records, (0, 0, 0, 10))
+        log = make_log([(600, 400, 0, 0)] * 10, (0, 0, 0, 10))
         assert compute_window_averages(log).frac_a_hdv == pytest.approx(0.6)
 
 
@@ -211,32 +213,27 @@ class TestSystemOptimum:
 class TestOptimalityAndEquity:
     def test_day_at_exact_optimum_has_zero_gap(self):
         best, _ = system_optimum(NET, 1000)
-        records = [make_record(1, best, 1000 - best)]
-        gap = compute_window_averages(make_log(records, (0, 0, 0, 1))).opt_gap
+        gap = compute_window_averages(make_log([(best, 1000 - best, 0, 0)], (0, 0, 0, 1))).opt_gap
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_route_times_have_zero_spread(self):
         route = RouteParams(free_flow_time=10.0, capacity=400.0, exponent=2.0)
         twin = TwoRouteNetwork(route_a=route, route_b=route)
         t = bpr_travel_time(route, 200)
-        record = DayRecord(1, 200, 200, 0, 0, t, t, None, None, None)
-        spread = compute_window_averages(make_log([record], (0, 0, 0, 1), twin)).equity_gap
+        spread = compute_window_averages(make_log([(200, 200, 0, 0)], (0, 0, 0, 1), twin, [(t, t)])).equity_gap
         assert spread == 0.0
 
     def test_hand_evaluated_spread(self):
         # q_a = q_b = 500, times 10 and 20.859375: spread is half the gap
-        record = make_record(1, 500, 500)
-        assert record.t_b == 20.859375
-        spread = compute_window_averages(make_log([record], (0, 0, 0, 1))).equity_gap
+        log = make_log([(500, 500, 0, 0)], (0, 0, 0, 1))
+        assert log.times.tolist() == [[10.0, 20.859375]]
+        spread = compute_window_averages(log).equity_gap
         assert spread == pytest.approx(5.4296875)
 
     def test_gap_never_negative(self):
         rng = np.random.default_rng(8)
-        records = [
-            make_record(day, int(rng.integers(0, 1200)), int(rng.integers(1, 1200)))
-            for day in range(1, 51)
-        ]
-        gap = compute_window_averages(make_log(records, (0, 0, 0, 50))).opt_gap
+        flows = [(int(rng.integers(0, 1200)), int(rng.integers(1, 1200)), 0, 0) for _ in range(50)]
+        gap = compute_window_averages(make_log(flows, (0, 0, 0, 50))).opt_gap
         assert gap >= 0.0
 
 
@@ -285,11 +282,28 @@ def reference_window_mean(days, value_of):
     return total / len(days)
 
 
+def day_records(log):
+    """Each day of ``log`` as Python numbers, its group means from their definitions; None where absent."""
+    days = []
+    for (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b), (t_a, t_b), perceived in zip(
+        log.flows.tolist(), log.times.tolist(), log.perceived.tolist()
+    ):
+        humans, fleet = q_hdv_a + q_hdv_b, q_cav_a + q_cav_b
+        days.append(SimpleNamespace(
+            q_hdv_a=q_hdv_a, q_hdv_b=q_hdv_b, q_cav_a=q_cav_a, q_cav_b=q_cav_b, t_a=t_a, t_b=t_b,
+            mean_hdv_time=(q_hdv_a * t_a + q_hdv_b * t_b) / humans if humans else None,
+            mean_perceived_hdv_time=perceived if log.config.survivor_count else None,
+            mean_cav_time=(q_cav_a * t_a + q_cav_b * t_b) / fleet if fleet else None,
+        ))
+    return days
+
+
 def reference_window_averages(log):
     """Every WindowAverages field written out from its own definition."""
     p1, p2, p3, p4 = log.config.phase_lengths
-    baseline = log.records[p1 : p1 + p2]
-    evaluation = log.records[p1 + p2 + p3 : p1 + p2 + p3 + p4]
+    records = day_records(log)
+    baseline = records[p1 : p1 + p2]
+    evaluation = records[p1 + p2 + p3 : p1 + p2 + p3 + p4]
 
     def realized_mean(rec):
         q_a, q_b = rec.q_hdv_a + rec.q_cav_a, rec.q_hdv_b + rec.q_cav_b
@@ -327,7 +341,7 @@ def reference_window_averages(log):
 
 @st.composite
 def window_logs(draw):
-    """Logs with zero-length phases, empty groups and absent days.
+    """Logs with zero-length phases, empty groups, absent days and runs without survivors.
 
     A log may run past its phases; each day carries some flow, because
     the realized mean time of a day without traffic is undefined.
@@ -337,20 +351,17 @@ def window_logs(draw):
     empty = draw(st.sampled_from(["none", "hdv", "cav"]))
     group = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 40), st.integers(0, 40)))
     time = st.floats(0.0, 1e3, allow_nan=False)
-    mean = st.floats(-1e3, 1e3, allow_nan=False)
-    if draw(st.booleans()):
-        mean = st.one_of(st.none(), mean)
-    records = []
-    for day in range(1, n_days + 1):
+    flows, times = [], []
+    for _ in range(n_days):
         q_hdv = (0, 0) if empty == "hdv" else draw(group)
         q_cav = (0, 0) if empty == "cav" else draw(group)
         if sum(q_hdv) + sum(q_cav) == 0:
             q_hdv, q_cav = ((1, 0), q_cav) if empty == "cav" else (q_hdv, (0, 1))
-        records.append(DayRecord(
-            day, q_hdv[0], q_hdv[1], q_cav[0], q_cav[1], draw(time), draw(time),
-            draw(mean), draw(mean), draw(mean),
-        ))
-    return make_log(records, phases)
+        flows.append((*q_hdv, *q_cav))
+        times.append((draw(time), draw(time)))
+    perceived = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n_days, max_size=n_days))
+    cav_share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # at 1.0 no driver survives: u_b and u are absent
+    return make_log(flows, phases, times=times, perceived=perceived, cav_share=cav_share)
 
 
 class TestWindowStatisticsProperty:
@@ -436,7 +447,7 @@ class TestSequentialSum:
     def test_cancellation_is_not_compensated(self):
         # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python 3.12) gives 1.0.
         assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
-        assert _mean([1e16, 1.0, -1e16]) == 0.0
+        assert _mean(np.array([1e16, 1.0, -1e16])) == 0.0
 
     @given(values=st.lists(st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)), max_size=50))
     @settings(deadline=None, derandomize=True, database=None)
