@@ -197,7 +197,7 @@ class SimulationLog:
     ``flows`` is (days, 4) int64: q_hdv_a, q_hdv_b, q_cav_a, q_cav_b; ``times``
     (days, 2) float64: t_a, t_b; ``perceived`` (days,) float64: the mean of
     experienced time plus taste over the drivers that stay human for the whole
-    run, NaN if none do.  ``metrics.flow_mean`` derives the group mean times.
+    run, NaN if none do.  ``metrics.daily_means`` derives the group means.
     """
 
     config: ScenarioConfig

@@ -47,7 +47,7 @@ from .metrics import (
     TTestResult,
     WindowAverages,
     compute_window_averages,
-    flow_mean,
+    daily_means,
     paired_t_test,
     ratio_report,
 )
@@ -325,15 +325,12 @@ def _float_cells(values) -> list[str]:
 def _daily_rows(log: SimulationLog) -> list[str]:
     """The CSV rows of ``log``: the day and the four counts by ``str``, the rest by ``_float_cells``.
 
-    A group's mean time is NA on a day without its flow, and the perceived
-    mean on every day of a run without survivors.  Any other value must be
+    A mean that ``daily_means`` marks absent is NA.  Any other value must be
     finite, or a RuntimeError names the first day that is not.
     """
     flows, times = log.flows, log.times
-    hdv, cav = flows[:, :2], flows[:, 2:]
     # Each float column and the days it is present on.
-    floats = [(times[:, 0], True), (times[:, 1], True), (flow_mean(hdv, times), hdv.any(axis=1)),
-              (log.perceived, log.config.survivor_count > 0), (flow_mean(cav, times), cav.any(axis=1))]
+    floats = [(times[:, 0], True), (times[:, 1], True), *daily_means(log)]
     finite = np.logical_and.reduce([np.isfinite(values) | np.logical_not(present) for values, present in floats])
     cells = [_float_cells(np.where(present, values, None).tolist()) for values, present in floats]
     days = map(str, range(1, len(flows) + 1))

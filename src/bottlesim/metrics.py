@@ -146,6 +146,13 @@ def _mean(values: np.ndarray, present=True) -> float | None:
     return sequential_sum(values.tolist()) / len(values)
 
 
+def daily_means(log: "SimulationLog") -> list[tuple[np.ndarray, np.ndarray]]:
+    """The daily CSV's three means (humans', survivors' perceived, fleet's), each with the days it is present on."""
+    survivors = np.full(len(log.perceived), log.config.survivor_count > 0)
+    hdv, cav = ((flow_mean(q, log.times), q.any(axis=1)) for q in (log.flows[:, :2], log.flows[:, 2:]))
+    return [hdv, (log.perceived, survivors), cav]
+
+
 def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     """All window statistics of one run.
 
@@ -161,6 +168,7 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     if len(log.flows) < config.total_days:
         raise ValueError(f"phase windows reach day {config.total_days}, outside the log (days 1..{len(log.flows)})")
     base, post = slice(p1, p1 + p2), slice(p1 + p2 + p3, config.total_days)
+    (tau, hdv), (u, survivors), (rho, cav) = daily_means(log)
     flows, times = log.flows[post], log.times[post]
     q = flows[:, :2] + flows[:, 2:]  # every vehicle, per route
     s = flow_mean(q, times)
@@ -179,19 +187,14 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     for day in overflowed:  # a squared deviation overflows: the same spread in closed form
         (q_a, q_b), (t_a, t_b) = q[day].tolist(), times[day].tolist()
         sigmas[day] = abs(t_a - t_b) * math.sqrt(q_a * q_b) / (q_a + q_b)
-
-    def group_mean(q, t):  # a group's daily flow_mean, absent if the group is empty on some day
-        return _mean(flow_mean(q, t), q.any(axis=1))
-
-    survivors = config.survivor_count > 0
     return WindowAverages(
-        tau_b=group_mean(log.flows[base, :2], log.times[base]),
-        tau=group_mean(flows[:, :2], times),
-        u_b=_mean(log.perceived[base], survivors),
-        u=_mean(log.perceived[post], survivors),
-        rho=group_mean(flows[:, 2:], times),
-        frac_a_hdv=group_mean(flows[:, :2], (1.0, 0.0)),
-        frac_a_cav=group_mean(flows[:, 2:], (1.0, 0.0)),
+        tau_b=_mean(tau[base], hdv[base]),
+        tau=_mean(tau[post], hdv[post]),
+        u_b=_mean(u[base], survivors[base]),
+        u=_mean(u[post], survivors[post]),
+        rho=_mean(rho[post], cav[post]),
+        frac_a_hdv=_mean(flow_mean(flows[:, :2], (1.0, 0.0)), hdv[post]),
+        frac_a_cav=_mean(flow_mean(flows[:, 2:], (1.0, 0.0)), cav[post]),
         opt_gap=_mean(gaps),
         equity_gap=_mean(sigmas),
     )

@@ -25,7 +25,7 @@ from bottlesim import (
     run_scenario,
 )
 from bottlesim.engine import _row_key, driver_row_days, group_by, plan
-from bottlesim.metrics import RatioReport, WindowAverages, sequential_sum
+from bottlesim.metrics import RatioReport, WindowAverages, daily_means, sequential_sum
 from bottlesim.expcli import (
     DAILY_HEADER,
     SUMMARY_COLUMNS,
@@ -451,16 +451,20 @@ class TestDailyRows:
     @pytest.mark.parametrize("cav_share", [0.0, 0.3, 1.0])
     def test_na_marks_exactly_the_empty_groups(self, cav_share):
         config = ScenarioConfig(base_population=40, cav_share=cav_share, phase_lengths=(3, 2, 2, 3), seed=3)
-        rows = [row.split(",") for row in _daily_rows(run_scenario(config))]
+        log = run_scenario(config)
+        rows = [row.split(",") for row in _daily_rows(log)]
         header = DAILY_HEADER.split(",")
         na = {(int(row[0]), header[k]) for row in rows for k, cell in enumerate(row) if cell == "NA"}
+        # daily_means gives the three mean columns, in the file's order, and the days each is present on.
+        absent = {(day, column) for column, (_, present) in zip(header[-3:], daily_means(log))
+                  for day in (np.flatnonzero(~present) + 1).tolist()}
         expected = {(day, "mean_cav_time") for day in range(1, config.m_day + 1)}
         if cav_share == 0.0:  # no fleet on any day
             expected |= {(day, "mean_cav_time") for day in range(1, config.total_days + 1)}
         if cav_share == 1.0:  # no survivors: no perceived mean, and no humans after the hand-over
             expected |= {(day, "mean_perceived_hdv_time") for day in range(1, config.total_days + 1)}
             expected |= {(day, "mean_hdv_time") for day in range(config.m_day + 1, config.total_days + 1)}
-        assert na == expected
+        assert na == expected and absent == expected
 
     @pytest.mark.parametrize("column", ["t_a", "t_b", "mean_hdv_time", "mean_perceived_hdv_time", "mean_cav_time"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
