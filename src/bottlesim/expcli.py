@@ -578,7 +578,7 @@ def _ttest_metric(rows: dict[int, dict], metric: str) -> TTestResult:
     (_, rows_a), (_, rows_b) = sorted(groups.items())
     if list(map(seeds.get, rows_a)) != list(map(seeds.get, rows_b)):
         raise ConfigError("metric", "the two config points carry different seed sets")
-    return paired_t_test(_column_values(rows_a, metric), _column_values(rows_b, metric))
+    return _checked("metric", paired_t_test, _column_values(rows_a, metric), _column_values(rows_b, metric))
 
 
 def _print_ttest(result: TTestResult) -> None:
@@ -645,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
                 if len(parts) != 2:
                     raise ConfigError("pair", f"expected colA,colB, got {args.pair!r}")
                 col_a, col_b = (part.strip() for part in parts)
-                result = paired_t_test(_column_values(rows, col_a), _column_values(rows, col_b))
+                result = _checked("pair", paired_t_test, _column_values(rows, col_a), _column_values(rows, col_b))
             else:
                 result = _ttest_metric(rows, args.metric)
             _print_ttest(result)

@@ -220,12 +220,23 @@ def ratio_report(averages: WindowAverages) -> RatioReport:
     )
 
 
+def _difference_moments(sample_a: Sequence[float], sample_b: Sequence[float]) -> tuple[float, float]:
+    """Mean and n-1 sample variance of the differences a - b, summed left to right; inf if a square overflows."""
+    d = [a - b for a, b in zip(sample_a, sample_b)]
+    mean_d = sequential_sum(d) / len(d)
+    try:
+        return mean_d, sequential_sum((x - mean_d) ** 2 for x in d) / (len(d) - 1)
+    except OverflowError:
+        return mean_d, math.inf
+
+
 def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     """Paired two-tailed t-test of two equal-length samples.
 
     t = mean(d) / (sd(d) / sqrt(n)) over the differences d = a - b, with
-    the n-1 sample standard deviation.  Zero-variance differences are a
-    degenerate outcome, reported as such instead of raising.
+    the n-1 sample standard deviation, also where a difference or its
+    square overflows.  Zero-variance differences are a degenerate outcome,
+    reported as such instead of raising.
     Significance is read from a fixed p = 0.001 critical-value table.
     """
     if len(sample_a) != len(sample_b):
@@ -235,9 +246,13 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTest
     n = len(sample_a)
     if n < 2:
         raise ValueError(f"need at least 2 pairs, got {n}")
-    d = [a - b for a, b in zip(sample_a, sample_b)]
-    mean_d = sequential_sum(d) / n
-    var_d = sequential_sum((x - mean_d) ** 2 for x in d) / (n - 1)
+    mean_d, var_d = _difference_moments(sample_a, sample_b)
+    if not (math.isfinite(mean_d) and math.isfinite(var_d)):
+        # A difference, a sum or a square overflows.  t does not depend on scale, so the test is
+        # made again on both samples times 2**-600: every float is then below 2**424, where none
+        # overflows, and every value above 2**-422 scales exactly.  Only here, since Python's **
+        # is libm's pow, whose last bits may move with the scale.
+        mean_d, var_d = _difference_moments(*([math.ldexp(x, -600) for x in s] for s in (sample_a, sample_b)))
     df = n - 1
     if var_d == 0.0:
         return TTestResult(

@@ -28,7 +28,9 @@ from bottlesim.engine import _row_key, driver_row_days, group_by, plan
 from bottlesim.metrics import RatioReport, WindowAverages, daily_means, sequential_sum
 from bottlesim.expcli import (
     DAILY_HEADER,
+    POINT_COLUMNS,
     SUMMARY_COLUMNS,
+    SUMMARY_HEADER,
     ConfigError,
     ExperimentSpec,
     _AXES,
@@ -727,6 +729,25 @@ class TestCli:
         assert f"{column} is " in proc.stderr and f"on line {line};" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("points, args, message", [
+        ([(0.0, 1)], ["--pair", "tau_b,tau"], "pair: need at least 2 pairs, got 1"),
+        ([(0.0, 1), (0.5, 1)], ["--metric", "tau"], "metric: need at least 2 pairs, got 1"),
+        ([(0.0, 1), (0.5, 1), (1.0, 1)], ["--metric", "tau"],
+         "metric: summary must contain exactly two config points, found 3"),
+        ([(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 3)], ["--metric", "tau"],
+         "metric: the two config points carry different seed sets"),
+        ([(0.0, 1), (0.0, 2)], ["--pair", "tau_b,taub"], "column: unknown summary column 'taub'"),
+    ])
+    def test_ttest_summary_of_the_wrong_shape_exits_one(self, tmp_path, points, args, message):
+        # One row per (cav_share, seed) point; every statistic differs by seed.
+        n_stats = len(SUMMARY_COLUMNS) - len(POINT_COLUMNS)
+        rows = [["Selfish", share, 5.0, 1.0, seed, *(10.0 + seed / k for k in range(1, n_stats + 1))]
+                for share, seed in points]
+        summary = tmp_path / "summary.csv"
+        summary.write_text("\n".join([SUMMARY_HEADER, *(",".join(map(str, row)) for row in rows), ""]), encoding="utf-8")
+        proc = self.run_cli(["ttest", str(summary), *args], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
     def test_ttest_requires_exactly_one_mode(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))
         out = tmp_path / "out"
@@ -958,3 +979,22 @@ class TestOverflowingEquitySpread:
     def test_route_a_at_1e300_runs_to_a_finite_gap(self, tmp_path):
         doc = dict(FAST, base_population=50, network=_huge_network(1e300, 15))
         assert math.isfinite(self.run_one(tmp_path, doc))
+
+
+class TestOverflowingTTest:
+    """Finite summary values whose paired differences square past the float range still get a t."""
+
+    def test_ttest_agrees_with_the_exact_t(self, tmp_path, capsys):
+        # tau - tau_b and rho - tau_b are near 1e199, so their squares overflow.
+        doc = {"base_population": 20, "phase_lengths": [3, 3, 3, 3], "seeds": [1, 2, 3], "cav_share": 0.5,
+               "network": _huge_network(1e200, 3e200)}
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, doc)), "--out", str(out), "--jobs", "1"]) == 0
+        (config, *_) = load_config(write_config(tmp_path, doc)).points
+        # Each t of the exact rational mean and variance of the summary's differences.
+        for metric, exact in (("tau", 1.5083212138038087), ("rho", 6.92000775427329)):
+            capsys.readouterr()
+            assert main(["ttest", str(out / "summary.csv"), "--pair", f"tau_b,{metric}"]) == 0
+            assert capsys.readouterr().out == f"t={exact:.6f} df=2 significant_at_0.001=false\n"
+            result = replicate_and_test(config, "tau_b", config, metric, seeds=[1, 2, 3])
+            assert result.t_statistic == pytest.approx(exact, rel=1e-12)

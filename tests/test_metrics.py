@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,8 +167,10 @@ class TestWindowAverage:
         assert averages.opt_gap is None and averages.equity_gap is None
 
     def test_range_outside_log_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        # The phases reach day 11: a 10-day log is one day short, an 11-day log whole.
+        with pytest.raises(ValueError, match=r"^phase windows reach day 11, outside the log \(days 1\.\.10\)$"):
             compute_window_averages(make_log([(500, 500, 0, 0)] * 10, (5, 6, 0, 0)))
+        assert compute_window_averages(make_log([(500, 500, 0, 0)] * 11, (5, 6, 0, 0))).tau_b is not None
 
     def test_route_a_share(self):
         log = make_log([(600, 400, 0, 0)] * 10, (0, 0, 0, 10))
@@ -439,6 +442,47 @@ class TestPairedTTest:
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError, match="at least 2"):
             paired_t_test([1.0], [2.0])
+
+
+def exact_t(sample_a, sample_b):
+    """The paired t-statistic from the exact rational mean and n-1 variance of the differences."""
+    d = [Fraction(a) - Fraction(b) for a, b in zip(sample_a, sample_b)]
+    mean = sum(d) / len(d)
+    t_squared = mean * mean * len(d) * (len(d) - 1) / sum((x - mean) ** 2 for x in d)
+    return math.copysign(math.sqrt(t_squared), mean)
+
+
+class TestOverflowingTTest:
+    """Finite samples whose differences, sums or squares overflow still get their t."""
+
+    @pytest.mark.parametrize("sample_a, sample_b", [
+        ([1e200, 3e200, 2e200], [0.0, 0.0, 0.0]),  # (d - mean) ** 2 overflows: an OverflowError
+        ([1e308, 1e308], [-1e308, -1e307]),  # a difference overflows, to a t of nan
+        ([1.5e308, 1.5e308], [0.0, 1e308]),  # the sum of the differences overflows, to a t of nan
+        ([1.3e154, -1.1e154, 1.3e154, -1.1e154], [0.0] * 4),  # the sum of the squares does, to a t of 0
+    ])
+    def test_t_agrees_with_the_exact_value(self, sample_a, sample_b):
+        result = paired_t_test(sample_a, sample_b)
+        assert result.t_statistic == pytest.approx(exact_t(sample_a, sample_b), rel=1e-12)
+        assert result.degrees_of_freedom == len(sample_a) - 1 and not result.degenerate
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=8))
+    def test_finite_samples_give_a_finite_t_or_a_degenerate_outcome(self, pairs):
+        result = paired_t_test(*zip(*pairs))
+        assert result.degenerate or math.isfinite(result.t_statistic)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(*[st.integers(-2**40, 2**40)] * 2), min_size=2, max_size=8),
+           exponent=st.integers(500, 980))
+    def test_t_does_not_depend_on_scale(self, pairs, exponent):
+        sample_a, sample_b = ([x / 2**20 for x in sample] for sample in zip(*pairs))
+        result = paired_t_test(sample_a, sample_b)
+        scaled = paired_t_test(*([math.ldexp(x, exponent) for x in s] for s in (sample_a, sample_b)))
+        assert scaled.degenerate == result.degenerate
+        if not result.degenerate:
+            assert scaled.t_statistic == pytest.approx(result.t_statistic, rel=1e-12)
 
 
 class TestSequentialSum:
