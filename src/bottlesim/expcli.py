@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,28 +279,19 @@ def _csv_text(header: str, rows: list[str]) -> str:
     return "\n".join([header, *rows, ""])
 
 
-def _tmp(path: Path) -> Path:
-    """The name ``path``'s text is written under until it is moved into place."""
-    return path.with_name(path.name + ".tmp")
-
-
-def _write_tmp(path: Path, text: str) -> None:
-    """Write ``text`` to ``_tmp(path)``; a write that fails leaves no file there."""
-    tmp = _tmp(path)
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _write_daily(path: Path, rows: list[str]) -> None:
+    """Write a run's daily CSV, DAILY_HEADER and then ``rows``, to ``path``."""
+    path.write_text(_csv_text(DAILY_HEADER, rows), encoding="utf-8", newline="\n")
 
 
 def _write_text(path: Path, text: str) -> None:
-    _write_tmp(path, text)
+    """Write ``text`` to ``path`` by way of ``path.tmp``, so ``path`` is never half written."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        os.replace(_tmp(path), path)
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
     except BaseException:
-        _tmp(path).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -380,17 +372,20 @@ def _checked_averages(log: SimulationLog) -> WindowAverages:
     return averages
 
 
-def _logs(state: list[ScenarioConfig]) -> Iterator[SimulationLog]:
-    """The logs of ``run_state(state)``, in order; after a failed step, each config's log run alone.
+def _checked_runs(state: list[ScenarioConfig], check) -> Iterator[tuple[ScenarioConfig, object]]:
+    """``(config, check(log))`` for each config of one lockstep state, in order, under its ``_failing_point``.
 
-    A step fails for every row stepping together, and the caller awaits each
-    log under its config's ``_failing_point``: so the failure is raised again
-    while the failing config's own run is awaited.
+    A failed step fails every row stepping together, so each config is then
+    run alone: the failure is raised again under the failing config's point.
     """
     try:
-        return iter(run_state(state))
+        logs = iter(run_state(state))
     except Exception:
-        return map(run_scenario, state)
+        logs = map(run_scenario, state)
+    for config in state:
+        with _failing_point(config):
+            result = check(next(logs))
+        yield config, result
 
 
 # A run's summary inputs: (config, window averages, ratios).  Its daily CSV
@@ -403,23 +398,23 @@ def _daily_path(out_dir: Path, config: ScenarioConfig) -> Path:
     return out_dir / f"daily_{_point_digest(config)}_{config.seed}.csv"
 
 
-def _run_group(configs: list[ScenarioConfig], out_dir: Path) -> list[Result]:
+def _run_group(configs: list[ScenarioConfig], staging: Path) -> list[Result]:
     """Run the configs of one lockstep state (see ``engine.plan``): (config, averages, ratios) each.
 
-    Each run's daily CSV is written to ``out_dir`` under the temporary name
-    of its file (``_tmp`` of ``_daily_path``) as soon as its log passes its
-    checks; ``run_experiment`` moves it into place once every run is done.
+    Each run's daily CSV is written into the directory ``staging`` under its
+    final name (``_daily_path``) as soon as its log passes its checks;
+    ``run_experiment`` moves it into place once every run is done.
     """
+    def check(log: SimulationLog) -> tuple[list[str], WindowAverages, RatioReport]:
+        rows = _daily_rows(log)
+        averages = _checked_averages(log)
+        ratios = ratio_report(averages)
+        _check_finite(ratios)
+        return rows, averages, ratios
+
     results = []
-    logs = _logs(configs)
-    for config in configs:
-        with _failing_point(config):
-            log = next(logs)
-            rows = _daily_rows(log)
-            averages = _checked_averages(log)
-            ratios = ratio_report(averages)
-            _check_finite(ratios)
-        _write_tmp(_daily_path(out_dir, config), _csv_text(DAILY_HEADER, rows))
+    for config, (rows, averages, ratios) in _checked_runs(configs, check):
+        _write_daily(_daily_path(staging, config), rows)
         results.append((config, averages, ratios))
     return results
 
@@ -449,12 +444,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     lockstep states, cut into chunks when there are fewer groups than
     jobs (see ``engine.plan``).  Each state is a task.  With jobs > 1
     (default: the machine's CPU count) a process pool hands out the tasks.
-    A task writes each run's daily CSV under a temporary name (see
-    ``_run_group``).  Once every task has returned, the previous
-    experiment's summary.csv and daily CSVs are removed, the new daily
-    CSVs moved into place and summary.csv written last; outputs do not
-    depend on the execution order.  If a run fails, the pool finishes,
-    the temporaries are removed and ``out_dir`` is left as it was: a
+    A task writes each run's daily CSV into one staging directory
+    (``.staging-*``, made in ``out_dir``; see ``_run_group``).  Once every
+    task has returned, the previous experiment's summary.csv and daily
+    CSVs are removed, the new daily CSVs moved into place, the staging
+    directory removed and summary.csv written last; outputs do not depend
+    on the execution order.  If a run fails, the pool finishes, the
+    staging directory is removed and ``out_dir`` is left as it was: a
     previous experiment stays whole, and the directories this call made
     are removed.  Returns the summary rows.
     """
@@ -466,29 +462,28 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     out_dir = Path(spec.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = plan(configs, jobs)
     try:
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                chunks = list(pool.map(_run_group, tasks, itertools.repeat(out_dir)))
-        else:
-            chunks = [_run_group(task, out_dir) for task in tasks]
-        results = [result for chunk in chunks for result in chunk]
-        (out_dir / "summary.csv").unlink(missing_ok=True)
-        for stale in out_dir.glob("daily_*.csv"):
-            stale.unlink()
-        for config, *_ in results:
-            path = _daily_path(out_dir, config)
-            os.replace(_tmp(path), path)
+        # In out_dir, so that moving a file out of it is an atomic rename.  Leaving the
+        # block removes it, once the pool's block has waited for its workers.
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir, ignore_cleanup_errors=True) as name:
+            staging = Path(name)
+            tasks = plan(configs, jobs)
+            if jobs > 1 and len(tasks) > 1:
+                with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                    chunks = list(pool.map(_run_group, tasks, itertools.repeat(staging)))
+            else:
+                chunks = [_run_group(task, staging) for task in tasks]
+            (out_dir / "summary.csv").unlink(missing_ok=True)
+            for stale in out_dir.glob("daily_*.csv"):
+                stale.unlink()
+            for path in staging.iterdir():
+                os.replace(path, out_dir / path.name)
     except BaseException:
-        # Leaving the pool's block waited for its workers: no task writes any more.
-        for config in configs:
-            _tmp(_daily_path(out_dir, config)).unlink(missing_ok=True)
         for path in made:
             with contextlib.suppress(OSError):  # not empty: the failure came after the commit began
                 path.rmdir()
         raise
-    return write_outputs(results, out_dir)
+    return write_outputs([result for chunk in chunks for result in chunk], out_dir)
 
 
 def replicate_and_test(
@@ -519,12 +514,8 @@ def replicate_and_test(
         for seed in seeds
     ]
     # The t-test reads only the window averages, so no daily CSV is formatted.
-    averages: dict[ScenarioConfig, WindowAverages] = {}
-    for state in plan(dict.fromkeys(config for pair in pairs for config in pair)):
-        logs = _logs(state)
-        for config in state:
-            with _failing_point(config):
-                averages[config] = _checked_averages(next(logs))
+    states = plan(dict.fromkeys(config for pair in pairs for config in pair))
+    averages = dict(item for state in states for item in _checked_runs(state, _checked_averages))
 
     values = []
     for seed, (run_a, run_b) in zip(seeds, pairs):

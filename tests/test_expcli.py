@@ -54,6 +54,21 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def fail_shared_steps(monkeypatch) -> list:
+    """Make expcli's lockstep step fail for every state of more than one run; return those states."""
+    run_state = bottlesim.expcli.run_state
+    failed = []
+
+    def failing(state):
+        if len(state) > 1:
+            failed.append(state)
+            raise RuntimeError("step failed")
+        return run_state(state)
+
+    monkeypatch.setattr(bottlesim.expcli, "run_state", failing)
+    return failed
+
+
 class TestLoadConfig:
     def test_empty_object_gives_defaults(self, tmp_path):
         spec = load_config(write_config(tmp_path, {}))
@@ -265,6 +280,39 @@ class TestRunExperiment:
         run_experiment(spec, jobs=3)
         parallel = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
         assert sequential == parallel
+        # summary.csv and a daily CSV per run, and nothing else: the staging directory is gone.
+        names = sorted(sequential)
+        assert names[-1] == "summary.csv" and len(names) == 7
+        assert all(re.fullmatch(r"daily_[0-9a-f]{10}_\d+\.csv", name) for name in names[:-1])
+
+    def test_runs_made_alone_after_a_failed_step_write_the_same_files(self, tmp_path, monkeypatch):
+        doc = dict(FAST, cav_share=[0.0, 0.3], strategy=["Selfish", "Social"], seeds=[1, 2])
+        spec = load_config(write_config(tmp_path, doc))
+        spec.out_dir = tmp_path / "stepped"
+        run_experiment(spec, jobs=1)
+        stepped = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
+        failed = fail_shared_steps(monkeypatch)
+        spec.out_dir = tmp_path / "alone"
+        run_experiment(spec, jobs=1)
+        assert failed == [spec.run_points()]  # one state of every run, which then ran one by one
+        assert {p.name: p.read_bytes() for p in spec.out_dir.iterdir()} == stepped
+
+    def test_failure_before_any_task_leaves_no_staging_directory(self, tmp_path, monkeypatch):
+        def no_plan(configs, parts=1):
+            raise RuntimeError("no plan")
+
+        monkeypatch.setattr(bottlesim.expcli, "plan", no_plan)
+        spec = load_config(write_config(tmp_path, dict(FAST)))
+        previous = tmp_path / "previous"
+        previous.mkdir()
+        (previous / "summary.csv").write_text("previous experiment", encoding="utf-8")
+        for out_dir in (previous, tmp_path / "fresh" / "out"):
+            spec.out_dir = out_dir
+            with pytest.raises(RuntimeError, match="no plan"):
+                run_experiment(spec, jobs=1)
+        assert [p.name for p in previous.iterdir()] == ["summary.csv"]
+        assert (previous / "summary.csv").read_text(encoding="utf-8") == "previous experiment"
+        assert not (tmp_path / "fresh").exists()
 
     def test_rerun_with_other_seeds_leaves_no_stale_daily_files(self, tmp_path):
         out = tmp_path / "out"
@@ -352,17 +400,19 @@ class TestRunExperiment:
         spec = load_config(write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], seeds=[1, 2])))
         spec.out_dir = tmp_path / "out"
         run_experiment(spec, jobs=1)
-        results = _run_group(spec.run_points(), tmp_path)
+        staging = tmp_path / "staging"
+        staging.mkdir()
+        results = _run_group(spec.run_points(), staging)
         # Only (config, averages, ratios) come back: no CSV text rides the pool's pipe.
         assert [config for config, *_ in results] == spec.run_points()
         for result in results:
             assert [type(value) for value in result] == [ScenarioConfig, WindowAverages, RatioReport]
             assert not any(isinstance(value, str) for value in result)
-        # Each daily CSV is on disk under its temporary name, as run_experiment writes it.
-        temporaries = sorted(tmp_path.glob("daily_*.csv.tmp"))
-        assert [p.name for p in temporaries] == sorted(p.name + ".tmp" for p in spec.out_dir.glob("daily_*.csv"))
-        for tmp in temporaries:
-            assert tmp.read_bytes() == (spec.out_dir / tmp.stem).read_bytes()
+        # Each daily CSV is staged under its final name, with the bytes run_experiment moves into place.
+        staged = sorted(p.name for p in staging.iterdir())
+        assert staged == sorted(p.name for p in spec.out_dir.glob("daily_*.csv"))
+        for name in staged:
+            assert (staging / name).read_bytes() == (spec.out_dir / name).read_bytes()
 
     def test_daily_file_names_hash_every_field_but_the_seed(self, tmp_path):
         network = {
@@ -517,6 +567,15 @@ class TestReplicateAndTest:
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
         with pytest.raises(ValueError, match="at least 2 distinct seeds"):
             replicate_and_test(config, "tau_b", config, "tau", seeds=seeds)
+
+    def test_runs_made_alone_after_a_failed_step_give_the_same_t(self, monkeypatch):
+        selfish = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5), cav_share=0.2)
+        social = dataclasses.replace(selfish, strategy="Social")
+        expected = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2, 3])
+        assert expected.t_statistic is not None
+        failed = fail_shared_steps(monkeypatch)
+        assert replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2, 3]) == expected
+        assert [len(state) for state in failed] == [6]  # both fleets at three seeds, then one by one
 
     def test_seeds_may_come_from_a_generator(self):
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))

@@ -453,13 +453,17 @@ def exact_t(sample_a, sample_b):
 
 
 class TestOverflowingTTest:
-    """Finite samples whose differences, sums or squares overflow still get their t."""
+    """Finite samples whose differences, sums or squares overflow, or whose squares underflow, still get their t."""
 
     @pytest.mark.parametrize("sample_a, sample_b", [
         ([1e200, 3e200, 2e200], [0.0, 0.0, 0.0]),  # (d - mean) ** 2 overflows: an OverflowError
         ([1e308, 1e308], [-1e308, -1e307]),  # a difference overflows, to a t of nan
         ([1.5e308, 1.5e308], [0.0, 1e308]),  # the sum of the differences overflows, to a t of nan
         ([1.3e154, -1.1e154, 1.3e154, -1.1e154], [0.0] * 4),  # the sum of the squares does, to a t of 0
+        ([0.0, 3.2e-162], [0.0, 0.0]),  # the squares are subnormal, to a t of 0.7198
+        ([0.0, 3.1e-162], [0.0, 0.0]),  # the squares underflow to 0, to a degenerate outcome
+        ([5e-324, 0.0, 1e-323], [0.0] * 3),  # subnormal differences, to a degenerate outcome
+        ([1e-160, 3e-160, 2e-160], [0.0] * 3),  # subnormal squares lose bits, to a t of 3.46326545
     ])
     def test_t_agrees_with_the_exact_value(self, sample_a, sample_b):
         result = paired_t_test(sample_a, sample_b)
@@ -475,7 +479,7 @@ class TestOverflowingTTest:
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(pairs=st.lists(st.tuples(*[st.integers(-2**40, 2**40)] * 2), min_size=2, max_size=8),
-           exponent=st.integers(500, 980))
+           exponent=st.one_of(st.integers(-980, -500), st.integers(500, 980)))
     def test_t_does_not_depend_on_scale(self, pairs, exponent):
         sample_a, sample_b = ([x / 2**20 for x in sample] for sample in zip(*pairs))
         result = paired_t_test(sample_a, sample_b)
@@ -483,6 +487,12 @@ class TestOverflowingTTest:
         assert scaled.degenerate == result.degenerate
         if not result.degenerate:
             assert scaled.t_statistic == pytest.approx(result.t_statistic, rel=1e-12)
+
+    @pytest.mark.parametrize("difference", [4.3e127, 2.0**300, 1e200, 1.7e308])
+    def test_equal_differences_too_large_to_rescale_are_degenerate(self, difference):
+        # Equal differences have zero variance; times 2**600 their sum would overflow to a t of nan.
+        result = paired_t_test([0.0, 0.0], [difference, difference])
+        assert result.degenerate and result.t_statistic is None
 
 
 class TestSequentialSum:
