@@ -581,10 +581,13 @@ def run_state(configs: list[ScenarioConfig]) -> list[SimulationLog]:
     Days 1..m_day are stepped once, a row per (seed, taste_spread, population),
     then a row per distinct run, so every log equals the one its config gives
     alone.  Each log's columns are its config's own slice of the state's.
+    numpy's floating-point warnings are off while the state is set up and
+    stepped: an inf or NaN it makes is an output that the caller checks.
     """
-    state = SimulationState(*configs)
-    while state.day <= state.total_days:
-        step_day(state)
+    with np.errstate(all="ignore"):  # once per state, not per day kernel
+        state = SimulationState(*configs)
+        while state.day <= state.total_days:
+            step_day(state)
     return [SimulationLog(config, state.flows[:, i], state.times[:, i], state.perceived[:, i])
             for i, config in enumerate(configs)]
 

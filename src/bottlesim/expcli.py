@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -56,6 +55,23 @@ from .network import TwoRouteNetwork
 
 if TYPE_CHECKING:
     import argparse
+
+
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` on first use (PEP 562), then keep it as a module global.
+
+    The pool pulls in multiprocessing, logging, socket and subprocess, which
+    only a sweep at jobs > 1 needs.  ``run_experiment`` reads the class
+    through this module's attribute, so assigning ``ProcessPoolExecutor``
+    here replaces the pool a sweep uses.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(field.name for field in dataclasses.fields(cls))
@@ -469,7 +485,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
             staging = Path(name)
             tasks = plan(configs, jobs)
             if jobs > 1 and len(tasks) > 1:
-                with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+                with pool_class(max_workers=min(jobs, len(tasks))) as pool:
                     chunks = list(pool.map(_run_group, tasks, itertools.repeat(staging)))
             else:
                 chunks = [_run_group(task, staging) for task in tasks]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +340,28 @@ class TestRunExperiment:
         parallel = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
         assert len(sequential) == 16
         assert sequential == parallel
+
+    def test_a_pooled_sweep_builds_the_pool_through_the_module_attribute(self, tmp_path, monkeypatch):
+        # Replacing expcli.ProcessPoolExecutor is how a caller times or swaps the pool.
+        built = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bottlesim.expcli, "ProcessPoolExecutor", RecordingPool)
+        spec = load_config(write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], seeds=[1, 2])))
+        assert len(plan(spec.run_points(), 2)) == 2
+        spec.out_dir = tmp_path / "serial"
+        run_experiment(spec, jobs=1)
+        assert built == []
+        spec.out_dir = tmp_path / "pooled"
+        run_experiment(spec, jobs=2)
+        assert built == [2]
+        assert [p.read_bytes() for p in sorted((tmp_path / "pooled").iterdir())] == [
+            p.read_bytes() for p in sorted((tmp_path / "serial").iterdir())
+        ]
 
     def test_tasks_group_runs_by_shared_days(self, tmp_path):
         doc = dict(FAST, cav_share=[0.1, 0.5], strategy=["Selfish", "Social"],
@@ -709,6 +733,28 @@ class TestCli:
         proc = self.run_python(["-c", script], tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_library_use_leaves_the_process_pool_unloaded(self, tmp_path):
+        # Only a sweep at jobs > 1 imports concurrent.futures and multiprocessing.
+        config = write_config(tmp_path, dict(FAST, seeds=[1, 2]))
+        script = "\n".join([
+            "import sys",
+            "import bottlesim",
+            "def loaded(): return [name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules]",
+            "assert loaded() == [], loaded()",
+            f"spec = bottlesim.load_config({str(config)!r})",
+            "spec.out_dir = 'out'",
+            "bottlesim.run_experiment(spec, jobs=1)",
+            "assert loaded() == [], loaded()",
+            "config = spec.run_points()[0]",
+            "bottlesim.replicate_and_test(config, 'tau', config, 'tau_b', seeds=[1, 2])",
+            "assert loaded() == [], loaded()",
+            "import concurrent.futures",
+            "assert bottlesim.expcli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor",
+        ])
+        proc = self.run_python(["-c", script], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "out" / "summary.csv").exists()
+
     def test_non_string_out_dir_exits_one_without_traceback(self, tmp_path):
         config = write_config(tmp_path, dict(FAST, out_dir=None))
         proc = self.run_cli(["run", str(config)], tmp_path)
@@ -989,20 +1035,34 @@ class TestNonFiniteOutputs:
         return proc.returncode, proc.stderr
 
     def test_cli_exits_two_naming_the_point(self, tmp_path):
-        # The overflow makes an inf that the failing run's output check finds.
-        status, stderr = self.sweep_overflowing(tmp_path, "ignore", 2)
+        # The overflow makes an inf that the failing run's output check finds;
+        # the workers print no numpy warning before the error line.
+        status, stderr = self.sweep_overflowing(tmp_path, "default", 2)
         assert status == 2
         assert FAILING_POINT in stderr
+        assert "Warning" not in stderr
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cli_names_the_point_when_warnings_are_errors(self, tmp_path, jobs):
-        # The overflow raises while the task's rows step (both spreads' at --jobs 1),
-        # as its first run's log is awaited; the runs are then made one by one to
-        # name the failing one.
+        # numpy's warnings are off while a state steps, so an error filter makes
+        # no exception: the output check names the failing run, in a worker at --jobs 2.
         status, stderr = self.sweep_overflowing(tmp_path, "error::RuntimeWarning", jobs)
         assert status == 2
-        assert f"{FAILING_POINT} failed: overflow encountered in reduce" in stderr
+        assert f"{FAILING_POINT} failed: non-finite value on day 1: " in stderr
         assert "beta=5.0" not in stderr
+
+    def test_sweep_error_does_not_depend_on_the_warning_filters(self, tmp_path, capsys):
+        config = write_config(tmp_path, OVERFLOWING)
+        errors = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert main(["sweep", str(config), "--out", str(tmp_path / action), "--jobs", "1"]) == 2
+            assert caught == []
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: run {FAILING_POINT} failed: non-finite value on day 1: ")
+        assert errors[0].count("\n") == 1
 
 
 def _huge_network(time_a, time_b):
