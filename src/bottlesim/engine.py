@@ -38,12 +38,16 @@ as a (rows, n) block, whatever their population, and the rows of a
 taste_spread only scales a row's tastes at set-up, so it is a per-row
 constant that no day reads.  Every elementwise kernel runs once a day
 over the whole axis; only the draws, the per-row counts, the time
-columns and the perceived sums go row by row or block by block.  No
-state is forked, so every run equals its config run alone, bit for bit;
+columns and the perceived sums go row by row or block by block, and one
+``day_statistics`` call a day divides all the sums at once.  No state is
+forked, so every run equals its config run alone, bit for bit;
 ``run_scenario`` is the one-run case.  Configs with equal (or empty)
 fleets are the same run.  After the hand-over a fleet's decision depends
 on q_hdv_a and the survivor count alone, whatever the seed, spread and
 population: the rows of a fleet in a block share one exact memo of it.
+A decision reads its candidates' times from the state's route curves,
+evaluated once at the hand-over, and a row's two times depend on its
+two flows alone: the state computes them once per pair of flows.
 
 ``plan`` alone decides which runs step together as one state: the runs
 of a group, unless a pool's workers need more chunks than there are
@@ -75,7 +79,9 @@ import numpy as np
 
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics
-from .network import TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times, quoted
+from .network import (
+    TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times, quoted, route_curves,
+)
 
 
 def _round_half_up(x: float) -> int:
@@ -280,6 +286,9 @@ class SimulationState:
         self.estimates[1] = config.network.route_b.free_flow_time
         self.last_route = np.zeros(self.width, dtype=bool)  # True = route B, from day 1 on
         self.memos: list[dict[int, FleetDecision]] | None = None  # set at the hand-over
+        self.curves: tuple[np.ndarray, np.ndarray] | None = None  # set at the hand-over if a row has a fleet
+        # (q_a, q_b) -> (t_a, t_b, alpha * t_a, alpha * t_b), the columns of a row with these flows.
+        self.route_times: dict[tuple[int, int], tuple[float, float, float, float]] = {}
 
         # Run constants, read once here rather than through the config's
         # derived properties on every day.
@@ -305,7 +314,8 @@ class SimulationState:
         to ``generator`` of it, which draws into the span of its first row
         (``draw_into``); its other rows copy those draws (``copies``).  A
         block logs ``counts(length)``, each row a mean per count, row-major:
-        ``row_of`` and ``log_of`` index each config's row and mean.
+        ``row_of`` and ``log_of`` index each config's row and mean, which
+        ``day_statistics`` computes into ``means``.
         """
         self.rows, self.blocks, self.spans, start = [], [], [], 0
         self.rngs, self.copies, sources, logs = {}, [], {}, []
@@ -329,6 +339,9 @@ class SimulationState:
         log_index = {log: i for i, log in enumerate(logs)}
         self.row_of = np.array([index[row] for row in keys])
         self.log_of = np.array([log_index[row, c.survivor_count] for row, c in zip(keys, self.configs)])
+        # day_statistics' vector of the logged means, and their counts: NaN for none.
+        self.means = np.empty(len(logs))
+        self.divisors = np.array([count or math.nan for _, count in logs], dtype=np.float64)
 
     def _hand_over(self) -> None:
         """Continue as the distinct runs of the configs, a row each, in blocks by survivor count.
@@ -336,7 +349,9 @@ class SimulationState:
         Each run's row is a copy of its prefix row's survivors.  The runs of a
         (seed, population) and survivor count share one copy of its generator,
         as they draw alike from here on, and the runs of a fleet and survivor
-        count one empty memo, as its decisions depend on q_hdv_a alone.
+        count one empty memo, as its decisions depend on q_hdv_a alone.  If a
+        run has a fleet, each route's curve is evaluated here, once, up to the
+        largest population of such a run: every decision reads its slices.
         """
         starts = {row: cut.start for row, cut in zip(self.rows, self.spans)}
         generators = self.rngs
@@ -358,6 +373,9 @@ class SimulationState:
         self.fleets = [fleet for *_, fleet in self.rows]
         memos: dict[tuple, dict[int, FleetDecision]] = {}
         self.memos = [memos.setdefault((_survivors(run), run[3]), {}) for run in self.rows]
+        populations = [population for _, _, population, (size, _) in self.rows if size]
+        if populations:
+            self.curves = route_curves(self.network, max(populations))
 
 
 def _row_key(config: ScenarioConfig) -> tuple:
@@ -422,7 +440,7 @@ def step_day(state: SimulationState) -> None:
     on_b ^= greedy_b
     np.logical_not(on_b, taken[0])
 
-    network, alpha, fleets, memos = state.network, state.learning_rate, state.fleets, state.memos
+    fleets, memos, route_times = state.fleets, state.memos, state.route_times
     # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
     flows, columns = [], []
     for row, cut in enumerate(state.spans):
@@ -433,13 +451,18 @@ def step_day(state: SimulationState) -> None:
             memo = memos[row]
             decision = memo.get(q_hdv_a)
             if decision is None:
-                decision = memo[q_hdv_a] = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, network)
+                decision = memo[q_hdv_a] = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, state.curves)
             q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
         else:
             q_cav_a = q_cav_b = 0
-        t_a, t_b = network_travel_times(network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
+        q = q_hdv_a + q_cav_a, q_hdv_b + q_cav_b
+        column = route_times.get(q)
+        if column is None:
+            t_a, t_b = network_travel_times(state.network, *q)
+            alpha = state.learning_rate
+            column = route_times[q] = t_a, t_b, alpha * t_a, alpha * t_b
         flows.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b))
-        columns.append((t_a, t_b, alpha * t_a, alpha * t_b))
+        columns.append(column)
 
     # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
     columns = np.array([columns]).T
@@ -463,11 +486,13 @@ def step_day(state: SimulationState) -> None:
     _select(on_b, bits[1], bits[0])
 
     # Each config's entry of the day: its row's counts and times, and its row's mean for its survivor count.
-    means = [day_statistics(block_scratch[0], block.counts).ravel()
-             for block, (block_scratch, *_) in zip(state.blocks, views)]
+    means = day_statistics(
+        [(block_scratch[0], block.counts) for block, (block_scratch, *_) in zip(state.blocks, views)],
+        state.divisors, state.means,
+    )
     state.flows[day - 1] = np.array(flows)[state.row_of]
     state.times[day - 1] = columns[:2, state.row_of, 0].T
-    state.perceived[day - 1] = np.concatenate(means)[state.log_of]
+    state.perceived[day - 1] = means[state.log_of]
     state.day = day + 1
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -174,6 +173,8 @@ def _point_key(config: ScenarioConfig) -> tuple:
 
 def _point_digest(config: ScenarioConfig) -> str:
     """Hash of every config field but the seed, as JSON; it names the daily files."""
+    import hashlib  # here, not at the top: only a sweep that writes daily files loads OpenSSL
+
     knobs = {name: getattr(config, attr) for name, (_, attr) in (*_FIELDS.items(), *_AXES.items())}
     del knobs["seeds"]
     canonical = json.dumps(knobs, sort_keys=True, default=dataclasses.asdict)

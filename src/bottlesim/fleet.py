@@ -12,7 +12,9 @@ name to its ``(lambda_cav, lambda_hdv)`` tuple, which is what
 ``fleet_optimize`` takes.  The domain of the decision is the integers
 0..q_cav, small enough that the minimum is found by exhaustively
 evaluating every candidate; ties go to the smallest split so results
-are reproducible.
+are reproducible.  The candidates' route times are slices of the
+network's ``route_curves``, which a caller evaluates once for every
+decision it asks for: the engine once per state, at the hand-over.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import TwoRouteNetwork, _bpr
 
 # Strategy name -> (lambda_cav, lambda_hdv).
 STRATEGY_TABLE: dict[str, tuple[float, float]] = {
@@ -49,23 +49,28 @@ def fleet_optimize(
     q_hdv_a: int,
     q_hdv_b: int,
     q_cav: int,
-    network: TwoRouteNetwork,
+    curves: tuple[np.ndarray, np.ndarray],
 ) -> FleetDecision:
     """Best fleet split against the committed human counts.
 
     ``weights`` is a ``(lambda_cav, lambda_hdv)`` pair of
-    ``STRATEGY_TABLE``.  Exhaustively enumerates all q_cav + 1 integer
-    splits, so the result is the exact global minimizer; among equal
-    objective values the smallest number of fleet vehicles on A wins.
+    ``STRATEGY_TABLE``, and ``curves`` is ``route_curves(network, n)`` for
+    some n >= max(q_hdv_a, q_hdv_b) + q_cav, such as the population
+    q_hdv_a + q_hdv_b + q_cav.  Exhaustively enumerates all q_cav + 1
+    integer splits, so the result is the exact global minimizer; among
+    equal objective values the smallest number of fleet vehicles on A wins.
     """
     if q_cav < 0:
         raise ValueError(f"q_cav must be nonnegative, got {q_cav}")
     if q_hdv_a < 0 or q_hdv_b < 0:
         raise ValueError("HDV counts must be nonnegative")
+    curve_a, curve_b = curves
+    if max(q_hdv_a, q_hdv_b) + q_cav >= min(len(curve_a), len(curve_b)):
+        raise ValueError(f"route curves end before {max(q_hdv_a, q_hdv_b) + q_cav} vehicles")
     lambda_cav, lambda_hdv = weights
     x = np.arange(q_cav + 1, dtype=np.float64)
-    t_a = _bpr(network.route_a, q_hdv_a + x)
-    t_b = _bpr(network.route_b, q_hdv_b + (q_cav - x))
+    t_a = curve_a[q_hdv_a:q_hdv_a + q_cav + 1]
+    t_b = curve_b[q_hdv_b:q_hdv_b + q_cav + 1][::-1]  # x on A leaves q_cav - x on B
     t_cav = x * t_a + (q_cav - x) * t_b
     t_hdv = q_hdv_a * t_a + q_hdv_b * t_b
     # Both terms even at weight 0: 0.0 * inf is nan, so an overflow is not hidden.

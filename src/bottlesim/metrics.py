@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .fleet import STRATEGY_TABLE, fleet_optimize
-from .network import TwoRouteNetwork
+from .network import TwoRouteNetwork, route_curves
 
 if TYPE_CHECKING:
     from .engine import SimulationLog
@@ -81,21 +81,29 @@ class TTestResult:
     degenerate: bool = False
 
 
-def day_statistics(perceived: np.ndarray, survivor_counts: Sequence[int]) -> np.ndarray:
-    """Per-day perceived means of R runs, from one completed day of each.
+def day_statistics(
+    blocks: Iterable[tuple[np.ndarray, Sequence[int]]], divisors: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """Per-day perceived means of a state's rows, from one completed day of each: ``out``, filled.
 
-    ``perceived`` has one row per run: the perceived time of every current
-    human driver in index order, the experienced time plus the taste of
-    the route taken.  Returns an (R, len(survivor_counts)) array: per row,
-    the mean over its first c drivers for each c in ``survivor_counts``
-    (each at most the row's length), NaN where c is 0.
+    ``blocks`` gives each block of rows as a (rows, n) array with the
+    survivor counts its rows log, each at most n.  A row holds the
+    perceived time of every current human driver in index order, the
+    experienced time plus the taste of the route taken.  ``out`` takes,
+    block by block and row by row, the mean over the row's first c drivers
+    for each count c.  ``divisors`` holds each entry's c as a float, and
+    NaN where c is 0: the sum over no drivers, 0.0, divides to NaN with no
+    floating-point warning.
     """
-    means = np.full((len(perceived), len(survivor_counts)), np.nan)
-    for i, c in enumerate(survivor_counts):
-        if c:
+    start = 0
+    for perceived, counts in blocks:
+        stride = len(counts)
+        stop = start + len(perceived) * stride
+        for i, c in enumerate(counts):
             # np.mean's own reduction, row by row: each row sums as it would alone.
-            np.divide(np.add.reduce(perceived[:, :c], axis=1), c, out=means[:, i])
-    return means
+            np.add.reduce(perceived[:, :c], axis=1, out=out[start + i:stop:stride])
+        start = stop
+    return np.divide(out, divisors, out=out)
 
 
 def flow_mean(q: np.ndarray, t) -> np.ndarray:
@@ -121,7 +129,7 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
-    decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, network)
+    decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, route_curves(network, q_total))
     return decision.cav_on_a, decision.objective_value / q_total
 
 

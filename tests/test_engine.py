@@ -21,6 +21,7 @@ from bottlesim import (
     TwoRouteNetwork,
     fleet_optimize,
     network_travel_times,
+    route_curves,
     run_branches,
     run_scenario,
     step_day,
@@ -386,7 +387,7 @@ def scalar_oracle(config):
         if fleet_on:
             decision = fleet_optimize(
                 STRATEGY_TABLE[config.strategy], q_hdv_a, q_hdv_b,
-                config.fleet_size, config.network,
+                config.fleet_size, route_curves(config.network, total),
             )
             q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
         else:
@@ -956,7 +957,7 @@ class TestFleetMemo:
         for q_hdv_a, decision in memo.items():
             assert decision == fleet_optimize(
                 STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.width - q_hdv_a,
-                MEMO_CONFIG.fleet_size, MEMO_CONFIG.network,
+                MEMO_CONFIG.fleet_size, route_curves(MEMO_CONFIG.network, MEMO_CONFIG.total_population),
             )
 
     def test_seed_rows_of_a_run_share_one_empty_memo(self, monkeypatch):
@@ -1044,6 +1045,62 @@ class TestFleetMemo:
         assert together == sorted(asked)
         for log, solo in zip(logs, alone, strict=True):
             assert columns(log) == columns(solo)
+
+
+# The paper's congestion grid, shortened: six populations, each with five fleets.
+CONGESTION_GRID = [
+    ScenarioConfig(congestion=congestion, cav_share=share, phase_lengths=(5, 5, 5, 5), seed=1)
+    for congestion in (0.25, 0.5, 1.0, 1.5, 2.0, 2.6) for share in (0.05, 0.1, 0.2, 0.4, 0.8)
+]
+
+
+class TestStateMemos:
+    """A state evaluates each route's curve once, and the route times once per pair of flows."""
+
+    def test_one_route_time_call_per_distinct_pair_of_flows(self, monkeypatch):
+        asked = []
+        real = engine.network_travel_times
+
+        def counting(network, q_a, q_b):
+            asked.append((q_a, q_b))
+            return real(network, q_a, q_b)
+
+        monkeypatch.setattr(engine, "network_travel_times", counting)
+        state = SimulationState(*CONGESTION_GRID)
+        row_days = 0
+        while state.day <= state.total_days:
+            step_day(state)
+            row_days += len(state.rows)
+        pairs = state.flows[..., :2] + state.flows[..., 2:]  # (days, configs, 2): each route's flow
+        distinct = set(map(tuple, pairs.reshape(-1, 2).tolist()))
+        assert len(asked) == len(distinct) and set(asked) == distinct
+        assert len(distinct) < row_days  # rows meet flows that other rows or days had
+        for day_pairs, day_times in zip(pairs.tolist(), state.times.tolist()):
+            for (q_a, q_b), times in zip(day_pairs, day_times):
+                assert tuple(times) == real(state.network, q_a, q_b)
+
+    def test_curves_are_built_once_at_the_hand_over(self, monkeypatch):
+        built = []
+        real = engine.route_curves
+
+        def counting(network, flows):
+            built.append(flows)
+            return real(network, flows)
+
+        monkeypatch.setattr(engine, "route_curves", counting)
+        state = SimulationState(*CONGESTION_GRID)
+        for _ in range(state.m_day):
+            step_day(state)
+        assert built == [] and state.curves is None
+        step_day(state)
+        curves = state.curves
+        assert built == [2600]  # the largest population with a fleet
+        while state.day <= state.total_days:
+            step_day(state)
+        assert built == [2600] and state.curves is curves
+        # Without a fleet there is no decision to read a curve.
+        engine.run_state([dataclasses.replace(config, cav_share=0.0) for config in CONGESTION_GRID[::5]])
+        assert built == [2600]
 
 
 # The parent's kernels, np.where selects on float64 arrays, recompute each day.

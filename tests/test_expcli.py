@@ -734,14 +734,17 @@ class TestCli:
         assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_library_use_leaves_the_process_pool_unloaded(self, tmp_path):
-        # Only a sweep at jobs > 1 imports concurrent.futures and multiprocessing.
+        # Only a sweep at jobs > 1 imports concurrent.futures and multiprocessing.  Nor does
+        # the import or a config load hashlib: the daily file names and numpy.random do.
         config = write_config(tmp_path, dict(FAST, seeds=[1, 2]))
         script = "\n".join([
             "import sys",
             "import bottlesim",
-            "def loaded(): return [name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules]",
-            "assert loaded() == [], loaded()",
+            "def loaded(*names): return [name for name in ('concurrent.futures', 'multiprocessing', *names)"
+            " if name in sys.modules]",
+            "assert loaded('hashlib') == [], loaded('hashlib')",
             f"spec = bottlesim.load_config({str(config)!r})",
+            "assert loaded('hashlib') == [], loaded('hashlib')",
             "spec.out_dir = 'out'",
             "bottlesim.run_experiment(spec, jobs=1)",
             "assert loaded() == [], loaded()",

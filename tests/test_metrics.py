@@ -50,20 +50,30 @@ def _perceived(routes, taste_a, taste_b, times):
     return np.where(routes, t_b + taste_b, t_a + taste_a)
 
 
+def day_means(blocks):
+    """One day's ``day_statistics`` over ``blocks`` of ((rows, n) perceived, counts): a (rows, counts) array each."""
+    counts = [c for perceived, block_counts in blocks for _ in perceived for c in block_counts]
+    out = np.empty(len(counts))
+    means = day_statistics(blocks, np.array([c or math.nan for c in counts]), out)
+    assert means is out
+    cuts = np.cumsum([len(perceived) * len(block_counts) for perceived, block_counts in blocks])[:-1]
+    return [m.reshape(len(p), len(c)) for m, (p, c) in zip(np.split(means, cuts), blocks)]
+
+
 class TestDayStatistics:
     """A day's group means: the flow means of the counts and times, and the survivors' perceived mean."""
 
     def test_constant_sample(self):
         assert flow_mean(np.array([[5, 0]]), np.array([[10.0, 20.0]])).tolist() == [10.0]  # everyone on A
         routes = np.zeros((1, 5), dtype=np.int8)
-        means = day_statistics(_perceived(routes, np.zeros((1, 5)), np.zeros((1, 5)), [(10.0, 20.0)]), [5])
+        (means,) = day_means([(_perceived(routes, np.zeros((1, 5)), np.zeros((1, 5)), [(10.0, 20.0)]), [5])])
         assert means.tolist() == [[10.0]]
 
     def test_perceived_mean_averages_time_plus_taste(self):
         routes = np.zeros((1, 2), dtype=np.int8)
         taste_a = np.array([[2.0, -2.0]])
         taste_b = np.array([[50.0, 50.0]])  # unused, both drivers on A
-        ((mean_perceived,),) = day_statistics(_perceived(routes, taste_a, taste_b, [(10.0, 20.0)]), [2])
+        (((mean_perceived,),),) = day_means([(_perceived(routes, taste_a, taste_b, [(10.0, 20.0)]), [2])])
         assert mean_perceived == pytest.approx(10.0)
 
     def test_fleet_weighted_mean(self):
@@ -73,7 +83,7 @@ class TestDayStatistics:
         # No flow, or no survivors: NaN, which the counts and survivor count mark as absent.
         assert np.isnan(flow_mean(np.array([[0, 0]]), np.array([[10.0, 20.0]]))).all()
         routes = np.zeros((1, 0), dtype=np.int8)
-        means = day_statistics(_perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), [(10.0, 20.0)]), [0])
+        (means,) = day_means([(_perceived(routes, np.zeros((1, 0)), np.zeros((1, 0)), [(10.0, 20.0)]), [0])])
         assert means.shape == (1, 1) and np.isnan(means).all()
 
     def test_flow_mean_is_the_scalar_formula_bit_for_bit(self):
@@ -93,12 +103,16 @@ class TestDayStatistics:
         routes = rng.random((3, 9)) < 0.5
         taste_a, taste_b = rng.normal(size=(2, 3, 9))
         pairs = [(10.0, 20.0), (11.5, 19.25), (7.0, 30.0)]
-        means = day_statistics(_perceived(routes, taste_a, taste_b, pairs), [9, 4, 0])
-        assert means.shape == (3, 3)
+        # A second block, of rows of another length, shares the day's one call.
+        other = rng.normal(size=(2, 7))
+        means, other_means = day_means([(_perceived(routes, taste_a, taste_b, pairs), [9, 4, 0]), (other, [7])])
+        assert means.shape == (3, 3) and other_means.shape == (2, 1)
+        for row, alone in zip(other, other_means.tolist()):
+            assert alone == [float(np.add.reduce(row)) / 7]
         for row, perceived in enumerate(means.tolist()):
             t_a, t_b = pairs[row]
             one = slice(row, row + 1)
-            alone = day_statistics(_perceived(routes[one], taste_a[one], taste_b[one], pairs[one]), [9])
+            (alone,) = day_means([(_perceived(routes[one], taste_a[one], taste_b[one], pairs[one]), [9])])
             assert perceived[0] == alone[0, 0]
             # Fewer survivors than drivers average the first ones; none is absent.
             first = np.where(routes[row, :4], t_b + taste_b[row, :4], t_a + taste_a[row, :4])
