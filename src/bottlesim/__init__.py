@@ -38,7 +38,7 @@ from .expcli import (
     run_experiment,
     write_outputs,
 )
-from .network import RouteParams, TwoRouteNetwork, bpr_travel_time, network_travel_times, route_curves
+from .network import RouteParams, TwoRouteNetwork, bpr_travel_time, network_travel_times
 
 __all__ = [
     "ConfigError",
@@ -63,7 +63,6 @@ __all__ = [
     "paired_t_test",
     "ratio_report",
     "replicate_and_test",
-    "route_curves",
     "run_branches",
     "run_experiment",
     "run_scenario",

@@ -45,9 +45,11 @@ forked, so every run equals its config run alone, bit for bit;
 fleets are the same run.  After the hand-over a fleet's decision depends
 on q_hdv_a and the survivor count alone, whatever the seed, spread and
 population: the rows of a fleet in a block share one exact memo of it.
-A decision reads its candidates' times from the state's route curves,
-evaluated once at the hand-over, and a row's two times depend on its
-two flows alone: the state computes them once per pair of flows.
+A state evaluates the BPR curve once, at set-up: its table ``curves``
+holds each route's time at every flow up to its largest population.  A
+decision reads its candidates' times as slices of the table, and a day's
+two times per row are the table's entries at the row's flows, so the
+fleet decides on the times its run then experiences.
 
 ``plan`` alone decides which runs step together as one state: the runs
 of a group, unless a pool's workers need more chunks than there are
@@ -80,7 +82,7 @@ import numpy as np
 from .fleet import STRATEGY_NAMES, STRATEGY_TABLE, FleetDecision, fleet_optimize
 from .metrics import day_statistics
 from .network import (
-    TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times, quoted, route_curves,
+    TwoRouteNetwork, bpr_travel_time, is_finite_number, network_travel_times, quoted,
 )
 
 
@@ -261,6 +263,11 @@ class SimulationState:
             _row_key, operator.itemgetter(2), lambda key: np.random.default_rng(key[0]), lambda n: tuple(counts[n]),
         )
         self.fleets = [(0, None)] * len(self.rows)  # each row's (fleet size, weights)
+        # (2, n + 1): each route's time at every flow 0..n, n the largest population.  Built
+        # before the driver arrays, so that its temporaries are gone when they are made.
+        x = np.arange(max(c.total_population for c in configs) + 1.0)
+        self.curves = np.array(network_travel_times(config.network, x, x))
+        del x
 
         # The draw buffer takes the taste draws first: (route A, route B) per driver.
         self.draws = np.empty((2, self.width))
@@ -286,13 +293,9 @@ class SimulationState:
         self.estimates[1] = config.network.route_b.free_flow_time
         self.last_route = np.zeros(self.width, dtype=bool)  # True = route B, from day 1 on
         self.memos: list[dict[int, FleetDecision]] | None = None  # set at the hand-over
-        self.curves: tuple[np.ndarray, np.ndarray] | None = None  # set at the hand-over if a row has a fleet
-        # (q_a, q_b) -> (t_a, t_b, alpha * t_a, alpha * t_b), the columns of a row with these flows.
-        self.route_times: dict[tuple[int, int], tuple[float, float, float, float]] = {}
 
         # Run constants, read once here rather than through the config's
         # derived properties on every day.
-        self.network = config.network
         self.m_day = config.m_day
         self.total_days = config.total_days
         self.learning_rate = config.learning_rate
@@ -349,9 +352,7 @@ class SimulationState:
         Each run's row is a copy of its prefix row's survivors.  The runs of a
         (seed, population) and survivor count share one copy of its generator,
         as they draw alike from here on, and the runs of a fleet and survivor
-        count one empty memo, as its decisions depend on q_hdv_a alone.  If a
-        run has a fleet, each route's curve is evaluated here, once, up to the
-        largest population of such a run: every decision reads its slices.
+        count one empty memo, as its decisions depend on q_hdv_a alone.
         """
         starts = {row: cut.start for row, cut in zip(self.rows, self.spans)}
         generators = self.rngs
@@ -373,9 +374,6 @@ class SimulationState:
         self.fleets = [fleet for *_, fleet in self.rows]
         memos: dict[tuple, dict[int, FleetDecision]] = {}
         self.memos = [memos.setdefault((_survivors(run), run[3]), {}) for run in self.rows]
-        populations = [population for _, _, population, (size, _) in self.rows if size]
-        if populations:
-            self.curves = route_curves(self.network, max(populations))
 
 
 def _row_key(config: ScenarioConfig) -> tuple:
@@ -392,6 +390,10 @@ def _run_key(config: ScenarioConfig) -> tuple:
 def _survivors(run: tuple) -> int:
     """The survivor count of a ``_run_key``."""
     return run[2] - run[3][0]
+
+
+# Index of each route's curve in a state's table, broadcast against the rows' (R, 2) flows.
+_ROUTES = np.arange(2)
 
 
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -440,9 +442,8 @@ def step_day(state: SimulationState) -> None:
     on_b ^= greedy_b
     np.logical_not(on_b, taken[0])
 
-    fleets, memos, route_times = state.fleets, state.memos, state.route_times
-    # Per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b) and (t_a, t_b, alpha * t_a, alpha * t_b).
-    flows, columns = [], []
+    fleets, memos = state.fleets, state.memos
+    flows = []  # per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b)
     for row, cut in enumerate(state.spans):
         q_hdv_b = int(np.count_nonzero(on_b[cut]))
         q_hdv_a = cut.stop - cut.start - q_hdv_b
@@ -451,21 +452,18 @@ def step_day(state: SimulationState) -> None:
             memo = memos[row]
             decision = memo.get(q_hdv_a)
             if decision is None:
-                decision = memo[q_hdv_a] = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, state.curves)
-            q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
+                decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, state.curves)
+                if not math.isfinite(decision.objective_value):  # np.argmin stops at the first NaN
+                    raise RuntimeError(f"fleet objective is {decision.objective_value} on day {day}")
+                memo[q_hdv_a] = decision
+            flows.append((q_hdv_a, q_hdv_b, decision.cav_on_a, decision.cav_on_b))
         else:
-            q_cav_a = q_cav_b = 0
-        q = q_hdv_a + q_cav_a, q_hdv_b + q_cav_b
-        column = route_times.get(q)
-        if column is None:
-            t_a, t_b = network_travel_times(state.network, *q)
-            alpha = state.learning_rate
-            column = route_times[q] = t_a, t_b, alpha * t_a, alpha * t_b
-        flows.append((q_hdv_a, q_hdv_b, q_cav_a, q_cav_b))
-        columns.append(column)
+            flows.append((q_hdv_a, q_hdv_b, 0, 0))
 
+    flows = np.array(flows)
+    times = state.curves[_ROUTES, flows[:, :2] + flows[:, 2:]]  # (R, 2): each row's t_a, t_b at its flows
     # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
-    columns = np.array([columns]).T
+    columns = np.concatenate((times, state.learning_rate * times), axis=1).T[..., None]
     # Per block: its (2, rows, n) views of the scratch and tastes, and its rows' columns.
     views = [
         (scratch[:, b.start:b.stop].reshape(2, b.rows, b.n), tastes[:, b.start:b.stop].reshape(2, b.rows, b.n),
@@ -490,8 +488,8 @@ def step_day(state: SimulationState) -> None:
         [(block_scratch[0], block.counts) for block, (block_scratch, *_) in zip(state.blocks, views)],
         state.divisors, state.means,
     )
-    state.flows[day - 1] = np.array(flows)[state.row_of]
-    state.times[day - 1] = columns[:2, state.row_of, 0].T
+    state.flows[day - 1] = flows[state.row_of]
+    state.times[day - 1] = times[state.row_of]
     state.perceived[day - 1] = means[state.log_of]
     state.day = day + 1
 

@@ -12,9 +12,10 @@ name to its ``(lambda_cav, lambda_hdv)`` tuple, which is what
 ``fleet_optimize`` takes.  The domain of the decision is the integers
 0..q_cav, small enough that the minimum is found by exhaustively
 evaluating every candidate; ties go to the smallest split so results
-are reproducible.  The candidates' route times are slices of the
-network's ``route_curves``, which a caller evaluates once for every
-decision it asks for: the engine once per state, at the hand-over.
+are reproducible.  The candidates' route times are slices of a BPR
+table, each route's time at every integer flow, which a caller evaluates
+once for every decision it asks for: the engine once per state, at set-up,
+and reads the day's times from the same table.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ def fleet_optimize(
     """Best fleet split against the committed human counts.
 
     ``weights`` is a ``(lambda_cav, lambda_hdv)`` pair of
-    ``STRATEGY_TABLE``, and ``curves`` is ``route_curves(network, n)`` for
-    some n >= max(q_hdv_a, q_hdv_b) + q_cav, such as the population
+    ``STRATEGY_TABLE``, and ``curves`` is the pair
+    ``network_travel_times(network, x, x)`` for ``x = np.arange(n + 1.0)``
+    and some n >= max(q_hdv_a, q_hdv_b) + q_cav, such as the population
     q_hdv_a + q_hdv_b + q_cav.  Exhaustively enumerates all q_cav + 1
     integer splits, so the result is the exact global minimizer; among
     equal objective values the smallest number of fleet vehicles on A wins.

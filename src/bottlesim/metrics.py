@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .fleet import STRATEGY_TABLE, fleet_optimize
-from .network import TwoRouteNetwork, route_curves
+from .network import TwoRouteNetwork, network_travel_times
 
 if TYPE_CHECKING:
     from .engine import SimulationLog
@@ -129,7 +129,8 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
-    decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, route_curves(network, q_total))
+    x = np.arange(q_total + 1.0)
+    decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, network_travel_times(network, x, x))
     return decision.cav_on_a, decision.objective_value / q_total
 
 
@@ -182,17 +183,11 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     s = flow_mean(q, times)
     with np.errstate(all="ignore"):  # as in flow_mean
         gaps = s - [system_optimum(config.network, total)[1] for total in q.sum(axis=1).tolist()]
-        deviations = (times - s[:, None]).tolist()
-    # Python's ** is libm's pow, whose bits numpy's power does not match: square one by one.
-    squares, overflowed = [], []
-    for day, (d_a, d_b) in enumerate(deviations):
-        try:
-            squares.append((d_a ** 2, d_b ** 2))
-        except OverflowError:
-            squares.append((0.0, 0.0))
-            overflowed.append(day)
-    sigmas = np.sqrt(flow_mean(q, np.reshape(squares, (-1, 2))))
-    for day in overflowed:  # a squared deviation overflows: the same spread in closed form
+        deviations = times - s[:, None]
+        squares = deviations * deviations
+        sigmas = np.sqrt(flow_mean(q, squares))
+    # A deviation is finite and its square is not: the same spread in closed form.
+    for day in np.flatnonzero((np.isfinite(deviations) & np.isinf(squares)).any(axis=1)).tolist():
         (q_a, q_b), (t_a, t_b) = q[day].tolist(), times[day].tolist()
         sigmas[day] = abs(t_a - t_b) * math.sqrt(q_a * q_b) / (q_a + q_b)
     return WindowAverages(
@@ -231,10 +226,7 @@ def ratio_report(averages: WindowAverages) -> RatioReport:
 def _difference_moments(d: list[float]) -> tuple[float, float]:
     """Mean and n-1 sample variance of the differences ``d``, summed left to right; inf if a square overflows."""
     mean_d = sequential_sum(d) / len(d)
-    try:
-        return mean_d, sequential_sum((x - mean_d) ** 2 for x in d) / (len(d) - 1)
-    except OverflowError:
-        return mean_d, math.inf
+    return mean_d, sequential_sum((x - mean_d) * (x - mean_d) for x in d) / (len(d) - 1)
 
 
 def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
@@ -259,8 +251,8 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTest
     if not (math.isfinite(mean_d) and math.isfinite(var_d)):
         # A difference, a sum or a square overflows.  t does not depend on scale, so the test is
         # made again on both samples times 2**-600: every float is then below 2**424, where none
-        # overflows, and every value above 2**-422 scales exactly.  Only here, since Python's **
-        # is libm's pow, whose last bits may move with the scale.
+        # overflows, and every value above 2**-422 scales exactly.  Only here, since a smaller
+        # value, or its square, would lose bits.
         scaled_a, scaled_b = ([math.ldexp(x, -600) for x in s] for s in (sample_a, sample_b))
         mean_d, var_d = _difference_moments([a - b for a, b in zip(scaled_a, scaled_b)])
     elif var_d < 2**-900 and all(abs(x) < 2**300 for x in d):

@@ -112,19 +112,14 @@ def bpr_travel_time(params: RouteParams, flow):
     return result
 
 
-def route_curves(network: TwoRouteNetwork, flows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each route's travel time at every integer flow 0..``flows``: (t_a, t_b) float64 arrays.
-
-    ``fleet_optimize`` reads its candidates' times as slices of these.  A
-    value is ``_bpr`` of its flow on float64 elements, so it has the bits of
-    the same flow in any other float64 array.
-    """
-    x = np.arange(flows + 1, dtype=np.float64)
-    return _bpr(network.route_a, x), _bpr(network.route_b, x)
-
-
 def network_travel_times(network: TwoRouteNetwork, q_a: float, q_b: float) -> tuple[float, float]:
-    """Travel times (t_a, t_b) for simultaneous flows on both routes."""
+    """Travel times (t_a, t_b) for simultaneous flows on both routes.
+
+    On a float64 array of flows each route's time at a flow has the same
+    bits wherever it sits in the array: ``x = np.arange(n + 1.0)`` gives the
+    BPR table up to n vehicles that a ``SimulationState`` and
+    ``metrics.system_optimum`` build, and ``fleet_optimize`` slices.
+    """
     return (
         bpr_travel_time(network.route_a, q_a),
         bpr_travel_time(network.route_b, q_b),

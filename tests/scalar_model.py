@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from bottlesim import SimulationState
+import numpy as np
+
+from bottlesim import SimulationState, network_travel_times
 
 ROUTE_A = "A"
 ROUTE_B = "B"
@@ -56,6 +58,12 @@ class HumanAgent:
     tastes: TasteProfile
     estimates: EstimateVector
     last_route: str | None = None
+
+
+def bpr_table(network, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each route's time at every flow 0..n, the table a state builds: (t_a, t_b) float64 arrays."""
+    x = np.arange(n + 1.0)
+    return network_travel_times(network, x, x)
 
 
 def sample_taste(random_draw: float, taste_spread: float) -> float:

@@ -22,7 +22,6 @@ from bottlesim import (
     fleet_optimize,
     paired_t_test,
     ratio_report,
-    route_curves,
     run_scenario,
     system_optimum,
 )
@@ -32,6 +31,7 @@ from scalar_model import (
     EULER_MASCHERONI,
     ROUTE_A,
     EstimateVector,
+    bpr_table,
     logit_probability,
     update_estimate,
 )
@@ -309,13 +309,13 @@ def test_13_property_suites():
         weights = STRATEGY_TABLE[names[int(rng.integers(len(names)))]]
         q_hdv_a, q_hdv_b = (int(v) for v in rng.integers(0, 1500, size=2))
         q_cav = int(rng.integers(0, 40))
-        decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, route_curves(net, q_hdv_a + q_hdv_b + q_cav))
+        decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, bpr_table(net, q_hdv_a + q_hdv_b + q_cav))
         best_x = plain_loop_fleet_split(weights, q_hdv_a, q_hdv_b, q_cav)
         assert decision.cav_on_a == best_x
 
     # social objective and system optimum locate the same split
     for q_total in (100, 1000, 1300):
-        social = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, route_curves(net, q_total))
+        social = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, bpr_table(net, q_total))
         best_q_a, minimal_mean = system_optimum(net, q_total)
         assert social.cav_on_a == best_q_a
         assert social.objective_value / q_total == pytest.approx(minimal_mean)

@@ -20,8 +20,6 @@ from bottlesim import (
     SimulationState,
     TwoRouteNetwork,
     fleet_optimize,
-    network_travel_times,
-    route_curves,
     run_branches,
     run_scenario,
     step_day,
@@ -36,6 +34,7 @@ from scalar_model import (
     HumanAgent,
     TasteProfile,
     agent_snapshot,
+    bpr_table,
     choose_route,
     sample_taste,
     update_estimate,
@@ -363,6 +362,7 @@ def scalar_oracle(config):
         for i in range(total)
     }
 
+    curve_a, curve_b = bpr_table(config.network, total)
     n_hdv = total
     fleet_on = False
     for day in range(1, config.total_days + 1):
@@ -387,12 +387,13 @@ def scalar_oracle(config):
         if fleet_on:
             decision = fleet_optimize(
                 STRATEGY_TABLE[config.strategy], q_hdv_a, q_hdv_b,
-                config.fleet_size, route_curves(config.network, total),
+                config.fleet_size, (curve_a, curve_b),
             )
             q_cav_a, q_cav_b = decision.cav_on_a, decision.cav_on_b
         else:
             q_cav_a = q_cav_b = 0
-        t_a, t_b = network_travel_times(config.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b)
+        # The day's times are the entries of the table the fleet reads.
+        t_a, t_b = float(curve_a[q_hdv_a + q_cav_a]), float(curve_b[q_hdv_b + q_cav_b])
         for i in range(n_hdv):
             experienced = t_a if routes[i] == ROUTE_A else t_b
             updated = update_estimate(
@@ -957,7 +958,7 @@ class TestFleetMemo:
         for q_hdv_a, decision in memo.items():
             assert decision == fleet_optimize(
                 STRATEGY_TABLE[MEMO_CONFIG.strategy], q_hdv_a, state.width - q_hdv_a,
-                MEMO_CONFIG.fleet_size, route_curves(MEMO_CONFIG.network, MEMO_CONFIG.total_population),
+                MEMO_CONFIG.fleet_size, bpr_table(MEMO_CONFIG.network, MEMO_CONFIG.total_population),
             )
 
     def test_seed_rows_of_a_run_share_one_empty_memo(self, monkeypatch):
@@ -1017,6 +1018,21 @@ class TestFleetMemo:
         memos = [memo for memo, _ in branches]
         assert all(a is not b for a, b in itertools.combinations(memos, 2))
 
+    def test_a_non_finite_objective_fails_the_day_and_is_not_stored(self):
+        # The Disruptive fleet's -9 weight overflows before any logged value does.  On day 8
+        # np.argmin stops at the first non-finite candidate, 12, where 11 is the best finite one.
+        network = TwoRouteNetwork(RouteParams(3.1910642561087888e+305, 500.0, 2.0),
+                                  RouteParams(9.573192768326367e+305, 800.0, 2.0))
+        config = ScenarioConfig(base_population=100, phase_lengths=(3, 3, 3, 3), seed=1, cav_share=0.5,
+                                strategy="Disruptive", network=network)
+        state = SimulationState(config)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=r"^fleet objective is -inf on day 8$"):
+            while state.day <= state.total_days:
+                step_day(state)
+        assert state.day == 8
+        (memo,) = state.memos
+        assert memo and all(math.isfinite(decision.objective_value) for decision in memo.values())
+
     def test_equal_fleets_at_other_survivor_counts_keep_their_own_memos(self, monkeypatch):
         # Four 100-vehicle Selfish fleets among 150, 400, 900 and 1900 survivors: the
         # decision depends on the survivor count, so no two of them share a memo.
@@ -1055,52 +1071,64 @@ CONGESTION_GRID = [
 
 
 class TestStateMemos:
-    """A state evaluates each route's curve once, and the route times once per pair of flows."""
+    """A state evaluates the BPR curve once, at set-up: the fleet and every day read that one table."""
 
-    def test_one_route_time_call_per_distinct_pair_of_flows(self, monkeypatch):
-        asked = []
+    def test_the_table_is_built_once_per_state_at_set_up(self, monkeypatch):
+        built = []
         real = engine.network_travel_times
 
         def counting(network, q_a, q_b):
-            asked.append((q_a, q_b))
+            built.append(len(q_a))
             return real(network, q_a, q_b)
 
         monkeypatch.setattr(engine, "network_travel_times", counting)
         state = SimulationState(*CONGESTION_GRID)
-        row_days = 0
-        while state.day <= state.total_days:
-            step_day(state)
-            row_days += len(state.rows)
-        pairs = state.flows[..., :2] + state.flows[..., 2:]  # (days, configs, 2): each route's flow
-        distinct = set(map(tuple, pairs.reshape(-1, 2).tolist()))
-        assert len(asked) == len(distinct) and set(asked) == distinct
-        assert len(distinct) < row_days  # rows meet flows that other rows or days had
-        for day_pairs, day_times in zip(pairs.tolist(), state.times.tolist()):
-            for (q_a, q_b), times in zip(day_pairs, day_times):
-                assert tuple(times) == real(state.network, q_a, q_b)
-
-    def test_curves_are_built_once_at_the_hand_over(self, monkeypatch):
-        built = []
-        real = engine.route_curves
-
-        def counting(network, flows):
-            built.append(flows)
-            return real(network, flows)
-
-        monkeypatch.setattr(engine, "route_curves", counting)
-        state = SimulationState(*CONGESTION_GRID)
-        for _ in range(state.m_day):
-            step_day(state)
-        assert built == [] and state.curves is None
-        step_day(state)
         curves = state.curves
-        assert built == [2600]  # the largest population with a fleet
+        assert built == [2601]  # flows 0..2600, the largest population, before any day
         while state.day <= state.total_days:
             step_day(state)
-        assert built == [2600] and state.curves is curves
-        # Without a fleet there is no decision to read a curve.
+        assert built == [2601] and state.curves is curves
+        # Without a fleet the days read a table too, built the same way.
         engine.run_state([dataclasses.replace(config, cav_share=0.0) for config in CONGESTION_GRID[::5]])
-        assert built == [2600]
+        assert built == [2601, 2601]
+
+    def test_every_logged_time_is_the_table_entry_at_its_flows(self):
+        state = SimulationState(*CONGESTION_GRID)
+        assert state.curves.tobytes() == np.array(bpr_table(CONGESTION_GRID[0].network, 2600)).tobytes()
+        while state.day <= state.total_days:
+            step_day(state)
+        flows = state.flows[..., :2] + state.flows[..., 2:]  # (days, configs, 2): each route's flow
+        for route, curve in enumerate(state.curves):
+            assert state.times[..., route].tobytes() == curve[flows[..., route]].tobytes()
+
+    def test_the_fleet_decides_on_the_times_its_day_logs(self, monkeypatch):
+        # At 2,268 vehicles on A and 1,879 on B, libm's pow and numpy's square differ by 1 ULP on both routes.
+        config = ScenarioConfig(base_population=4147, cav_share=0.1, phase_lengths=(0, 0, 1, 0))
+        survivors, weights = config.survivor_count, STRATEGY_TABLE[config.strategy]
+        curves = bpr_table(config.network, config.total_population)
+        q_hdv_a = 2120  # the human count on A at which the fleet's split makes 2,268 on A
+        assert fleet_optimize(weights, q_hdv_a, survivors - q_hdv_a, config.fleet_size, curves).cav_on_a == 148
+        state = SimulationState(config)
+        state._hand_over()  # as step_day would on day 1 = m_day + 1
+        # Day 1 explores: the drivers with a route coin below 0.5 take A, here the first q_hdv_a.
+        coins = np.zeros((survivors, 2))
+        coins[q_hdv_a:, 1] = 0.75
+        ((_, cut),) = state.draw_into
+        state.draw_into = [(SimpleNamespace(random=lambda out: np.copyto(out, coins)), cut)]
+        read = []
+        real = engine.fleet_optimize
+
+        def reading(weights, q_hdv_a, q_hdv_b, q_cav, curves):
+            decision = real(weights, q_hdv_a, q_hdv_b, q_cav, curves)
+            read.append((curves[0][q_hdv_a + decision.cav_on_a], curves[1][q_hdv_b + decision.cav_on_b]))
+            return decision
+
+        monkeypatch.setattr(engine, "fleet_optimize", reading)
+        step_day(state)
+        q = state.flows[0, 0].tolist()
+        assert q == [q_hdv_a, survivors - q_hdv_a, 148, config.fleet_size - 148]
+        assert (q[0] + q[2], q[1] + q[3]) == (2268, 1879)
+        assert read == [tuple(state.times[0, 0].tolist())]
 
 
 # The parent's kernels, np.where selects on float64 arrays, recompute each day.
@@ -1163,7 +1191,7 @@ def assert_day_equals_np_where_kernels(state):
         q_hdv_a, q_hdv_b, q_cav_a, q_cav_b = flows[row]
         on_route_b = int(np.count_nonzero(on_b[cut]))
         assert (q_hdv_a, q_hdv_b) == (cut.stop - cut.start - on_route_b, on_route_b)
-        times.append(network_travel_times(state.network, q_hdv_a + q_cav_a, q_hdv_b + q_cav_b))
+        times.append((state.curves[0][q_hdv_a + q_cav_a], state.curves[1][q_hdv_b + q_cav_b]))
     assert state.times[day].tolist() == [list(times[row]) for row in rows]
     # Each row's times, repeated for each of its drivers.
     times = np.repeat(np.array(times).T, [cut.stop - cut.start for cut in state.spans], axis=1)

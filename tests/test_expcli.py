@@ -1068,6 +1068,28 @@ class TestNonFiniteOutputs:
         assert errors[0].count("\n") == 1
 
 
+# A Disruptive fleet whose objective overflows to -inf on day 8 of seed 1, while
+# every logged value stays finite; seed 2 makes two prefix rows, one per worker.
+NON_FINITE_OBJECTIVE = {
+    "base_population": 100, "phase_lengths": [3, 3, 3, 3], "seeds": [1, 2], "cav_share": 0.5,
+    "strategy": "Disruptive",
+    "network": {"route_a": {"free_flow_time": 3.1910642561087888e+305, "capacity": 500, "exponent": 2},
+                "route_b": {"free_flow_time": 9.573192768326367e+305, "capacity": 800, "exponent": 2}},
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_non_finite_fleet_objective_fails_the_sweep(tmp_path, capsys, jobs):
+    config = write_config(tmp_path, NON_FINITE_OBJECTIVE)
+    assert len(plan(load_config(config).run_points(), jobs)) == jobs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 2
+    point = "strategy=Disruptive cav_share=0.5 beta=5.0 congestion=1.0 seed=1"
+    assert capsys.readouterr().err == f"error: run {point} failed: fleet objective is -inf on day 8\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _huge_network(time_a, time_b):
     return {
         "route_a": {"free_flow_time": time_a, "capacity": 500, "exponent": 2},

@@ -11,18 +11,18 @@ from bottlesim import (
     RouteParams,
     TwoRouteNetwork,
     fleet_optimize,
-    route_curves,
     system_optimum,
 )
 from bottlesim.network import _bpr
+from scalar_model import bpr_table
 
 NET = TwoRouteNetwork.default()
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def optimize(weights, q_hdv_a, q_hdv_b, q_cav, network=NET):
-    """``fleet_optimize`` on the network's curves up to the population q_hdv_a + q_hdv_b + q_cav."""
-    return fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, route_curves(network, q_hdv_a + q_hdv_b + q_cav))
+    """``fleet_optimize`` on the network's BPR table up to the population q_hdv_a + q_hdv_b + q_cav."""
+    return fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, bpr_table(network, q_hdv_a + q_hdv_b + q_cav))
 
 
 def reference_objective(lam_cav, lam_hdv, q_hdv_a, q_hdv_b, q_cav_a, q_cav, network):
@@ -52,7 +52,7 @@ def reference_best_split(lam_cav, lam_hdv, q_hdv_a, q_hdv_b, q_cav, network):
 
 
 def per_call_split(weights, q_hdv_a, q_hdv_b, q_cav, network):
-    """(split, objective value) as each call evaluated them before route curves: ``_bpr`` on the call's own flows."""
+    """(split, objective value) as each call evaluated them before BPR tables: ``_bpr`` on the call's own flows."""
     lambda_cav, lambda_hdv = weights
     x = np.arange(q_cav + 1, dtype=np.float64)
     t_a = _bpr(network.route_a, q_hdv_a + x)
@@ -84,7 +84,7 @@ OVERFLOWING = TwoRouteNetwork(RouteParams(5.0, 500.0, 2000.0), NET.route_b)
 
 
 class TestRouteCurves:
-    """Slices of a state's route curves give each decision the bits of the per-call evaluation."""
+    """Slices of a state's BPR table give each decision the bits of the per-call evaluation."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -105,8 +105,8 @@ class TestRouteCurves:
     ):
         network = TwoRouteNetwork(route_a, route_b)
         with np.errstate(all="ignore"):
-            # A state's curves reach its largest population, often beyond this call's.
-            curves = route_curves(network, q_hdv_a + q_hdv_b + q_cav + beyond)
+            # A state's table reaches its largest population, often beyond this call's.
+            curves = bpr_table(network, q_hdv_a + q_hdv_b + q_cav + beyond)
             decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, q_cav, curves)
             split, value = per_call_split(weights, q_hdv_a, q_hdv_b, q_cav, network)
         assert (decision.cav_on_a, decision.cav_on_b) == (split, q_cav - split)
@@ -255,7 +255,7 @@ class TestFleetOptimize:
 
     def test_rejects_negative_inputs(self):
         weights = STRATEGY_TABLE["Selfish"]
-        curves = route_curves(NET, 20)
+        curves = bpr_table(NET, 20)
         with pytest.raises(ValueError):
             fleet_optimize(weights, -1, 0, 10, curves)
         with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ class TestFleetOptimize:
 
     def test_rejects_curves_that_end_before_a_candidate(self):
         weights = STRATEGY_TABLE["Selfish"]
-        curves = route_curves(NET, 20)
+        curves = bpr_table(NET, 20)
         assert fleet_optimize(weights, 10, 10, 10, curves) == optimize(weights, 10, 10, 10)  # flows up to 20
         for q_hdv_a, q_hdv_b in ((11, 0), (0, 11)):
             with pytest.raises(ValueError, match="route curves end before 21 vehicles"):

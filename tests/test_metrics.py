@@ -470,7 +470,7 @@ class TestOverflowingTTest:
     """Finite samples whose differences, sums or squares overflow, or whose squares underflow, still get their t."""
 
     @pytest.mark.parametrize("sample_a, sample_b", [
-        ([1e200, 3e200, 2e200], [0.0, 0.0, 0.0]),  # (d - mean) ** 2 overflows: an OverflowError
+        ([1e200, 3e200, 2e200], [0.0, 0.0, 0.0]),  # (d - mean) squared overflows to inf: rescaled
         ([1e308, 1e308], [-1e308, -1e307]),  # a difference overflows, to a t of nan
         ([1.5e308, 1.5e308], [0.0, 1e308]),  # the sum of the differences overflows, to a t of nan
         ([1.3e154, -1.1e154, 1.3e154, -1.1e154], [0.0] * 4),  # the sum of the squares does, to a t of 0

@@ -131,10 +131,11 @@ class TestScalarBprPath:
     The reference is the 0-d numpy evaluation, not a 1-D array.  numpy's
     vectorized power differs from the scalar one in the last bit on some
     flows: with numpy 2.4.6 on an AVX-512 CPU, 136 (route A) and 144
-    (route B) of the 200,001 default-route flows 0..200000 differ.  So
-    ``fleet_optimize``'s array BPR and the engine's scalar times
-    are not bit-identical, and one shared BPR kernel must not route the
-    engine's scalar times through the array path.
+    (route B) of the 200,001 default-route flows 0..200000 differ.  So the
+    engine reads no scalar time: a state builds one array table of each
+    route's time at every flow, and the fleet's candidates and each day's
+    times are both its entries (``tests/test_engine.py::TestStateMemos``).
+    The scalar path serves the config checks and library callers.
     """
 
     @pytest.mark.parametrize("route", ["route_a", "route_b"])
