@@ -45,6 +45,7 @@ from .metrics import (
     RatioReport,
     TTestResult,
     WindowAverages,
+    _window_averages,
     compute_window_averages,
     daily_means,
     paired_t_test,
@@ -177,7 +178,7 @@ def _point_digest(config: ScenarioConfig) -> str:
 
     knobs = {name: getattr(config, attr) for name, (_, attr) in (*_FIELDS.items(), *_AXES.items())}
     del knobs["seeds"]
-    canonical = json.dumps(knobs, sort_keys=True, default=dataclasses.asdict)
+    canonical = json.dumps(knobs, sort_keys=True, default=vars)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:10]
 
 
@@ -312,38 +313,24 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _float_cells(values) -> list[str]:
-    """``_fmt`` of each value of a float column, each distinct nonzero float formatted once.
+def _daily_rows(log: SimulationLog, means: list[tuple[np.ndarray, np.ndarray]]) -> list[str]:
+    """The CSV rows of ``log``, whose ``daily_means`` are ``means``: each cell is ``_fmt`` of its value.
 
-    A run's float columns repeat most of their values.  Zero and None are
-    formatted each time: 0.0 and -0.0 are equal keys with different text.
+    A mean that ``means`` marks absent is NA.  Any other value must be
+    finite, or a RuntimeError names the first day that is not.  Each
+    distinct bit pattern of the run's float columns is formatted once, so
+    0.0 and -0.0 keep their own text.
     """
-    memo: dict[float, str] = {}
-    cells = []
-    for value in values:
-        if not value:
-            cells.append(_fmt(value))
-            continue
-        cell = memo.get(value)
-        if cell is None:
-            cell = memo[value] = repr(value)
-        cells.append(cell)
-    return cells
-
-
-def _daily_rows(log: SimulationLog) -> list[str]:
-    """The CSV rows of ``log``: the day and the four counts by ``str``, the rest by ``_float_cells``.
-
-    A mean that ``daily_means`` marks absent is NA.  Any other value must be
-    finite, or a RuntimeError names the first day that is not.
-    """
-    flows, times = log.flows, log.times
-    # Each float column and the days it is present on.
-    floats = [(times[:, 0], True), (times[:, 1], True), *daily_means(log)]
-    finite = np.logical_and.reduce([np.isfinite(values) | np.logical_not(present) for values, present in floats])
-    cells = [_float_cells(np.where(present, values, None).tolist()) for values, present in floats]
+    flows = log.flows
+    values = np.stack([*log.times.T, *(mean for mean, _ in means)])  # (5, days)
+    present = np.stack([np.ones(len(flows), bool)] * 2 + [days for _, days in means])
+    finite = (np.isfinite(values) | ~present).all(axis=0)
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(value) for value in patterns.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse.reshape(values.shape)]
+    cells[~present] = "NA"
     days = map(str, range(1, len(flows) + 1))
-    rows = list(map(",".join, zip(days, *[map(str, column) for column in flows.T.tolist()], *cells)))
+    rows = list(map(",".join, zip(days, *[map(str, column) for column in flows.T.tolist()], *cells.tolist())))
     if not finite.all():
         day = int(np.argmin(finite))
         raise RuntimeError(f"non-finite value on day {day + 1}: {rows[day]}")
@@ -353,8 +340,8 @@ def _daily_rows(log: SimulationLog) -> list[str]:
 def _summary_row(config: ScenarioConfig, averages: WindowAverages, ratios: RatioReport) -> dict:
     return {
         **dict(zip(POINT_COLUMNS, _point_key(config))),
-        **dataclasses.asdict(averages),
-        **dataclasses.asdict(ratios),
+        **vars(averages),
+        **vars(ratios),
     }
 
 
@@ -423,8 +410,10 @@ def _run_group(configs: list[ScenarioConfig], staging: Path) -> list[Result]:
     ``run_experiment`` moves it into place once every run is done.
     """
     def check(log: SimulationLog) -> tuple[list[str], WindowAverages, RatioReport]:
-        rows = _daily_rows(log)
-        averages = _checked_averages(log)
+        means = daily_means(log)  # once for both the CSV and the window averages
+        rows = _daily_rows(log, means)
+        averages = _window_averages(log, means)
+        _check_finite(averages)
         ratios = ratio_report(averages)
         _check_finite(ratios)
         return rows, averages, ratios

@@ -124,8 +124,9 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
 
     This is the Social fleet split on empty roads: returns (best_q_a,
     minimal mean time), ties resolving to the smallest q_a.  Cached
-    because ``compute_window_averages`` asks for it once per
-    evaluation-window day, mostly for the same total.
+    because ``compute_window_averages`` asks for it once per distinct
+    total flow of a run's evaluation window, and a sweep's runs share
+    their totals.
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
@@ -172,17 +173,24 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     at that day's total flow; the equity gap is the flow-weighted
     standard deviation of the two route times around S.
     """
+    return _window_averages(log, daily_means(log))
+
+
+def _window_averages(log: "SimulationLog", means: list[tuple[np.ndarray, np.ndarray]]) -> WindowAverages:
+    """``compute_window_averages(log)``, given ``means = daily_means(log)``."""
     config = log.config
     p1, p2, p3, _ = config.phase_lengths
     if len(log.flows) < config.total_days:
         raise ValueError(f"phase windows reach day {config.total_days}, outside the log (days 1..{len(log.flows)})")
     base, post = slice(p1, p1 + p2), slice(p1 + p2 + p3, config.total_days)
-    (tau, hdv), (u, survivors), (rho, cav) = daily_means(log)
+    (tau, hdv), (u, survivors), (rho, cav) = means
     flows, times = log.flows[post], log.times[post]
     q = flows[:, :2] + flows[:, 2:]  # every vehicle, per route
     s = flow_mean(q, times)
+    totals = q.sum(axis=1).tolist()
+    optima = {total: system_optimum(config.network, total)[1] for total in set(totals)}
     with np.errstate(all="ignore"):  # as in flow_mean
-        gaps = s - [system_optimum(config.network, total)[1] for total in q.sum(axis=1).tolist()]
+        gaps = s - [optima[total] for total in totals]
         deviations = times - s[:, None]
         squares = deviations * deviations
         sigmas = np.sqrt(flow_mean(q, squares))

@@ -8,6 +8,7 @@ seeds; scenario runs are cached and shared across tests.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from scalar_model import (
 )
 
 NET = TwoRouteNetwork.default()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PAPER_CONFIGS = ("paper_strategy_share", "paper_beta", "paper_congestion")
 
 _CACHE = {}
 
@@ -339,22 +342,12 @@ def test_13_property_suites():
 
 
 def test_14_full_sweep_runtime(tmp_path):
-    shares = [round(0.1 * k, 1) for k in range(11)]
-    grids = [
-        {"strategy": ["Selfish", "Altruistic", "Malicious", "Disruptive", "Social"],
-         "cav_share": shares},
-        {"strategy": "Selfish", "cav_share": [0.05, 0.1, 0.2, 0.4, 0.8],
-         "beta": [0.01, 0.1, 1.0, 5.0, 50.0, 1000.0]},
-        {"strategy": "Selfish", "cav_share": [0.05, 0.1, 0.2, 0.4, 0.8],
-         "congestion": [0.25, 0.5, 1.0, 1.5, 2.0, 2.6]},
-    ]
+    # The three figure grids, as the README's "Reproducing the paper" runs them.
     start = time.perf_counter()
     total_runs = 0
-    for i, grid in enumerate(grids):
-        config_path = tmp_path / f"grid{i}.json"
-        config_path.write_text(json.dumps(grid), encoding="utf-8")
-        spec = load_config(config_path)
-        spec.out_dir = tmp_path / f"out{i}"
+    for name in PAPER_CONFIGS:
+        spec = load_config(CONFIGS / f"{name}.json")
+        spec.out_dir = tmp_path / name
         total_runs += len(run_experiment(spec))
     elapsed = time.perf_counter() - start
     check(

@@ -1,19 +1,22 @@
 """The names the benchmark in ``bench/`` looks up in bottlesim must exist.
 
 ``bench/spans.py`` only warns when an attribute it wraps is missing, so a
-renamed or deleted function would silently drop its per-layer metric.
+renamed or deleted function would silently drop its per-layer metric.  The
+paper's configs in ``configs/`` must describe the runs the benchmark times.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import bottlesim
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -25,7 +28,7 @@ def test_every_public_name_resolves():
 
 
 def test_every_wrapped_attribute_exists():
-    spans = load_spans()
+    spans = load_bench("spans")
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in spans.WRAPPED
@@ -40,3 +43,17 @@ def test_every_wrapped_attribute_exists():
 def test_system_optimum_cache_is_visible():
     fn = bottlesim.metrics.system_optimum
     assert callable(fn.cache_clear) and callable(fn.cache_info)
+
+
+def read_config(name):
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def test_paper_configs_are_the_benchmark_grids_apart_from_the_seeds():
+    workloads = load_bench("workloads")
+    names = ("paper_strategy_share", "paper_beta", "paper_congestion")
+    grids = [{key: value for key, value in read_config(name).items() if key != "seeds"} for name in names]
+    assert grids == list(workloads.PAPER_GRIDS)
+    # The protocol's seeds are the benchmark's at its default seed, whose t-statistic the README quotes.
+    seeds = list(range(workloads.DEFAULT_SEED, workloads.DEFAULT_SEED + workloads.PROTOCOL_SEEDS))
+    assert read_config("seed_protocol") == {"strategy": "Selfish", "cav_share": workloads.PROTOCOL_SHARE, "seeds": seeds}

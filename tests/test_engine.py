@@ -27,6 +27,7 @@ from bottlesim import (
 from bottlesim import engine
 from bottlesim.engine import MAX_DAYS, SimulationLog, prefix_key
 from bottlesim.expcli import DAILY_HEADER, _daily_rows
+from bottlesim.metrics import daily_means
 from scalar_model import (
     ROUTE_A,
     ROUTE_B,
@@ -56,7 +57,7 @@ def records(log):
     """Each day of ``log`` by name, read back from its daily CSV rows; None where the CSV has NA."""
     names = DAILY_HEADER.split(",")
     parsed = []
-    for row in _daily_rows(log):
+    for row in _daily_rows(log, daily_means(log)):
         cells = row.split(",")
         values = [int(cell) for cell in cells[:5]] + [None if cell == "NA" else float(cell) for cell in cells[5:]]
         parsed.append(SimpleNamespace(**dict(zip(names, values))))

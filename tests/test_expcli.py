@@ -499,8 +499,13 @@ def scalar_row(day, q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b, perceived, sur
     return ",".join(map(_fmt, cells))
 
 
+def daily_rows(log):
+    """``_daily_rows`` of ``log``, given its ``daily_means`` as a sweep's run passes them."""
+    return _daily_rows(log, daily_means(log))
+
+
 class TestDailyRows:
-    """Each distinct float of a column is formatted once, to the bytes of formatting every cell."""
+    """Each distinct bit pattern of a run is formatted once, to the bytes of formatting every cell."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -515,20 +520,34 @@ class TestDailyRows:
         expected = [scalar_row(d, *day, survivors=survivors) for d, day in enumerate(days, start=1)]
         # A mean of finite values may still overflow: such a day fails, as the next test shows.
         if not any(cell in row for row in expected for cell in ("inf", "nan")):
-            assert _daily_rows(column_log(days, survivors)) == expected
+            assert daily_rows(column_log(days, survivors)) == expected
 
     def test_zeros_of_either_sign_keep_their_text(self):
         # The human mean is -0.0 only when both weighted times are: -0.0 + 0.0 is 0.0.
         days = [(1, 0, 0, 0, -0.0, 0.0, -0.0)] * 2 + [(1, 1, 0, 0, -0.0, -0.0, 0.0)]
-        assert _daily_rows(column_log(days)) == [
+        assert daily_rows(column_log(days)) == [
             "1,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "2,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "3,1,1,0,0,-0.0,-0.0,-0.0,0.0,NA",
         ]
+
+    @pytest.mark.parametrize("days, survivors", [
+        # One value repeated down a column and across the columns, times and means alike.
+        ([(2, 0, 0, 1, 7.25, 7.25, 7.25)] * 3 + [(0, 3, 1, 0, 7.25, 9.5, 9.5), (1, 1, 0, 0, 9.5, 7.25, 7.25)], True),
+        # 0.0 and -0.0 alternate down every float column.
+        ([(1, 0, 1, 0, -0.0, 0.0, -0.0), (1, 0, 1, 0, 0.0, -0.0, 0.0)] * 2, True),
+        # Absent means whose stored value is NaN: no humans and no fleet on a day give 0/0.
+        ([(0, 0, 0, 0, 4.0, 6.0, 4.0), (1, 0, 0, 0, 4.0, 6.0, 4.0), (0, 0, 0, 2, 4.0, 6.0, 4.0)], True),
+        # Absent perceived means whose stored value is finite, or not: no driver stays human.
+        ([(1, 1, 0, 0, 4.0, 6.0, 4.0), (1, 1, 0, 0, 4.0, 6.0, -0.0), (1, 1, 0, 0, 4.0, 6.0, math.inf)], False),
+    ])
+    def test_repeated_signed_and_absent_values_keep_their_cell_text(self, days, survivors):
+        expected = [scalar_row(d, *day, survivors=survivors) for d, day in enumerate(days, start=1)]
+        assert daily_rows(column_log(days, survivors)) == expected
 
     @pytest.mark.parametrize("cav_share", [0.0, 0.3, 1.0])
     def test_na_marks_exactly_the_empty_groups(self, cav_share):
         config = ScenarioConfig(base_population=40, cav_share=cav_share, phase_lengths=(3, 2, 2, 3), seed=3)
         log = run_scenario(config)
-        rows = [row.split(",") for row in _daily_rows(log)]
+        rows = [row.split(",") for row in daily_rows(log)]
         header = DAILY_HEADER.split(",")
         na = {(int(row[0]), header[k]) for row in rows for k, cell in enumerate(row) if cell == "NA"}
         # daily_means gives the three mean columns, in the file's order, and the days each is present on.
@@ -557,7 +576,7 @@ class TestDailyRows:
             day[4:6] = (1e308, 1e308 if value == math.inf else -1e308)
         days = [(3, 2, 1, 1, 10.0, 20.0, 12.0), tuple(day), (3, 2, 1, 1, 10.0, 20.0, 12.0)]
         with pytest.raises(RuntimeError, match=r"^non-finite value on day 2: 2,"):
-            _daily_rows(column_log(days))
+            daily_rows(column_log(days))
 
 
 class TestReplicateAndTest:

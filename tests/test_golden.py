@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from bottlesim import ScenarioConfig
 from bottlesim.expcli import load_config, replicate_and_test, run_experiment
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_digests.json").read_text("utf-8"))
@@ -45,7 +44,9 @@ def test_output_digests(tmp_path, monkeypatch, name):
     assert digests == GOLDEN[name]
 
 
-def test_seed_protocol_t_statistic():
-    config = ScenarioConfig(cav_share=0.1, strategy="Selfish")
-    result = replicate_and_test(config, "tau_b", config, "tau", seeds=list(range(1, 11)))
+def test_seed_protocol_t_statistic(monkeypatch):
+    # The protocol as the README's "Reproducing the paper" runs it: one config point over ten seeds.
+    monkeypatch.delenv("BOTTLESIM_SEED", raising=False)
+    points = load_config(Path(__file__).resolve().parents[1] / "configs" / "seed_protocol.json").points
+    result = replicate_and_test(points[0], "tau_b", points[0], "tau", seeds=[point.seed for point in points])
     assert repr(result.t_statistic) == "-38.617835844636524"

@@ -226,6 +226,22 @@ class TestSystemOptimum:
     def test_cached_calls_agree(self):
         assert system_optimum(NET, 777) == system_optimum(NET, 777)
 
+    def test_window_averages_consult_it_once_per_distinct_total(self):
+        # The evaluation window's six days carry the totals 900, 1000 and 1100, a fleet's
+        # vehicles counted; the two days before it carry 700, which no statistic reads.
+        flows = [(350, 350, 0, 0)] * 2 + [
+            (450, 450, 0, 0), (500, 500, 0, 0), (550, 550, 0, 0), (500, 400, 50, 50), (450, 450, 0, 0), (600, 500, 0, 0),
+        ]
+        log = make_log(flows, (2, 0, 0, 6))
+        system_optimum.cache_clear()
+        deltas = []
+        for _ in range(2):
+            before = system_optimum.cache_info()
+            compute_window_averages(log)
+            after = system_optimum.cache_info()
+            deltas.append((after.hits - before.hits, after.misses - before.misses))
+        assert deltas == [(0, 3), (3, 0)]
+
 
 class TestOptimalityAndEquity:
     def test_day_at_exact_optimum_has_zero_gap(self):
