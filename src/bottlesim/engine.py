@@ -250,10 +250,11 @@ class SimulationState:
 
     def __init__(self, *configs: ScenarioConfig) -> None:
         config = configs[0]
-        if any(prefix_key(c) != prefix_key(config) for c in configs[1:]):
+        key = prefix_key(config)
+        if any(prefix_key(c) != key for c in configs[1:]):
             raise ValueError(
-                "configs stepped together may differ only in seed, taste_spread, congestion, "
-                "base_population, strategy and cav_share"
+                f"configs stepped together may differ only in {', '.join(LOCKSTEP_FIELDS[:-1])} "
+                f"and {LOCKSTEP_FIELDS[-1]}"
             )
         self.configs = configs
         counts: dict[int, dict[int, None]] = {}  # the survivor counts of each population
@@ -502,16 +503,19 @@ def group_by(configs: Iterable[ScenarioConfig], key) -> dict:
     return groups
 
 
-def prefix_key(config: ScenarioConfig) -> ScenarioConfig:
-    """``config`` without the knobs that may differ between runs stepped together.
+# The fields in which configs stepped together as one state may differ.
+LOCKSTEP_FIELDS = ("seed", "taste_spread", "congestion", "base_population", "strategy", "cav_share")
+_prefix_values = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in LOCKSTEP_FIELDS)
+)
 
-    Those are the seed, taste_spread, population (congestion and
-    base_population) and fleet: runs with equal keys step together.
+
+def prefix_key(config: ScenarioConfig) -> tuple:
+    """The values of ``config``'s fields outside ``LOCKSTEP_FIELDS``, in field order.
+
+    Runs with equal keys step together.
     """
-    return dataclasses.replace(
-        config, seed=0, taste_spread=1.0, congestion=1.0, base_population=1,
-        strategy=STRATEGY_NAMES[0], cav_share=0.0,
-    )
+    return _prefix_values(config)
 
 
 def _driver_rows(configs: Sequence[ScenarioConfig]) -> tuple[int, int]:

@@ -45,7 +45,6 @@ from .metrics import (
     RatioReport,
     TTestResult,
     WindowAverages,
-    _window_averages,
     compute_window_averages,
     daily_means,
     paired_t_test,
@@ -313,15 +312,15 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _daily_rows(log: SimulationLog, means: list[tuple[np.ndarray, np.ndarray]]) -> list[str]:
-    """The CSV rows of ``log``, whose ``daily_means`` are ``means``: each cell is ``_fmt`` of its value.
+def _daily_rows(log: SimulationLog) -> list[str]:
+    """The CSV rows of ``log``: each cell is ``_fmt`` of its value.
 
-    A mean that ``means`` marks absent is NA.  Any other value must be
+    A mean that ``daily_means`` marks absent is NA.  Any other value must be
     finite, or a RuntimeError names the first day that is not.  Each
     distinct bit pattern of the run's float columns is formatted once, so
     0.0 and -0.0 keep their own text.
     """
-    flows = log.flows
+    flows, means = log.flows, daily_means(log)
     values = np.stack([*log.times.T, *(mean for mean, _ in means)])  # (5, days)
     present = np.stack([np.ones(len(flows), bool)] * 2 + [days for _, days in means])
     finite = (np.isfinite(values) | ~present).all(axis=0)
@@ -410,10 +409,8 @@ def _run_group(configs: list[ScenarioConfig], staging: Path) -> list[Result]:
     ``run_experiment`` moves it into place once every run is done.
     """
     def check(log: SimulationLog) -> tuple[list[str], WindowAverages, RatioReport]:
-        means = daily_means(log)  # once for both the CSV and the window averages
-        rows = _daily_rows(log, means)
-        averages = _window_averages(log, means)
-        _check_finite(averages)
+        rows = _daily_rows(log)
+        averages = _checked_averages(log)
         ratios = ratio_report(averages)
         _check_finite(ratios)
         return rows, averages, ratios

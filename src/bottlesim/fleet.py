@@ -50,7 +50,7 @@ def fleet_optimize(
     q_hdv_a: int,
     q_hdv_b: int,
     q_cav: int,
-    curves: tuple[np.ndarray, np.ndarray],
+    curves: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> FleetDecision:
     """Best fleet split against the committed human counts.
 
@@ -58,9 +58,11 @@ def fleet_optimize(
     ``STRATEGY_TABLE``, and ``curves`` is the pair
     ``network_travel_times(network, x, x)`` for ``x = np.arange(n + 1.0)``
     and some n >= max(q_hdv_a, q_hdv_b) + q_cav, such as the population
-    q_hdv_a + q_hdv_b + q_cav.  Exhaustively enumerates all q_cav + 1
-    integer splits, so the result is the exact global minimizer; among
-    equal objective values the smallest number of fleet vehicles on A wins.
+    q_hdv_a + q_hdv_b + q_cav, or the (2, n + 1) array of that pair, as a
+    ``SimulationState`` passes its table ``curves``.  Exhaustively
+    enumerates all q_cav + 1 integer splits, so the result is the exact
+    global minimizer; among equal objective values the smallest number of
+    fleet vehicles on A wins.
     """
     if q_cav < 0:
         raise ValueError(f"q_cav must be nonnegative, got {q_cav}")

@@ -173,17 +173,12 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     at that day's total flow; the equity gap is the flow-weighted
     standard deviation of the two route times around S.
     """
-    return _window_averages(log, daily_means(log))
-
-
-def _window_averages(log: "SimulationLog", means: list[tuple[np.ndarray, np.ndarray]]) -> WindowAverages:
-    """``compute_window_averages(log)``, given ``means = daily_means(log)``."""
     config = log.config
     p1, p2, p3, _ = config.phase_lengths
     if len(log.flows) < config.total_days:
         raise ValueError(f"phase windows reach day {config.total_days}, outside the log (days 1..{len(log.flows)})")
     base, post = slice(p1, p1 + p2), slice(p1 + p2 + p3, config.total_days)
-    (tau, hdv), (u, survivors), (rho, cav) = means
+    (tau, hdv), (u, survivors), (rho, cav) = daily_means(log)
     flows, times = log.flows[post], log.times[post]
     q = flows[:, :2] + flows[:, 2:]  # every vehicle, per route
     s = flow_mean(q, times)

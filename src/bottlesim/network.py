@@ -81,43 +81,32 @@ class TwoRouteNetwork:
         )
 
 
-def _bpr(params: RouteParams, flow):
-    """The BPR curve on a float or float64 array, without input checks."""
-    return params.free_flow_time * (1.0 + (flow / params.capacity) ** params.exponent)
-
-
 def bpr_travel_time(params: RouteParams, flow):
     """Travel time in minutes for the given flow.
 
     Accepts a nonnegative scalar or ndarray of flows; integer counts are
     the normal case but real values are allowed so optimizers and tests
-    can probe the curve continuously.  A Python ``int`` or ``float`` is
-    evaluated on Python floats, which gives the same bits as the 0-d
-    numpy evaluation at a fraction of its cost; a result too large for a
-    float is inf, as on the numpy path.
+    can probe the curve continuously.  A scalar is evaluated as a
+    one-element float64 array, so its time has the bits of its entry in a
+    BPR table (see ``network_travel_times``), and is returned as a Python
+    float; an array gives an array of its shape.  A time too large for a
+    float is inf, without a warning; an int too large for a float raises
+    numpy's OverflowError.
     """
-    if type(flow) is int or type(flow) is float:
-        if flow < 0:
-            raise ValueError("flow must be nonnegative")
-        try:
-            return _bpr(params, flow)
-        except OverflowError:
-            return math.inf
     flow = np.asarray(flow, dtype=np.float64)
-    if np.any(flow < 0):
+    if (flow < 0).any():
         raise ValueError("flow must be nonnegative")
-    result = _bpr(params, flow)
-    if result.ndim == 0:
-        return float(result)
-    return result
+    with np.errstate(over="ignore"):
+        result = params.free_flow_time * (1.0 + (np.atleast_1d(flow) / params.capacity) ** params.exponent)
+    return float(result[0]) if flow.ndim == 0 else result
 
 
 def network_travel_times(network: TwoRouteNetwork, q_a: float, q_b: float) -> tuple[float, float]:
     """Travel times (t_a, t_b) for simultaneous flows on both routes.
 
-    On a float64 array of flows each route's time at a flow has the same
-    bits wherever it sits in the array: ``x = np.arange(n + 1.0)`` gives the
-    BPR table up to n vehicles that a ``SimulationState`` and
+    Each route's time at a flow has the same bits wherever the flow sits in
+    an array, and as a scalar: ``x = np.arange(n + 1.0)`` gives the BPR
+    table up to n vehicles that a ``SimulationState`` and
     ``metrics.system_optimum`` build, and ``fleet_optimize`` slices.
     """
     return (

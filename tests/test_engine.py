@@ -25,9 +25,8 @@ from bottlesim import (
     step_day,
 )
 from bottlesim import engine
-from bottlesim.engine import MAX_DAYS, SimulationLog, prefix_key
+from bottlesim.engine import LOCKSTEP_FIELDS, MAX_DAYS, SimulationLog, prefix_key
 from bottlesim.expcli import DAILY_HEADER, _daily_rows
-from bottlesim.metrics import daily_means
 from scalar_model import (
     ROUTE_A,
     ROUTE_B,
@@ -57,7 +56,7 @@ def records(log):
     """Each day of ``log`` by name, read back from its daily CSV rows; None where the CSV has NA."""
     names = DAILY_HEADER.split(",")
     parsed = []
-    for row in _daily_rows(log, daily_means(log)):
+    for row in _daily_rows(log):
         cells = row.split(",")
         values = [int(cell) for cell in cells[:5]] + [None if cell == "NA" else float(cell) for cell in cells[5:]]
         parsed.append(SimpleNamespace(**dict(zip(names, values))))
@@ -569,8 +568,12 @@ class TestRunBranches:
 
     def test_rejects_configs_that_differ_before_the_hand_over(self):
         configs = [small_config(cav_share=0.1), small_config(cav_share=0.1, learning_rate=0.3)]
-        with pytest.raises(ValueError, match="seed, taste_spread, congestion, base_population, strategy and cav_share"):
+        with pytest.raises(ValueError) as raised:
             SimulationState(*configs)
+        assert str(raised.value) == (
+            "configs stepped together may differ only in seed, taste_spread, congestion, "
+            "base_population, strategy and cav_share"
+        )
 
     def test_configs_of_any_prefix_key_run(self):
         # Each learning_rate, explore_rate and phase_lengths is a state of its own.
@@ -598,6 +601,21 @@ class TestRunBranches:
         assert prefix_key(config) != prefix_key(small_config(learning_rate=0.3))
         assert prefix_key(config) != prefix_key(small_config(explore_rate=0.3))
         assert prefix_key(config) != prefix_key(small_config(phase_lengths=(3, 3, 3, 4)))
+
+    def test_prefix_key_shares_exactly_the_lockstep_fields(self):
+        # A field added to ScenarioConfig has no entry here, so this fails until
+        # it is given one: whether runs may share its rows is then decided.
+        other = {
+            "learning_rate": 0.3, "explore_rate": 0.3, "taste_spread": 50.0,
+            "network": TwoRouteNetwork(RouteParams(6.0, 500.0, 2.0), RouteParams(15.0, 800.0, 2.0)),
+            "congestion": 2.0, "cav_share": 0.4, "strategy": "Malicious",
+            "phase_lengths": (3, 3, 3, 4), "base_population": 7, "seed": 8,
+        }
+        config = small_config()
+        for name in (f.name for f in dataclasses.fields(ScenarioConfig)):
+            changed = small_config(**{name: other[name]})
+            assert getattr(changed, name) != getattr(config, name)
+            assert (prefix_key(changed) == prefix_key(config)) == (name in LOCKSTEP_FIELDS), name
 
 
 @st.composite

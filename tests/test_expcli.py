@@ -420,6 +420,22 @@ class TestRunExperiment:
         assert sorted(map(repr, sum(tasks, []))) == sorted(map(repr, configs))
         assert sum(map(driver_row_days, tasks)) == driver_row_days(configs)
 
+    def test_each_run_of_a_sweep_computes_its_window_averages_once(self, tmp_path, monkeypatch):
+        # The public function is the one window path, so a patch of it (as the benchmark's spans
+        # make) sees every run of a sweep.
+        calls = []
+
+        def counted(log):
+            calls.append(log.config)
+            return compute_window_averages(log)
+
+        monkeypatch.setattr(bottlesim.expcli, "compute_window_averages", counted)
+        config = write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], strategy=["Selfish", "Social"], seeds=[1, 2]))
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+        runs = load_config(config).run_points()
+        assert len(runs) == 8
+        assert sorted(map(repr, calls)) == sorted(map(repr, runs))
+
     def test_run_group_writes_temporaries_and_returns_no_csv_text(self, tmp_path):
         spec = load_config(write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], seeds=[1, 2])))
         spec.out_dir = tmp_path / "out"
@@ -499,11 +515,6 @@ def scalar_row(day, q_hdv_a, q_hdv_b, q_cav_a, q_cav_b, t_a, t_b, perceived, sur
     return ",".join(map(_fmt, cells))
 
 
-def daily_rows(log):
-    """``_daily_rows`` of ``log``, given its ``daily_means`` as a sweep's run passes them."""
-    return _daily_rows(log, daily_means(log))
-
-
 class TestDailyRows:
     """Each distinct bit pattern of a run is formatted once, to the bytes of formatting every cell."""
 
@@ -520,12 +531,12 @@ class TestDailyRows:
         expected = [scalar_row(d, *day, survivors=survivors) for d, day in enumerate(days, start=1)]
         # A mean of finite values may still overflow: such a day fails, as the next test shows.
         if not any(cell in row for row in expected for cell in ("inf", "nan")):
-            assert daily_rows(column_log(days, survivors)) == expected
+            assert _daily_rows(column_log(days, survivors)) == expected
 
     def test_zeros_of_either_sign_keep_their_text(self):
         # The human mean is -0.0 only when both weighted times are: -0.0 + 0.0 is 0.0.
         days = [(1, 0, 0, 0, -0.0, 0.0, -0.0)] * 2 + [(1, 1, 0, 0, -0.0, -0.0, 0.0)]
-        assert daily_rows(column_log(days)) == [
+        assert _daily_rows(column_log(days)) == [
             "1,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "2,1,0,0,0,-0.0,0.0,0.0,-0.0,NA", "3,1,1,0,0,-0.0,-0.0,-0.0,0.0,NA",
         ]
 
@@ -541,13 +552,13 @@ class TestDailyRows:
     ])
     def test_repeated_signed_and_absent_values_keep_their_cell_text(self, days, survivors):
         expected = [scalar_row(d, *day, survivors=survivors) for d, day in enumerate(days, start=1)]
-        assert daily_rows(column_log(days, survivors)) == expected
+        assert _daily_rows(column_log(days, survivors)) == expected
 
     @pytest.mark.parametrize("cav_share", [0.0, 0.3, 1.0])
     def test_na_marks_exactly_the_empty_groups(self, cav_share):
         config = ScenarioConfig(base_population=40, cav_share=cav_share, phase_lengths=(3, 2, 2, 3), seed=3)
         log = run_scenario(config)
-        rows = [row.split(",") for row in daily_rows(log)]
+        rows = [row.split(",") for row in _daily_rows(log)]
         header = DAILY_HEADER.split(",")
         na = {(int(row[0]), header[k]) for row in rows for k, cell in enumerate(row) if cell == "NA"}
         # daily_means gives the three mean columns, in the file's order, and the days each is present on.
@@ -576,7 +587,7 @@ class TestDailyRows:
             day[4:6] = (1e308, 1e308 if value == math.inf else -1e308)
         days = [(3, 2, 1, 1, 10.0, 20.0, 12.0), tuple(day), (3, 2, 1, 1, 10.0, 20.0, 12.0)]
         with pytest.raises(RuntimeError, match=r"^non-finite value on day 2: 2,"):
-            daily_rows(column_log(days))
+            _daily_rows(column_log(days))
 
 
 class TestReplicateAndTest:

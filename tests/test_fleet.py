@@ -10,10 +10,10 @@ from bottlesim import (
     FleetDecision,
     RouteParams,
     TwoRouteNetwork,
+    bpr_travel_time,
     fleet_optimize,
     system_optimum,
 )
-from bottlesim.network import _bpr
 from scalar_model import bpr_table
 
 NET = TwoRouteNetwork.default()
@@ -52,11 +52,11 @@ def reference_best_split(lam_cav, lam_hdv, q_hdv_a, q_hdv_b, q_cav, network):
 
 
 def per_call_split(weights, q_hdv_a, q_hdv_b, q_cav, network):
-    """(split, objective value) as each call evaluated them before BPR tables: ``_bpr`` on the call's own flows."""
+    """(split, objective value) as each call evaluated them before BPR tables: the curve on the call's own flows."""
     lambda_cav, lambda_hdv = weights
     x = np.arange(q_cav + 1, dtype=np.float64)
-    t_a = _bpr(network.route_a, q_hdv_a + x)
-    t_b = _bpr(network.route_b, q_hdv_b + (q_cav - x))
+    t_a = bpr_travel_time(network.route_a, q_hdv_a + x)
+    t_b = bpr_travel_time(network.route_b, q_hdv_b + (q_cav - x))
     t_cav = x * t_a + (q_cav - x) * t_b
     t_hdv = q_hdv_a * t_a + q_hdv_b * t_b
     phi = lambda_cav * t_cav + lambda_hdv * t_hdv

@@ -119,31 +119,29 @@ class TestNetworkTravelTimes:
             network_travel_times(TwoRouteNetwork.default(), -5, 10)
 
 
-def zero_d_reference(params, flow):
-    """The curve on a 0-d float64 array: how scalar flows were evaluated before."""
-    q = np.asarray(flow, dtype=np.float64)
-    return float(params.free_flow_time * (1.0 + (q / params.capacity) ** params.exponent))
+def table(params, flows):
+    """Each route's time at ``flows`` as one float64 array: the entries of a state's BPR table."""
+    x = np.asarray(flows, dtype=np.float64)
+    return network_travel_times(TwoRouteNetwork(params, params), x, x)[0].tolist()
 
 
 class TestScalarBprPath:
-    """Python ``int``/``float`` flows take a Python-float path; it must match the 0-d form.
+    """A scalar flow's time has the bits of its entry in the BPR table.
 
-    The reference is the 0-d numpy evaluation, not a 1-D array.  numpy's
-    vectorized power differs from the scalar one in the last bit on some
-    flows: with numpy 2.4.6 on an AVX-512 CPU, 136 (route A) and 144
-    (route B) of the 200,001 default-route flows 0..200000 differ.  So the
-    engine reads no scalar time: a state builds one array table of each
-    route's time at every flow, and the fleet's candidates and each day's
-    times are both its entries (``tests/test_engine.py::TestStateMemos``).
-    The scalar path serves the config checks and library callers.
+    numpy's vectorized power differs from its 0-d one in the last bit on
+    some flows: with numpy 2.4.6 on an AVX-512 CPU, 136 (route A) and 144
+    (route B) of the 200,001 default-route flows 0..200000 differ, the
+    first at 2,268 and 1,879.  So ``bpr_travel_time`` evaluates a scalar
+    as a one-element array, and a config check or library caller gets the
+    time that a state's table (``SimulationState.curves``), the fleet's
+    candidates and each day's times read (``tests/test_engine.py::TestStateMemos``).
     """
 
     @pytest.mark.parametrize("route", ["route_a", "route_b"])
     def test_every_integer_flow_on_the_default_routes(self, route):
         params = getattr(TwoRouteNetwork.default(), route)
-        mismatches = [
-            q for q in range(200_001) if bpr_travel_time(params, q) != zero_d_reference(params, q)
-        ]
+        times = table(params, np.arange(200_001.0))
+        mismatches = [q for q, t in enumerate(times) if bpr_travel_time(params, q) != t]
         assert mismatches == []
 
     @pytest.mark.parametrize("exponent", [1.5, 2.5, 4.0])
@@ -153,8 +151,8 @@ class TestScalarBprPath:
         floats = [float(q) for q in rng.uniform(0.0, 5000.0, size=5000)]
         for t0, capacity in ((5.0, 500.0), (15.0, 800.0)):
             params = RouteParams(free_flow_time=t0, capacity=capacity, exponent=exponent)
-            for q in ints + floats:
-                assert bpr_travel_time(params, q) == zero_d_reference(params, q), q
+            for q, t in zip(ints + floats, table(params, ints + floats)):
+                assert bpr_travel_time(params, q) == t, q
 
     @pytest.mark.parametrize("flow", [-1, -0.5])
     def test_negative_scalars_still_rejected(self, route_a, flow):
@@ -165,7 +163,7 @@ class TestScalarBprPath:
     def test_numpy_scalar_flows_still_work(self, route_a, flow):
         result = bpr_travel_time(route_a, flow)
         assert type(result) is float
-        assert result == zero_d_reference(route_a, flow)
+        assert [result] == table(route_a, [flow])
 
     def test_python_scalar_flows_return_floats(self, route_a):
         assert type(bpr_travel_time(route_a, 317)) is float
@@ -173,6 +171,13 @@ class TestScalarBprPath:
 
     def test_overflowing_scalar_gives_inf_like_the_array_path(self):
         steep = RouteParams(free_flow_time=5.0, capacity=500.0, exponent=400.0)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert bpr_travel_time(steep, 5000) == np.inf
-            assert bpr_travel_time(steep, 5000.0) == zero_d_reference(steep, 5000.0)
+            assert bpr_travel_time(steep, 5000.0) == np.inf
+            assert bpr_travel_time(steep, np.array([5000.0, 500.0])).tolist() == [np.inf, 10.0]
+
+    def test_int_beyond_the_float_range_raises(self, route_a):
+        # ScenarioConfig bounds the population by MAX_POPULATION first, so no run passes one.
+        with pytest.raises(OverflowError):
+            bpr_travel_time(route_a, 10**400)
