@@ -257,12 +257,7 @@ class SimulationState:
                 f"and {LOCKSTEP_FIELDS[-1]}"
             )
         self.configs = configs
-        counts: dict[int, dict[int, None]] = {}  # the survivor counts of each population
-        for c in configs:
-            counts.setdefault(c.total_population, {})[c.survivor_count] = None
-        self._lay_out(
-            _row_key, operator.itemgetter(2), lambda key: np.random.default_rng(key[0]), lambda n: tuple(counts[n]),
-        )
+        self._lay_out(_row_key, operator.itemgetter(2), lambda key: np.random.default_rng(key[0]))
         self.fleets = [(0, None)] * len(self.rows)  # each row's (fleet size, weights)
         # (2, n + 1): each route's time at every flow 0..n, n the largest population.  Built
         # before the driver arrays, so that its temporaries are gone when they are made.
@@ -309,7 +304,7 @@ class SimulationState:
         self.flows = np.empty((*shape, 4), np.int64)
         self.times, self.perceived = np.empty((*shape, 2)), np.empty(shape)
 
-    def _lay_out(self, key, length, generator, counts) -> None:
+    def _lay_out(self, key, length, generator) -> None:
         """Lay the distinct ``key(config)`` out as rows of the flat driver axis, in blocks of equal ``length(row)``.
 
         Blocks, and the rows in each, keep their first-seen order.  Sets
@@ -317,17 +312,21 @@ class SimulationState:
         ``width``.  ``rngs`` maps each (seed, population, length) of the rows
         to ``generator`` of it, which draws into the span of its first row
         (``draw_into``); its other rows copy those draws (``copies``).  A
-        block logs ``counts(length)``, each row a mean per count, row-major:
-        ``row_of`` and ``log_of`` index each config's row and mean, which
-        ``day_statistics`` computes into ``means``.
+        block of length n logs the distinct survivor counts of the configs
+        whose row has length n, in first-seen order, each row a mean per
+        count, row-major: ``row_of`` and ``log_of`` index each config's row
+        and mean, which ``day_statistics`` computes into ``means``.
         """
         self.rows, self.blocks, self.spans, start = [], [], [], 0
         self.rngs, self.copies, sources, logs = {}, [], {}, []
         keys = list(map(key, self.configs))
+        counts: dict[int, dict[int, None]] = {}  # each length's survivor counts, a dict for their order
+        for row, c in zip(keys, self.configs):
+            counts.setdefault(length(row), {})[c.survivor_count] = None
         for n, members in group_by(dict.fromkeys(keys), length).items():
-            self.blocks.append(Block(len(self.rows), len(members), start, start + len(members) * n, n, counts(n)))
+            self.blocks.append(Block(len(self.rows), len(members), start, start + len(members) * n, n, tuple(counts[n])))
             self.rows += members
-            logs += [(row, count) for row in members for count in counts(n)]
+            logs += [(row, count) for row in members for count in counts[n]]
             for seed, _, population, *_ in members:
                 cut = slice(start, start + n)
                 self.spans.append(cut)
@@ -357,9 +356,7 @@ class SimulationState:
         """
         starts = {row: cut.start for row, cut in zip(self.rows, self.spans)}
         generators = self.rngs
-        self._lay_out(
-            _run_key, _survivors, lambda key: copy.deepcopy(generators[key[0], key[1], key[1]]), lambda n: (n,),
-        )
+        self._lay_out(_run_key, _survivors, lambda key: copy.deepcopy(generators[key[0], key[1], key[1]]))
         segments = [(starts[run[:3]], _survivors(run)) for run in self.rows]
 
         def gather(array: np.ndarray) -> np.ndarray:

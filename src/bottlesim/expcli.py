@@ -85,11 +85,10 @@ DAILY_HEADER = "day,q_hdv_a,q_hdv_b,q_cav_a,q_cav_b,t_a,t_b,mean_hdv_time,mean_p
 
 
 class ConfigError(ValueError):
-    """Config validation failure, carrying the offending field name."""
+    """Config validation failure; its message starts with the offending field name."""
 
     def __init__(self, fieldname: str, message: str) -> None:
         super().__init__(f"{fieldname}: {message}")
-        self.field = fieldname
 
 
 @dataclass

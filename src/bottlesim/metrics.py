@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -118,15 +117,11 @@ def flow_mean(q: np.ndarray, t) -> np.ndarray:
         return (q[:, 0] * t[..., 0] + q[:, 1] * t[..., 1]) / (q[:, 0] + q[:, 1])
 
 
-@lru_cache(maxsize=None)
 def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     """Split of ``q_total`` vehicles that minimizes the mean travel time.
 
     This is the Social fleet split on empty roads: returns (best_q_a,
-    minimal mean time), ties resolving to the smallest q_a.  Cached
-    because ``compute_window_averages`` asks for it once per distinct
-    total flow of a run's evaluation window, and a sweep's runs share
-    their totals.
+    minimal mean time), ties resolving to the smallest q_a.
     """
     if q_total < 1:
         raise ValueError(f"q_total must be >= 1, got {q_total}")
@@ -170,8 +165,10 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     run's ``phase_lengths``), every other field the evaluation window
     (phase 4).  Per day the optimality gap is S - S_O, with S the
     flow-weighted mean time of all vehicles and S_O the system optimum
-    at that day's total flow; the equity gap is the flow-weighted
-    standard deviation of the two route times around S.
+    at that day's total flow, evaluated once per distinct total of the
+    window: once per run where every day carries the whole population.
+    The equity gap is the flow-weighted standard deviation of the two
+    route times around S.
     """
     config = log.config
     p1, p2, p3, _ = config.phase_lengths

@@ -40,11 +40,6 @@ def test_every_wrapped_attribute_exists():
     assert hasattr(bottlesim.expcli, "ProcessPoolExecutor")
 
 
-def test_system_optimum_cache_is_visible():
-    fn = bottlesim.metrics.system_optimum
-    assert callable(fn.cache_clear) and callable(fn.cache_info)
-
-
 def read_config(name):
     return json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
 

@@ -752,6 +752,24 @@ class TestRaggedLockstep:
         assert layouts[0] == ([(2, 20), (2, 40), (2, 104)], 6, 0)
         assert layouts[-1] == ([(2, 20), (2, 15), (2, 40), (2, 30), (2, 104), (2, 78)], 12, 0)
 
+    def test_a_block_logs_the_survivor_counts_of_its_rows_configs(self):
+        configs = [small_config(congestion=congestion, cav_share=share, seed=seed, strategy=strategy)
+                   for congestion, share, seed, strategy in [
+                       (1.0, 0.5, 7, "Selfish"), (0.5, 0.0, 7, "Selfish"), (1.0, 0.0, 7, "Selfish"),
+                       (0.5, 0.5, 7, "Selfish"), (1.0, 1.0, 7, "Selfish"), (1.0, 0.25, 7, "Selfish"),
+                       (0.5, 1.0, 7, "Selfish"), (1.0, 0.5, 8, "Social"), (0.5, 0.5, 8, "Selfish"),
+                   ]]
+        state = SimulationState(*configs)
+        # Before the hand-over a block per population, logging its configs' survivor counts in first-seen order.
+        assert [(b.n, b.counts) for b in state.blocks] == [(40, (20, 40, 0, 30)), (20, (20, 10, 0))]
+        assert state.log_of.tolist() == [0, 8, 1, 9, 2, 3, 10, 4, 12]
+        assert np.array_equal(state.divisors, [20, 40, math.nan, 30] * 2 + [20, 10, math.nan] * 2, equal_nan=True)
+        state._hand_over()
+        # Then a block per survivor count, each row one mean.
+        assert [(b.n, b.counts) for b in state.blocks] == [(20, (20,)), (40, (40,)), (10, (10,)), (0, (0,)), (30, (30,))]
+        assert state.log_of.tolist() == [0, 1, 3, 4, 6, 8, 7, 2, 5]
+        assert np.array_equal(state.divisors, [20, 20, 20, 40, 10, 10, math.nan, math.nan, 30], equal_nan=True)
+
     def test_states_stay_within_the_driver_row_cap(self, monkeypatch):
         configs = [small_config(congestion=congestion, cav_share=0.25, seed=seed)
                    for congestion in (0.5, 1.0, 2.6) for seed in (1, 2)]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -9,12 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bottlesim
@@ -25,6 +27,7 @@ from bottlesim import (
     compute_window_averages,
     paired_t_test,
     run_scenario,
+    system_optimum,
 )
 from bottlesim.engine import _row_key, driver_row_days, group_by, plan
 from bottlesim.metrics import RatioReport, WindowAverages, daily_means, sequential_sum
@@ -423,18 +426,25 @@ class TestRunExperiment:
     def test_each_run_of_a_sweep_computes_its_window_averages_once(self, tmp_path, monkeypatch):
         # The public function is the one window path, so a patch of it (as the benchmark's spans
         # make) sees every run of a sweep.
-        calls = []
+        # Every day of a run carries its whole population, so each run evaluates one system optimum.
+        calls, optima = [], []
 
         def counted(log):
             calls.append(log.config)
             return compute_window_averages(log)
 
+        def counted_optimum(network, q_total):
+            optima.append(q_total)
+            return system_optimum(network, q_total)
+
         monkeypatch.setattr(bottlesim.expcli, "compute_window_averages", counted)
+        monkeypatch.setattr(bottlesim.metrics, "system_optimum", counted_optimum)
         config = write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], strategy=["Selfish", "Social"], seeds=[1, 2]))
         assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
         runs = load_config(config).run_points()
         assert len(runs) == 8
         assert sorted(map(repr, calls)) == sorted(map(repr, runs))
+        assert optima == [run.total_population for run in calls]
 
     def test_run_group_writes_temporaries_and_returns_no_csv_text(self, tmp_path):
         spec = load_config(write_config(tmp_path, dict(FAST, cav_share=[0.0, 0.3], seeds=[1, 2])))
@@ -1172,3 +1182,114 @@ class TestOverflowingTTest:
             assert capsys.readouterr().out == f"t={exact:.6f} df=2 significant_at_0.001=false\n"
             result = replicate_and_test(config, "tau_b", config, metric, seeds=[1, 2, 3])
             assert result.t_statistic == pytest.approx(exact, rel=1e-12)
+
+
+# Config values for the format's property test: valid values seven times in eight, else boundary
+# values, wrong types, NaN/inf and 10**400.  An accepted config runs at most 1000 * 10.0 drivers
+# for 12 days: phase_lengths is always given, and a larger base_population or congestion fails.
+_BAD_NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
+_WRONG_TYPES = st.sampled_from(["0.2", None, True, [], {}])
+
+
+def _weighted(common, rare):
+    """``common`` seven times in eight, else ``rare``."""
+    return st.sampled_from([common] * 7 + [rare]).flatmap(lambda values: values)
+
+
+def _mostly(valid, *odd):
+    """``valid`` seven times in eight, else one of the ``odd`` strategies, a bad number or a wrong type."""
+    return _weighted(valid, st.one_of(*odd, _BAD_NUMBERS, _WRONG_TYPES))
+
+
+_RATES = _mostly(st.sampled_from([0.0, 0.2, 1.0, -0.0, 5e-324]), st.sampled_from([1.0000000000000002, -1e-300]))
+_ROUTE_VALUES = _mostly(
+    st.sampled_from([5, 15.0, 500, 800.0, 2, 1.0000000000000002, 5e-324, 1e200, 1e300]), st.sampled_from([1.0, 0, -1]),
+)
+_ROUTE = _mostly(
+    st.fixed_dictionaries({"free_flow_time": _ROUTE_VALUES, "capacity": _ROUTE_VALUES, "exponent": _ROUTE_VALUES}),
+    st.just({"free_flow_time": 5, "capacity": 500}),
+)
+_DEFAULT_NETWORK = {"route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 2},
+                    "route_b": {"free_flow_time": 15, "capacity": 800, "exponent": 2}}
+_AXIS_VALUES = {
+    "strategy": _mostly(
+        st.sampled_from(bottlesim.STRATEGY_NAMES + ("social", "DISRUPTIVE")), st.sampled_from(["bogus", ""]),
+    ),
+    "cav_share": _RATES,
+    "beta": _mostly(st.sampled_from([5.0, 0.5, 5e-324, 1e307]), st.sampled_from([0.0, -1.0])),
+    "congestion": _mostly(st.sampled_from([1.0, 0.5, 2.6, 10.0, 5e-4]), st.sampled_from([1e-300, 1e300, 0.0])),
+    "seeds": _mostly(st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([2**64, -1, 1.0])),
+}
+_FIELD_VALUES = {
+    "base_population": _mostly(st.sampled_from([1, 7, 60, 1000]), st.sampled_from([0, -5, 1.5, 2**63])),
+    "alpha": _RATES,
+    "epsilon": _RATES,
+    "phase_lengths": _mostly(
+        st.one_of(st.lists(st.integers(0, 3), min_size=4, max_size=4), st.sampled_from([[12, 0, 0, 0], [0, 0, 0, 12]])),
+        st.sampled_from([[3, 3, 3], [1, 1, 1, -1], [1.0, 1, 1, 1], [True, 1, 1, 1], [10**400, 0, 0, 0], 5, "3333"]),
+    ),
+    "network": _mostly(
+        st.one_of(st.just(_DEFAULT_NETWORK), st.fixed_dictionaries({"route_a": _ROUTE, "route_b": _ROUTE})),
+        st.just({"route_a": _DEFAULT_NETWORK["route_a"]}),
+    ),
+}
+
+
+def _axis(values, scalar=True):
+    """An axis as the format writes it: a scalar or a list of one or two values, repeats included; rarely []."""
+    values_list = st.lists(values, min_size=1, max_size=2)
+    return _weighted(st.one_of(values, values_list) if scalar else values_list, st.just([]))
+
+
+@st.composite
+def config_docs(draw):
+    optional = {name: _axis(values, scalar=name != "seeds") for name, values in _AXIS_VALUES.items()}
+    optional.update({name: values for name, values in _FIELD_VALUES.items() if name != "phase_lengths"})
+    optional["schema"] = _mostly(st.just(1), st.sampled_from([2, "1", 1.0]))
+    doc = draw(st.fixed_dictionaries({"phase_lengths": _FIELD_VALUES["phase_lengths"]}, optional=optional))
+    if draw(_weighted(st.just(False), st.just(True))):
+        doc["taste_spread"] = 5.0  # a ScenarioConfig attribute, but not a field of the format
+    return draw(st.permutations(list(doc.items())))
+
+
+class TestConfigFormat:
+    """Every config the format can express runs to finite outputs or fails with exit 1 or 2, naming its cause."""
+
+    KNOWN = {*_FIELDS, *_AXES, "schema", "config", "taste_spread"}
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(items=config_docs())
+    # A taste spread whose tastes overflow (exit 2), a fleet objective that overflows (exit 2),
+    # a large finite exponent and route times near 1e200 (exit 0).
+    @example(items=[("phase_lengths", [1, 1, 1, 1]), ("beta", [1e307])])
+    @example(items=[*NON_FINITE_OBJECTIVE.items()])
+    @example(items=[("phase_lengths", [3, 3, 3, 3]),
+                    ("network", {"route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 400},
+                                 "route_b": _DEFAULT_NETWORK["route_b"]})])
+    @example(items=[("phase_lengths", [3, 3, 3, 3]), ("cav_share", 0.5), ("network", _huge_network(1e200, 3e200))])
+    def test_a_sweep_runs_or_fails_by_its_exit_code(self, items):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(dict(items)), encoding="utf-8")
+            with contextlib.suppress(ConfigError):
+                for point in load_config(config).points:  # no example may allocate much
+                    assert point.total_population <= 10_000 and point.total_days <= 12
+            out, err = Path(tmp) / "out", io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                status = main(["sweep", str(config), "--out", str(out), "--jobs", "1"])
+            assert caught == []
+            err = err.getvalue()
+            assert status in (0, 1, 2)
+            assert "Traceback" not in err and "Warning" not in err
+            if status == 0:
+                assert err == ""
+                with (out / "summary.csv").open(encoding="utf-8", newline="") as f:
+                    rows = list(csv.DictReader(f))
+                assert len(list(out.glob("daily_*.csv"))) == len(rows)
+                cells = [value for row in rows for name, value in row.items() if name != "strategy"]
+                assert all(math.isfinite(float(cell)) for cell in cells if cell != "NA")
+            elif status == 1:
+                field = re.match(r"error: ([^:]+): ", err).group(1)
+                assert field in self.KNOWN or re.fullmatch(r"network\.route_[ab](\.\w+)?", field), err

@@ -18,11 +18,13 @@ from bottlesim import (
     bpr_travel_time,
     compute_window_averages,
     day_statistics,
+    fleet_optimize,
     paired_t_test,
     ratio_report,
     run_scenario,
     system_optimum,
 )
+from bottlesim import metrics
 from bottlesim.metrics import _mean, flow_mean, sequential_sum
 
 NET = TwoRouteNetwork.default()
@@ -223,24 +225,36 @@ class TestSystemOptimum:
         with pytest.raises(ValueError, match="q_total"):
             system_optimum(NET, 0)
 
-    def test_cached_calls_agree(self):
-        assert system_optimum(NET, 777) == system_optimum(NET, 777)
+    def test_equal_calls_agree(self, monkeypatch):
+        evaluations = []
 
-    def test_window_averages_consult_it_once_per_distinct_total(self):
+        def counted(*args):
+            evaluations.append(args[3])
+            return fleet_optimize(*args)
+
+        monkeypatch.setattr(metrics, "fleet_optimize", counted)
+        assert system_optimum(NET, 777) == system_optimum(NET, 777)
+        assert evaluations == [777, 777]  # each call evaluates: no cache answers for it
+
+    def test_window_averages_consult_it_once_per_distinct_total(self, monkeypatch):
         # The evaluation window's six days carry the totals 900, 1000 and 1100, a fleet's
         # vehicles counted; the two days before it carry 700, which no statistic reads.
         flows = [(350, 350, 0, 0)] * 2 + [
             (450, 450, 0, 0), (500, 500, 0, 0), (550, 550, 0, 0), (500, 400, 50, 50), (450, 450, 0, 0), (600, 500, 0, 0),
         ]
         log = make_log(flows, (2, 0, 0, 6))
-        system_optimum.cache_clear()
-        deltas = []
-        for _ in range(2):
-            before = system_optimum.cache_info()
-            compute_window_averages(log)
-            after = system_optimum.cache_info()
-            deltas.append((after.hits - before.hits, after.misses - before.misses))
-        assert deltas == [(0, 3), (3, 0)]
+        calls = []
+
+        def counted(network, q_total):
+            calls.append(q_total)
+            return system_optimum(network, q_total)
+
+        monkeypatch.setattr(metrics, "system_optimum", counted)
+        compute_window_averages(log)
+        assert sorted(calls) == [900, 1000, 1100]
+        # A second call asks again: nothing is kept between calls.
+        compute_window_averages(log)
+        assert sorted(calls) == [900, 900, 1000, 1000, 1100, 1100]
 
 
 class TestOptimalityAndEquity:
