@@ -394,6 +394,14 @@ def _survivors(run: tuple) -> int:
 _ROUTES = np.arange(2)
 
 
+class RunFailure(RuntimeError):
+    """A failure of one run of a lockstep state, ``config``; the message is its only argument, so it pickles."""
+
+    def __init__(self, message: str, config: ScenarioConfig | None = None) -> None:
+        super().__init__(message)
+        self.config = config
+
+
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Set ``y`` to ``np.where(mask, x, y)``: ``x`` and ``y`` are int64 views, ``mask`` is bool.
 
@@ -412,6 +420,11 @@ def step_day(state: SimulationState) -> None:
     From day ``m_day + 1`` on the highest-index drivers are fleet
     vehicles: they stop choosing and learning and become count mass
     routed by the fleet, while the survivors carry on unchanged.
+
+    A fleet decision whose objective is not finite raises ``RunFailure``
+    ("fleet objective is ... on day d") for the first row that makes one,
+    carrying that row's first config in state order; the day is left
+    unfinished.
     """
     day = state.day
     if day > state.total_days:
@@ -452,7 +465,8 @@ def step_day(state: SimulationState) -> None:
             if decision is None:
                 decision = fleet_optimize(weights, q_hdv_a, q_hdv_b, fleet_size, state.curves)
                 if not math.isfinite(decision.objective_value):  # np.argmin stops at the first NaN
-                    raise RuntimeError(f"fleet objective is {decision.objective_value} on day {day}")
+                    config = state.configs[list(state.row_of).index(row)]
+                    raise RunFailure(f"fleet objective is {decision.objective_value} on day {day}", config)
                 memo[q_hdv_a] = decision
             flows.append((q_hdv_a, q_hdv_b, decision.cav_on_a, decision.cav_on_b))
         else:
@@ -607,6 +621,8 @@ def run_state(configs: list[ScenarioConfig]) -> list[SimulationLog]:
     alone.  Each log's columns are its config's own slice of the state's.
     numpy's floating-point warnings are off while the state is set up and
     stepped: an inf or NaN it makes is an output that the caller checks.
+    A non-finite fleet objective stops the state with ``step_day``'s
+    ``RunFailure``, for the first run to make one: by day, then by row.
     """
     with np.errstate(all="ignore"):  # once per state, not per day kernel
         state = SimulationState(*configs)

@@ -33,11 +33,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .engine import (
+    RunFailure,
     ScenarioConfig,
     SimulationLog,
     _is_int,
     plan,
-    run_scenario,
+    run_scenario,  # noqa: F401 -- unused here, but the benchmark's tracer wraps expcli.run_scenario
     run_state,
 )
 from .fleet import STRATEGY_NAMES
@@ -377,16 +378,19 @@ def _checked_averages(log: SimulationLog) -> WindowAverages:
 def _checked_runs(state: list[ScenarioConfig], check) -> Iterator[tuple[ScenarioConfig, object]]:
     """``(config, check(log))`` for each config of one lockstep state, in order, under its ``_failing_point``.
 
-    A failed step fails every row stepping together, so each config is then
-    run alone: the failure is raised again under the failing config's point.
+    The state is stepped once.  If that fails, the failure is raised again
+    under the point of the config a ``RunFailure`` carries, or of the
+    state's first config for any other failure of the state.
     """
     try:
-        logs = iter(run_state(state))
-    except Exception:
-        logs = map(run_scenario, state)
-    for config in state:
+        logs = run_state(state)
+    except Exception as exc:
+        failed = exc.config if isinstance(exc, RunFailure) else state[0]
+        with _failing_point(failed):
+            raise
+    for config, log in zip(state, logs):
         with _failing_point(config):
-            result = check(next(logs))
+            result = check(log)
         yield config, result
 
 

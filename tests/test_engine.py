@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 import weakref
@@ -1069,6 +1070,22 @@ class TestFleetMemo:
         assert state.day == 8
         (memo,) = state.memos
         assert memo and all(math.isfinite(decision.objective_value) for decision in memo.values())
+
+    def test_a_non_finite_objective_names_its_run_through_pickle(self):
+        # Two runs in one state; only the Disruptive fleet's objective overflows.
+        network = TwoRouteNetwork(RouteParams(3.1910642561087888e+305, 500.0, 2.0),
+                                  RouteParams(9.573192768326367e+305, 800.0, 2.0))
+        selfish = ScenarioConfig(base_population=100, phase_lengths=(3, 3, 3, 3), seed=1, cav_share=0.5,
+                                 network=network)
+        disruptive = dataclasses.replace(selfish, strategy="Disruptive")
+        with pytest.raises(engine.RunFailure) as failure:
+            engine.run_state([selfish, disruptive])
+        assert str(failure.value) == "fleet objective is -inf on day 8"
+        assert failure.value.config == disruptive
+        # A pool worker's failure reaches its parent pickled.
+        copied = pickle.loads(pickle.dumps(failure.value))
+        assert type(copied) is engine.RunFailure
+        assert (str(copied), copied.config) == (str(failure.value), disruptive)
 
     def test_equal_fleets_at_other_survivor_counts_keep_their_own_memos(self, monkeypatch):
         # Four 100-vehicle Selfish fleets among 150, 400, 900 and 1900 survivors: the

@@ -59,21 +59,6 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
-def fail_shared_steps(monkeypatch) -> list:
-    """Make expcli's lockstep step fail for every state of more than one run; return those states."""
-    run_state = bottlesim.expcli.run_state
-    failed = []
-
-    def failing(state):
-        if len(state) > 1:
-            failed.append(state)
-            raise RuntimeError("step failed")
-        return run_state(state)
-
-    monkeypatch.setattr(bottlesim.expcli, "run_state", failing)
-    return failed
-
-
 class TestLoadConfig:
     def test_empty_object_gives_defaults(self, tmp_path):
         spec = load_config(write_config(tmp_path, {}))
@@ -289,18 +274,6 @@ class TestRunExperiment:
         names = sorted(sequential)
         assert names[-1] == "summary.csv" and len(names) == 7
         assert all(re.fullmatch(r"daily_[0-9a-f]{10}_\d+\.csv", name) for name in names[:-1])
-
-    def test_runs_made_alone_after_a_failed_step_write_the_same_files(self, tmp_path, monkeypatch):
-        doc = dict(FAST, cav_share=[0.0, 0.3], strategy=["Selfish", "Social"], seeds=[1, 2])
-        spec = load_config(write_config(tmp_path, doc))
-        spec.out_dir = tmp_path / "stepped"
-        run_experiment(spec, jobs=1)
-        stepped = {p.name: p.read_bytes() for p in spec.out_dir.iterdir()}
-        failed = fail_shared_steps(monkeypatch)
-        spec.out_dir = tmp_path / "alone"
-        run_experiment(spec, jobs=1)
-        assert failed == [spec.run_points()]  # one state of every run, which then ran one by one
-        assert {p.name: p.read_bytes() for p in spec.out_dir.iterdir()} == stepped
 
     def test_failure_before_any_task_leaves_no_staging_directory(self, tmp_path, monkeypatch):
         def no_plan(configs, parts=1):
@@ -631,15 +604,6 @@ class TestReplicateAndTest:
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
         with pytest.raises(ValueError, match="at least 2 distinct seeds"):
             replicate_and_test(config, "tau_b", config, "tau", seeds=seeds)
-
-    def test_runs_made_alone_after_a_failed_step_give_the_same_t(self, monkeypatch):
-        selfish = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5), cav_share=0.2)
-        social = dataclasses.replace(selfish, strategy="Social")
-        expected = replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2, 3])
-        assert expected.t_statistic is not None
-        failed = fail_shared_steps(monkeypatch)
-        assert replicate_and_test(selfish, "tau_b", social, "tau", seeds=[1, 2, 3]) == expected
-        assert [len(state) for state in failed] == [6]  # both fleets at three seeds, then one by one
 
     def test_seeds_may_come_from_a_generator(self):
         config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
@@ -1130,6 +1094,68 @@ def test_a_non_finite_fleet_objective_fails_the_sweep(tmp_path, capsys, jobs):
     assert not (tmp_path / "out").exists()
 
 
+class TestFailingState:
+    """A failing state is stepped once, and the error names the point of the run that failed first."""
+
+    def test_each_planned_state_is_set_up_once(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, NON_FINITE_OBJECTIVE)
+        points = load_config(config).run_points()
+        built = []
+
+        class Counted(bottlesim.engine.SimulationState):
+            def __init__(self, *configs):
+                built.append(list(configs))
+                super().__init__(*configs)
+
+        monkeypatch.setattr(bottlesim.engine, "SimulationState", Counted)
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 2
+        assert "fleet objective is -inf on day 8" in capsys.readouterr().err
+        assert built == plan(points, 1)  # no run is made again on its own
+        built.clear()
+        with pytest.raises(RuntimeError, match="seed=1 failed: fleet objective is -inf on day 8$"):
+            replicate_and_test(points[0], "tau", points[0], "tau_b", seeds=[1, 2])
+        assert built == [points]
+
+    def test_a_later_run_that_fails_on_an_earlier_day_is_named(self, tmp_path, monkeypatch, capsys):
+        # Selfish comes first in state order, but Social's objective fails from day 11,
+        # the fleet's first, and Selfish's only from day 12.
+        fail_from = {bottlesim.STRATEGY_TABLE["Selfish"]: 12, bottlesim.STRATEGY_TABLE["Social"]: 11}
+        step_day, fleet_optimize = bottlesim.engine.step_day, bottlesim.engine.fleet_optimize
+        today = []
+
+        def stepping(state):
+            today[:] = [state.day]
+            step_day(state)
+
+        def optimize(weights, *args):
+            decision = fleet_optimize(weights, *args)
+            if today[0] >= fail_from[weights]:
+                return dataclasses.replace(decision, objective_value=-math.inf)
+            return decision
+
+        monkeypatch.setattr(bottlesim.engine, "step_day", stepping)
+        monkeypatch.setattr(bottlesim.engine, "fleet_optimize", optimize)
+        config = write_config(tmp_path, dict(FAST, strategy=["Selfish", "Social"], cav_share=0.5, seeds=[1]))
+        selfish, social = points = load_config(config).run_points()
+        assert plan(points, 1) == [[selfish, social]]
+        with pytest.raises(RuntimeError, match="^fleet objective is -inf on day 12$"):
+            run_scenario(selfish)  # alone, Selfish fails too
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 2
+        point = "strategy=Social cav_share=0.5 beta=5.0 congestion=1.0 seed=1"
+        assert capsys.readouterr().err == f"error: run {point} failed: fleet objective is -inf on day 11\n"
+
+    def test_a_state_wide_failure_names_the_first_point_of_the_state(self, tmp_path, monkeypatch, capsys):
+        def no_room(state):
+            raise MemoryError("cannot allocate the state")
+
+        monkeypatch.setattr(bottlesim.expcli, "run_state", no_room)
+        config = write_config(tmp_path, dict(FAST, cav_share=[0.2, 0.5], seeds=[1, 2]))
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 2
+        point = "strategy=Selfish cav_share=0.2 beta=5.0 congestion=1.0 seed=1"
+        assert capsys.readouterr().err == f"error: run {point} failed: cannot allocate the state\n"
+        assert not (tmp_path / "out").exists()
+
+
 def _huge_network(time_a, time_b):
     return {
         "route_a": {"free_flow_time": time_a, "capacity": 500, "exponent": 2},
@@ -1252,6 +1278,26 @@ def config_docs(draw):
     return draw(st.permutations(list(doc.items())))
 
 
+# Config docs that every sweep test of the format runs: a taste spread whose tastes
+# overflow (exit 2), a fleet objective that overflows (exit 2) in one state per seed,
+# a large finite exponent and route times near 1e200 (exit 0).
+PINNED_CONFIG_DOCS = {
+    "overflowing_tastes": [("phase_lengths", [1, 1, 1, 1]), ("beta", [1e307])],
+    "fleet_objective": [*NON_FINITE_OBJECTIVE.items()],
+    "exponent_400": [("phase_lengths", [3, 3, 3, 3]),
+                     ("network", {"route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 400},
+                                  "route_b": _DEFAULT_NETWORK["route_b"]})],
+    "huge_times": [("phase_lengths", [3, 3, 3, 3]), ("cav_share", 0.5), ("network", _huge_network(1e200, 3e200))],
+}
+
+
+def _pinned(test):
+    """``test`` with each of PINNED_CONFIG_DOCS as a Hypothesis explicit example."""
+    for items in PINNED_CONFIG_DOCS.values():
+        test = example(items=items)(test)
+    return test
+
+
 class TestConfigFormat:
     """Every config the format can express runs to finite outputs or fails with exit 1 or 2, naming its cause."""
 
@@ -1259,15 +1305,17 @@ class TestConfigFormat:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(items=config_docs())
-    # A taste spread whose tastes overflow (exit 2), a fleet objective that overflows (exit 2),
-    # a large finite exponent and route times near 1e200 (exit 0).
-    @example(items=[("phase_lengths", [1, 1, 1, 1]), ("beta", [1e307])])
-    @example(items=[*NON_FINITE_OBJECTIVE.items()])
-    @example(items=[("phase_lengths", [3, 3, 3, 3]),
-                    ("network", {"route_a": {"free_flow_time": 5, "capacity": 500, "exponent": 400},
-                                 "route_b": _DEFAULT_NETWORK["route_b"]})])
-    @example(items=[("phase_lengths", [3, 3, 3, 3]), ("cav_share", 0.5), ("network", _huge_network(1e200, 3e200))])
+    @_pinned
     def test_a_sweep_runs_or_fails_by_its_exit_code(self, items):
+        self.sweep_runs_or_fails(items, jobs=1)
+
+    # A pool per generated example would cost too much, so only the pins run at --jobs 2.
+    @pytest.mark.parametrize("items", PINNED_CONFIG_DOCS.values(), ids=PINNED_CONFIG_DOCS)
+    def test_a_pinned_sweep_runs_or_fails_by_its_exit_code_at_two_jobs(self, items):
+        self.sweep_runs_or_fails(items, jobs=2)
+
+    def sweep_runs_or_fails(self, items, jobs):
+        """Sweep the config doc ``items`` at ``jobs`` through the CLI and check how it ends."""
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps(dict(items)), encoding="utf-8")
@@ -1278,7 +1326,7 @@ class TestConfigFormat:
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
-                status = main(["sweep", str(config), "--out", str(out), "--jobs", "1"])
+                status = main(["sweep", str(config), "--out", str(out), "--jobs", str(jobs)])
             assert caught == []
             err = err.getvalue()
             assert status in (0, 1, 2)
