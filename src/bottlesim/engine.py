@@ -551,6 +551,13 @@ def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
 # 2 MB L2, numpy 2.4.6).  A larger state saves no time, only holds more memory.
 MAX_DRIVER_ROWS = 2**15
 
+# numpy's ufunc buffer size, in elements, while ``run_state`` steps a state.  numpy
+# buffers a block's (2, rows, 1) time column whenever two rows fit in the buffer,
+# 8,192 elements by default (ten rows of 1,000 drivers: 22 us an add, 8.6 us at this
+# size; 2-vCPU Xeon, numpy 2.4.6).  The day's kernels are elementwise and its sums run
+# over contiguous rows, which numpy does not buffer, so no output bit depends on it.
+DAY_BUFSIZE = 512
+
 
 def plan(configs: Iterable[ScenarioConfig], parts: int = 1) -> list[list[ScenarioConfig]]:
     """The configs of each lockstep state that runs ``configs``, each state in their order.
@@ -621,13 +628,19 @@ def run_state(configs: list[ScenarioConfig]) -> list[SimulationLog]:
     alone.  Each log's columns are its config's own slice of the state's.
     numpy's floating-point warnings are off while the state is set up and
     stepped: an inf or NaN it makes is an output that the caller checks.
+    numpy's ufunc buffer holds ``DAY_BUFSIZE`` elements meanwhile, and the
+    caller's size is restored on return or raise.
     A non-finite fleet objective stops the state with ``step_day``'s
     ``RunFailure``, for the first run to make one: by day, then by row.
     """
     with np.errstate(all="ignore"):  # once per state, not per day kernel
-        state = SimulationState(*configs)
-        while state.day <= state.total_days:
-            step_day(state)
+        bufsize = np.setbufsize(DAY_BUFSIZE)
+        try:  # numpy 1.x's errstate leaves the buffer size alone
+            state = SimulationState(*configs)
+            while state.day <= state.total_days:
+                step_day(state)
+        finally:
+            np.setbufsize(bufsize)
     return [SimulationLog(config, state.flows[:, i], state.times[:, i], state.perceived[:, i])
             for i, config in enumerate(configs)]
 

@@ -361,11 +361,12 @@ def _failing_point(config: ScenarioConfig):
     """Re-raise a failure of ``config``'s run as a RuntimeError naming its config point.
 
     The name survives a pool worker, where the traceback alone would not show it.
+    An exception without a message is named by its type.
     """
     try:
         yield
     except Exception as exc:
-        raise RuntimeError(f"run {_point_label(config)} failed: {exc}") from exc
+        raise RuntimeError(f"run {_point_label(config)} failed: {str(exc) or type(exc).__name__}") from exc
 
 
 def _checked_averages(log: SimulationLog) -> WindowAverages:

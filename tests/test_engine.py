@@ -1360,3 +1360,62 @@ class TestDayScratch:
         for name in ("flows", "times", "perceived"):
             assert getattr(twin, name).tobytes() == getattr(state, name).tobytes()
         assert not np.shares_memory(twin.draws, state.draws)
+
+
+def _buffer_sizes_seen(monkeypatch):
+    """``np.getbufsize()`` at each ``step_day`` call of the test."""
+    seen = []
+
+    def stepping(state, real=engine.step_day):
+        seen.append(np.getbufsize())
+        real(state)
+
+    monkeypatch.setattr(engine, "step_day", stepping)
+    return seen
+
+
+class TestUfuncBuffer:
+    """``run_state`` steps with numpy's buffer at ``DAY_BUFSIZE``: a change of time, never of bits."""
+
+    # The Disruptive fleet's -9 weight overflows its objective on day 8.
+    OVERFLOWING = ScenarioConfig(
+        base_population=100, phase_lengths=(3, 3, 3, 3), seed=1, cav_share=0.5, strategy="Disruptive",
+        network=TwoRouteNetwork(RouteParams(3.1910642561087888e+305, 500.0, 2.0),
+                                RouteParams(9.573192768326367e+305, 800.0, 2.0)),
+    )
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_run_state_restores_numpy_settings(self, monkeypatch, fails):
+        seen = _buffer_sizes_seen(monkeypatch)
+        config = self.OVERFLOWING if fails else dataclasses.replace(self.OVERFLOWING, strategy="Selfish")
+        caller = np.setbufsize(4096)
+        try:
+            with np.errstate(divide="raise", over="warn", under="ignore", invalid="print"):
+                errors = np.geterr()
+                if fails:
+                    with pytest.raises(engine.RunFailure, match=r"^fleet objective is -inf on day \d+$"):
+                        engine.run_state([config])
+                else:
+                    engine.run_state([config])
+                assert np.geterr() == errors
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+        assert seen and set(seen) == {engine.DAY_BUFSIZE}
+
+    def test_the_buffer_size_changes_no_bit(self, monkeypatch):
+        # Rows of 1 to 6 drivers lie below half of a 16-element buffer and rows of
+        # 5,000 above half of the default 8,192; the rest lie in between.
+        configs = [ScenarioConfig(congestion=congestion, cav_share=share, seed=seed, phase_lengths=(10, 10, 10, 10))
+                   for congestion in (0.006, 0.25, 1.0, 5.0) for share in (0.0, 0.2, 0.8) for seed in (1, 2)]
+        assert min(c.survivor_count for c in configs) == 1 and max(c.total_population for c in configs) == 5000
+        seen = _buffer_sizes_seen(monkeypatch)
+        runs = {}
+        for size in (engine.DAY_BUFSIZE, 8192, 16):
+            monkeypatch.setattr(engine, "DAY_BUFSIZE", size)
+            runs[size] = [tuple(column.view(np.int64).tolist() for column in (log.flows, log.times, log.perceived))
+                          for log in engine.run_state(configs)]
+            assert set(seen) == {size}
+            seen.clear()
+        (reference, *others) = runs.values()
+        assert all(logs == reference for logs in others)

@@ -1116,6 +1116,25 @@ class TestFailingState:
             replicate_and_test(points[0], "tau", points[0], "tau_b", seeds=[1, 2])
         assert built == [points]
 
+    def test_numpy_settings_come_back_to_the_caller(self, tmp_path):
+        passing = load_config(write_config(tmp_path, dict(FAST, seeds=[1, 2])))
+        failing = load_config(write_config(tmp_path, NON_FINITE_OBJECTIVE, "failing.json"))
+        passing.out_dir, failing.out_dir = tmp_path / "passing", tmp_path / "failing"
+        caller = np.setbufsize(4096)
+        try:
+            with np.errstate(divide="raise", over="warn", under="ignore", invalid="print"):
+                errors = np.geterr()
+                run_experiment(passing, jobs=1)
+                replicate_and_test(passing.points[0], "tau", passing.points[0], "tau_b", seeds=[1, 2])
+                with pytest.raises(RuntimeError, match="failed: fleet objective is -inf"):
+                    run_experiment(failing, jobs=1)
+                with pytest.raises(RuntimeError, match="failed: fleet objective is -inf"):
+                    replicate_and_test(failing.points[0], "tau", failing.points[0], "tau_b", seeds=[1, 2])
+                assert np.geterr() == errors
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+
     def test_a_later_run_that_fails_on_an_earlier_day_is_named(self, tmp_path, monkeypatch, capsys):
         # Selfish comes first in state order, but Social's objective fails from day 11,
         # the fleet's first, and Selfish's only from day 12.
@@ -1154,6 +1173,16 @@ class TestFailingState:
         point = "strategy=Selfish cav_share=0.2 beta=5.0 congestion=1.0 seed=1"
         assert capsys.readouterr().err == f"error: run {point} failed: cannot allocate the state\n"
         assert not (tmp_path / "out").exists()
+
+    def test_a_failure_without_a_message_is_named_by_its_type(self, tmp_path, monkeypatch, capsys):
+        def no_room(state):
+            raise MemoryError()
+
+        monkeypatch.setattr(bottlesim.expcli, "run_state", no_room)
+        config = write_config(tmp_path, dict(FAST, seeds=[1]))
+        assert main(["sweep", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 2
+        point = "strategy=Selfish cav_share=0.0 beta=5.0 congestion=1.0 seed=1"
+        assert capsys.readouterr().err == f"error: run {point} failed: MemoryError\n"
 
 
 def _huge_network(time_a, time_b):
