@@ -228,11 +228,11 @@ def load_config(path: str | Path) -> ExperimentSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a too-long integer, deep nesting
         raise ConfigError("config", f"malformed JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
@@ -541,7 +541,7 @@ def _read_summary(path: Path) -> dict[int, dict]:
             if reader.fieldnames != list(SUMMARY_COLUMNS):
                 raise ConfigError("summary", f"{path} does not look like a summary.csv")
             return {reader.line_num: row for row in reader}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # not ValueError: ConfigError is one
         raise ConfigError("summary", f"cannot read {path}: {exc}") from None
 
 

@@ -25,17 +25,6 @@ from .network import TwoRouteNetwork, network_travel_times
 if TYPE_CHECKING:
     from .engine import SimulationLog
 
-# Two-tailed critical values of Student's t at p = 0.001.  Degrees of
-# freedom above 30 conservatively reuse the df = 30 entry.
-T_CRITICAL_TWO_TAILED_001: dict[int, float] = {
-    1: 636.619, 2: 31.599, 3: 12.924, 4: 8.610, 5: 6.869,
-    6: 5.959, 7: 5.408, 8: 5.041, 9: 4.781, 10: 4.587,
-    11: 4.437, 12: 4.318, 13: 4.221, 14: 4.140, 15: 4.073,
-    16: 4.015, 17: 3.965, 18: 3.922, 19: 3.883, 20: 3.850,
-    21: 3.819, 22: 3.792, 23: 3.768, 24: 3.745, 25: 3.725,
-    26: 3.707, 27: 3.690, 28: 3.674, 29: 3.659, 30: 3.646,
-}
-
 
 @dataclass(frozen=True)
 class WindowAverages:
@@ -229,6 +218,18 @@ def _difference_moments(d: list[float]) -> tuple[float, float]:
     return mean_d, sequential_sum((x - mean_d) * (x - mean_d) for x in d) / (len(d) - 1)
 
 
+def _two_tailed_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's T at integer ``df``: the finite series of Abramowitz & Stegun 26.7.3-4."""
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos = math.cos(theta)
+    term, total = (cos if df % 2 else 1.0), 0.0  # odd df sum from cos(theta), even df from 1
+    for j in range(1 + df % 2, df, 2):  # one term of the series in cos(theta) per two df
+        total += term
+        term *= cos * cos * j / (j + 1)
+    inside = math.sin(theta) * total
+    return 1.0 - (2.0 / math.pi * (theta + inside) if df % 2 else inside)
+
+
 def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     """Paired two-tailed t-test of two equal-length samples.
 
@@ -237,7 +238,7 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTest
     square overflows, and where the squares underflow.  Zero-variance
     differences are a degenerate outcome, reported as such instead of
     raising.
-    Significance is read from a fixed p = 0.001 critical-value table.
+    It is significant where the exact two-tailed p is below 0.001.
     """
     if len(sample_a) != len(sample_b):
         raise ValueError(
@@ -269,9 +270,8 @@ def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTest
             degenerate=True,
         )
     t = mean_d / math.sqrt(var_d / n)
-    critical = T_CRITICAL_TWO_TAILED_001[min(df, 30)]
     return TTestResult(
         t_statistic=t,
         degrees_of_freedom=df,
-        significant_at_0_001=abs(t) > critical,
+        significant_at_0_001=_two_tailed_p(t, df) < 0.001,
     )

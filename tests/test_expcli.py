@@ -43,6 +43,7 @@ from bottlesim.expcli import (
     _daily_rows,
     _fmt,
     _run_group,
+    _write_text,
     load_config,
     main,
     replicate_and_test,
@@ -151,6 +152,7 @@ class TestLoadConfig:
             ({"out_dir": 5}, "out_dir: expected a string"),
             ({"seeds": 3}, "seeds: expected a nonempty list of integers"),
             ({"seed": 1, "seeds": [1]}, "seeds: give either seed or seeds, not both"),
+            ([1], "config: top-level JSON value must be an object"),
         ],
     )
     def test_field_level_rejections(self, tmp_path, doc, field):
@@ -291,6 +293,15 @@ class TestRunExperiment:
         assert [p.name for p in previous.iterdir()] == ["summary.csv"]
         assert (previous / "summary.csv").read_text(encoding="utf-8") == "previous experiment"
         assert not (tmp_path / "fresh").exists()
+
+    def test_a_failed_replace_removes_the_temporary_and_raises(self, tmp_path, monkeypatch):
+        def no_replace(src, dst):
+            raise OSError("no replace")
+
+        monkeypatch.setattr(bottlesim.expcli.os, "replace", no_replace)
+        with pytest.raises(OSError, match="no replace"):
+            _write_text(tmp_path / "summary.csv", "a,b\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_with_other_seeds_leaves_no_stale_daily_files(self, tmp_path):
         out = tmp_path / "out"
@@ -687,6 +698,19 @@ class TestCli:
     def test_missing_config_is_a_validation_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"seeds": [1]}', "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"seeds": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "malformed JSON in {path}: maximum recursion depth"),
+    ], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_exits_one_naming_config(self, tmp_path, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        proc = self.run_cli(["run", str(config), "--out", str(tmp_path / "out")], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+        assert proc.stderr.startswith("error: config: " + message.format(path=config))
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_invalid_field_is_a_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"beta": -2})
         assert main(["run", str(config)]) == 1
@@ -849,6 +873,7 @@ class TestCli:
         ([(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 3)], ["--metric", "tau"],
          "metric: the two config points carry different seed sets"),
         ([(0.0, 1), (0.0, 2)], ["--pair", "tau_b,taub"], "column: unknown summary column 'taub'"),
+        ([(0.0, 1), (0.0, 2)], ["--pair", "tau_b,tau,rho"], "pair: expected colA,colB, got 'tau_b,tau,rho'"),
     ])
     def test_ttest_summary_of_the_wrong_shape_exits_one(self, tmp_path, points, args, message):
         # One row per (cav_share, seed) point; every statistic differs by seed.
@@ -859,6 +884,24 @@ class TestCli:
         summary.write_text("\n".join([SUMMARY_HEADER, *(",".join(map(str, row)) for row in rows), ""]), encoding="utf-8")
         proc = self.run_cli(["ttest", str(summary), *args], tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: path.write_bytes(f"{SUMMARY_HEADER}\n".encode() + b"Selfish,\xff\n"),
+         "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        (lambda path: path.write_text(f"{SUMMARY_HEADER}\nSelfish,{'0' * 131_073}\n", encoding="utf-8"),
+         "cannot read {path}: field larger than field limit (131072)"),
+        (lambda path: path.write_text("tau_b,tau\n1.0,2.0\n", encoding="utf-8"),
+         "{path} does not look like a summary.csv"),
+        (lambda path: None, "cannot read {path}: "),
+        (lambda path: path.mkdir(), "cannot read {path}: "),
+    ], ids=["not_utf8", "oversized_cell", "not_a_summary", "missing", "a_directory"])
+    def test_unreadable_summary_exits_one_naming_summary(self, tmp_path, write, message):
+        summary = tmp_path / "summary.csv"
+        write(summary)
+        proc = self.run_cli(["ttest", str(summary), "--pair", "tau_b,tau"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
+        assert proc.stderr.startswith("error: summary: " + message.format(path=summary))
+        assert "Traceback" not in proc.stderr
 
     def test_ttest_requires_exactly_one_mode(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))

@@ -488,6 +488,53 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
 
 
+# Two-tailed critical values of Student's t at p = 0.001 for df 1 to 30, to three decimals, as printed tables give them.
+PRINTED_CRITICAL_T = [
+    636.619, 31.599, 12.924, 8.610, 6.869, 5.959, 5.408, 5.041, 4.781, 4.587,
+    4.437, 4.318, 4.221, 4.140, 4.073, 4.015, 3.965, 3.922, 3.883, 3.850,
+    3.819, 3.792, 3.768, 3.745, 3.725, 3.707, 3.690, 3.674, 3.659, 3.646,
+]
+
+
+def samples_with_t(t, df):
+    """Paired samples of df + 1 pairs whose t-statistic is ``t``: their differences are mean +1, -1, +1, ... (and 0)."""
+    n = df + 1
+    deviations = [(-1.0) ** k for k in range(n - n % 2)] + [0.0] * (n % 2)
+    mean = t * math.sqrt((n - n % 2) / (df * n))
+    return [mean + x for x in deviations], [0.0] * n
+
+
+class TestExactP:
+    """Significance is an exact two-tailed p below 0.001, at every df."""
+
+    @pytest.mark.parametrize("df, critical", enumerate(PRINTED_CRITICAL_T, start=1))
+    def test_decisions_agree_with_the_printed_table(self, df, critical):
+        # Each printed value lies within 0.0005 of the exact one, so 0.0006 either side decides alike.
+        for sign in (1.0, -1.0):
+            below, above = (paired_t_test(*samples_with_t(sign * (critical + offset), df))
+                            for offset in (-0.0006, 0.0006))
+            assert below.t_statistic == pytest.approx(sign * (critical - 0.0006), rel=1e-12)
+            assert below.degrees_of_freedom == above.degrees_of_freedom == df
+            assert not below.significant_at_0_001 and above.significant_at_0_001
+
+    def test_df_above_30_gets_its_own_p(self):
+        # The exact critical value at df 40 is 3.551, below df 30's 3.646.
+        result = paired_t_test(*samples_with_t(3.6, 40))
+        assert result.degrees_of_freedom == 40 and result.significant_at_0_001
+        assert metrics._two_tailed_p(3.6, 40) == pytest.approx(0.000868, abs=1e-6)
+
+    def test_p_agrees_with_scipy(self):
+        pytest.importorskip("scipy")
+        from scipy import stats
+
+        # No tiny t but 0: scipy's own t.sf is off by 3e-9 at df 1, t = 1e-8.
+        for df in [*range(1, 61), 99, 100, 1000, 20000]:
+            for t in (0.0, 0.5, 1.0, 2.0, 3.3, 3.6, 5.0, 12.0, 100.0, 1e3, 1e10, 1e300):
+                expected = 2.0 * stats.t.sf(t, df)
+                for signed in (t, -t):
+                    assert abs(metrics._two_tailed_p(signed, df) - expected) < 1e-12, (signed, df)
+
+
 def exact_t(sample_a, sample_b):
     """The paired t-statistic from the exact rational mean and n-1 variance of the differences."""
     d = [Fraction(a) - Fraction(b) for a, b in zip(sample_a, sample_b)]
