@@ -37,10 +37,11 @@ as a (rows, n) block, whatever their population, and the rows of a
 (seed, population) and length share its generator and its draws.
 taste_spread only scales a row's tastes at set-up, so it is a per-row
 constant that no day reads.  Every elementwise kernel runs once a day
-over the whole axis; only the draws, the per-row counts, the time
-columns and the perceived sums go row by row or block by block, and one
-``day_statistics`` call a day divides all the sums at once.  No state is
-forked, so every run equals its config run alone, bit for bit;
+over the whole axis, or once per range of it (below); only the draws,
+the per-row counts, the time columns and the perceived sums go row by
+row or block by block, and one ``day_statistics`` call a day divides all
+the sums at once.  No state is forked, so every run equals its config
+run alone, bit for bit;
 ``run_scenario`` is the one-run case.  Configs with equal (or empty)
 fleets are the same run.  After the hand-over a fleet's decision depends
 on q_hdv_a and the survivor count alone, whatever the seed, spread and
@@ -54,6 +55,14 @@ fleet decides on the times its run then experiences.
 ``plan`` alone decides which runs step together as one state: the runs
 of a group, unless a pool's workers need more chunks than there are
 groups, or the state would hold more than ``MAX_DRIVER_ROWS`` driver-rows.
+The same constant bounds a day's pass: a state wider than that, which
+``plan`` makes only of a prefix row longer than the bound, steps every
+pass after the coins one range of at most ``MAX_DRIVER_ROWS`` driver-rows
+at a time (``_ranges``), so a 10^5-driver day runs its passes in cache.
+The random fills, the copies of shared draws and the two coin
+comparisons stay whole-axis: the draw buffer holds a driver's two coins
+side by side, so a range's (2, width) scratch lies over the draws of
+later drivers, and its writes would overwrite coins not yet read.
 
 Tastes and estimates are (2, width) arrays with the route axis first (A,
 then B).  A day allocates no N-sized float array: its draw buffer holds
@@ -308,14 +317,15 @@ class SimulationState:
         """Lay the distinct ``key(config)`` out as rows of the flat driver axis, in blocks of equal ``length(row)``.
 
         Blocks, and the rows in each, keep their first-seen order.  Sets
-        ``rows``, ``blocks``, ``spans`` (each row's slice of the axis) and
-        ``width``.  ``rngs`` maps each (seed, population, length) of the rows
-        to ``generator`` of it, which draws into the span of its first row
-        (``draw_into``); its other rows copy those draws (``copies``).  A
-        block of length n logs the distinct survivor counts of the configs
-        whose row has length n, in first-seen order, each row a mean per
-        count, row-major: ``row_of`` and ``log_of`` index each config's row
-        and mean, which ``day_statistics`` computes into ``means``.
+        ``rows``, ``blocks``, ``spans`` (each row's slice of the axis),
+        ``width`` and ``ranges`` (``_ranges`` of the blocks).  ``rngs`` maps
+        each (seed, population, length) of the rows to ``generator`` of it,
+        which draws into the span of its first row (``draw_into``); its other
+        rows copy those draws (``copies``).  A block of length n logs the
+        distinct survivor counts of the configs whose row has length n, in
+        first-seen order, each row a mean per count, row-major: ``row_of`` and
+        ``log_of`` index each config's row and mean, which ``day_statistics``
+        computes into ``means``.
         """
         self.rows, self.blocks, self.spans, start = [], [], [], 0
         self.rngs, self.copies, sources, logs = {}, [], {}, []
@@ -337,6 +347,7 @@ class SimulationState:
                 else:
                     self.rngs[rng_key], sources[rng_key] = generator(rng_key), cut
         self.width = start  # driver-rows
+        self.ranges = _ranges(self.blocks)
         self.draw_into = [(self.rngs[key], cut) for key, cut in sources.items()]
         index = {row: i for i, row in enumerate(self.rows)}
         log_index = {log: i for i, log in enumerate(logs)}
@@ -372,6 +383,36 @@ class SimulationState:
         self.fleets = [fleet for *_, fleet in self.rows]
         memos: dict[tuple, dict[int, FleetDecision]] = {}
         self.memos = [memos.setdefault((_survivors(run), run[3]), {}) for run in self.rows]
+
+
+def _ranges(blocks: Sequence[Block]) -> tuple[tuple[int, int, tuple], ...]:
+    """The stretches ``(start, stop, tiles)`` of the flat axis that a day's passes step one at a time.
+
+    A tile ``(first, rows, start, stop, n)`` holds ``rows`` rows of ``n``
+    drivers from row ``first`` on: up to ``MAX_DRIVER_ROWS // n`` whole rows
+    of a block, or, for a row longer than ``MAX_DRIVER_ROWS``, one of its
+    ``ceil(n / MAX_DRIVER_ROWS)`` pieces of about equal length.  Consecutive
+    tiles make a range of at most ``MAX_DRIVER_ROWS`` driver-rows, so a state
+    no wider than that has one range, whose tiles are its non-empty blocks.
+    Plain ints, so a deep copy of the state keeps them.
+    """
+    cap, tiles = MAX_DRIVER_ROWS, []
+    for first, rows, start, _, n, _ in blocks:
+        if n > cap:
+            k = -(-n // cap)
+            for row in range(rows):
+                edges = [start + row * n + n * j // k for j in range(k + 1)]
+                tiles += [(first + row, 1, a, b, b - a) for a, b in zip(edges, edges[1:])]
+        elif n:
+            per = cap // n
+            tiles += [(first + row, min(per, rows - row), start + row * n, start + min(row + per, rows) * n, n)
+                      for row in range(0, rows, per)]
+    ranges: list[list[tuple[int, ...]]] = []
+    for tile in tiles:
+        if not ranges or tile[3] - ranges[-1][0][2] > cap:
+            ranges.append([])
+        ranges[-1].append(tile)
+    return tuple((members[0][2], members[-1][3], tuple(members)) for members in ranges)
 
 
 def _row_key(config: ScenarioConfig) -> tuple:
@@ -443,15 +484,18 @@ def step_day(state: SimulationState) -> None:
     taken = np.empty((3, state.width), dtype=bool)
     explore = np.less(pairs[:, 0], state.explore_rate if day > 1 else 1.0, taken[2])  # day 1: all explore
     on_b = np.greater_equal(pairs[:, 1], 0.5, taken[1])  # the day's single route mask: True = route B
-    # The coins are read: the buffer is the day's (2, width) scratch from here on.
+    # The coins are read: the buffer is the day's (2, width) scratch from here on.  A range's
+    # scratch overwrites the draws of later drivers, so only the passes from here on go by range.
     scratch, tastes, estimates = state.draws, state.tastes, state.estimates
-    np.subtract(tastes, estimates, scratch)
-    # on_b = np.where(explore, on_b, greedy_b)
-    greedy_b = np.less(scratch[0], scratch[1], taken[0])  # ties go to A
-    on_b ^= greedy_b
-    on_b &= explore
-    on_b ^= greedy_b
-    np.logical_not(on_b, taken[0])
+    for a, b, _ in state.ranges:
+        utilities = np.subtract(tastes[:, a:b], estimates[:, a:b], scratch[:, a:b])
+        # on_b = np.where(explore, on_b, greedy_b)
+        greedy_b = np.less(utilities[0], utilities[1], taken[0, a:b])  # ties go to A
+        range_b = on_b[a:b]
+        range_b ^= greedy_b
+        range_b &= explore[a:b]
+        range_b ^= greedy_b
+        np.logical_not(range_b, greedy_b)
 
     fleets, memos = state.fleets, state.memos
     flows = []  # per row: (q_hdv_a, q_hdv_b, q_cav_a, q_cav_b)
@@ -476,28 +520,29 @@ def step_day(state: SimulationState) -> None:
     times = state.curves[_ROUTES, flows[:, :2] + flows[:, 2:]]  # (R, 2): each row's t_a, t_b at its flows
     # (4, R, 1): each row's times and learning steps, as columns for all its drivers.
     columns = np.concatenate((times, state.learning_rate * times), axis=1).T[..., None]
-    # Per block: its (2, rows, n) views of the scratch and tastes, and its rows' columns.
-    views = [
-        (scratch[:, b.start:b.stop].reshape(2, b.rows, b.n), tastes[:, b.start:b.stop].reshape(2, b.rows, b.n),
-         columns[:, b.first:b.first + b.rows])
-        for b in state.blocks
-    ]
     bits, est_bits = scratch.view(np.int64), estimates.view(np.int64)
-    # The estimate of the route taken moves to (1 - alpha) * est + alpha * t.
-    np.multiply(state.keep, estimates, scratch)
-    for block_scratch, _, block_columns in views:
-        block_scratch += block_columns[2:]
-    _select(taken[:2], bits, est_bits)
+    for a, b, tiles in state.ranges:
+        # Per tile: its (2, rows, n) views of the scratch and tastes, and its rows' columns.
+        views = [
+            (scratch[:, start:stop].reshape(2, rows, n), tastes[:, start:stop].reshape(2, rows, n),
+             columns[:, first:first + rows])
+            for first, rows, start, stop, n in tiles
+        ]
+        # The estimate of the route taken moves to (1 - alpha) * est + alpha * t.
+        np.multiply(state.keep, estimates[:, a:b], scratch[:, a:b])
+        for tile_scratch, _, tile_columns in views:
+            tile_scratch += tile_columns[2:]
+        range_bits = bits[:, a:b]
+        _select(taken[:2, a:b], range_bits, est_bits[:, a:b])
+        # Perceived time, t + taste, of the route taken: into the route-A half.
+        for tile_scratch, tile_tastes, tile_columns in views:
+            np.add(tile_columns[:2], tile_tastes, tile_scratch)
+        _select(on_b[a:b], range_bits[1], range_bits[0])
     state.last_route = on_b
-
-    # Perceived time, t + taste, of the route taken: into the route-A half.
-    for block_scratch, block_tastes, block_columns in views:
-        np.add(block_columns[:2], block_tastes, block_scratch)
-    _select(on_b, bits[1], bits[0])
 
     # Each config's entry of the day: its row's counts and times, and its row's mean for its survivor count.
     means = day_statistics(
-        [(block_scratch[0], block.counts) for block, (block_scratch, *_) in zip(state.blocks, views)],
+        [(scratch[0, start:stop].reshape(rows, n), counts) for _, rows, start, stop, n, counts in state.blocks],
         state.divisors, state.means,
     )
     state.flows[day - 1] = flows[state.row_of]
@@ -543,12 +588,15 @@ def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
     return before * shared + after * (configs[0].total_days - shared)
 
 
-# The most driver-rows one state holds.  A day's time per driver-row falls
-# as the state grows, while numpy's per-call cost is shared by more rows, and
-# stops falling at about this size: rows of 1,000 drivers took 33 ns per
-# driver-row-day at 7,200 driver-rows, 25-26 ns at 21,600-28,800 and no less
-# beyond, and rows of 250 took 37-40 ns from 14,400 to 57,600 (2-vCPU Xeon,
-# 2 MB L2, numpy 2.4.6).  A larger state saves no time, only holds more memory.
+# The most driver-rows one state holds, and one range of a day's passes.  A
+# day's time per driver-row falls as the state grows, while numpy's per-call
+# cost is shared by more rows, and stops falling at about this size: rows of
+# 1,000 drivers took 33 ns per driver-row-day at 7,200 driver-rows, 25-26 ns at
+# 21,600-28,800 and no less beyond, and rows of 250 took 37-40 ns from 14,400
+# to 57,600 (2-vCPU Xeon, 2 MB L2, numpy 2.4.6).  A larger state saves no time,
+# only holds more memory.  A day's passes over a wider state would overflow the
+# L2, as its tastes, estimates and scratch hold 48 bytes per driver-row (4.8 MB
+# at 10^5 drivers): such a state steps them in ranges of at most this size.
 MAX_DRIVER_ROWS = 2**15
 
 # numpy's ufunc buffer size, in elements, while ``run_state`` steps a state.  numpy

@@ -51,7 +51,7 @@ from .metrics import (
     paired_t_test,
     ratio_report,
 )
-from .network import TwoRouteNetwork
+from .network import TwoRouteNetwork, quoted
 
 if TYPE_CHECKING:
     import argparse
@@ -121,7 +121,7 @@ def _canon_strategy(fieldname: str, value) -> str:
         for name in STRATEGY_NAMES:
             if value.lower() == name.lower():
                 return name
-    raise ConfigError(fieldname, f"expected one of {', '.join(STRATEGY_NAMES)}, got {value!r}")
+    raise ConfigError(fieldname, f"expected one of {', '.join(STRATEGY_NAMES)}, got {quoted(value)}")
 
 
 def _parse_network(fieldname: str, doc) -> TwoRouteNetwork:
@@ -204,7 +204,7 @@ def _axis_values(fieldname: str, attr: str, base: ScenarioConfig, values: list) 
     for value in values:
         value = getattr(_checked(fieldname, dataclasses.replace, base, **{attr: value}), attr)
         if value in held:
-            raise ConfigError(fieldname, f"value {value!r} repeats; axis values must be distinct")
+            raise ConfigError(fieldname, f"value {quoted(value)} repeats; axis values must be distinct")
         held[value] = None
     return tuple(held)
 
@@ -242,7 +242,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
             raise ConfigError(key, "unknown field")
     schema = doc.get("schema", 1)
     if not _is_int(schema) or schema != 1:
-        raise ConfigError("schema", f"unsupported schema version {schema!r}")
+        raise ConfigError("schema", f"unsupported schema version {quoted(schema)}")
 
     values = {}
     for name, (parse, _) in _AXES.items():
@@ -279,7 +279,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
 
     out_dir = doc.get("out_dir", "results")
     if not isinstance(out_dir, str):
-        raise ConfigError("out_dir", f"expected a string, got {out_dir!r}")
+        raise ConfigError("out_dir", f"expected a string, got {quoted(out_dir)}")
     # Building the points surfaces what no single value shows.
     return ExperimentSpec(points=_checked("config", _grid, base, axes), out_dir=Path(out_dir))
 

@@ -31,13 +31,17 @@ def is_finite_number(x) -> bool:
 def quoted(value) -> str:
     """``repr(value)`` for an error message, or its type's name where Python refuses the repr.
 
-    Python 3.11 refuses to format an int of more than 4,300 digits, so a
-    message that quoted one with ``!r`` would raise in place of naming its field.
+    Python 3.11 refuses to format an int of more than 4,300 digits, and a
+    list nested almost as deep as ``json.loads`` accepts exceeds the recursion
+    limit in its repr, so a message that quoted either with ``!r`` would raise
+    in place of naming its field.
     """
     try:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deep to print>"
 
 
 @dataclass(frozen=True)

@@ -1294,20 +1294,25 @@ class TestBranchFreeKernels:
 class TestDayScratch:
     """A day allocates no N-sized float array, and no group shares its arrays with another."""
 
-    @pytest.mark.parametrize("seeds_and_strategies", [
-        [(1, "Selfish")],
-        [(1, "Selfish"), (1, "Social"), (2, "Selfish")],  # three rows, two generators
+    @pytest.mark.parametrize("population,seeds_and_strategies", [
+        pytest.param(50000, [(1, "Selfish")], id="seeds_and_strategies0"),  # one row in two pieces
+        # Three rows, two generators; then four rows in ranges of two whole rows each.
+        pytest.param(50000, [(1, "Selfish"), (1, "Social"), (2, "Selfish")], id="seeds_and_strategies1"),
+        pytest.param(12000, [(1, "Selfish"), (1, "Social"), (2, "Selfish"), (2, "Social")], id="tiles_of_rows"),
     ])
-    def test_a_day_traces_under_four_bool_arrays_and_a_cast_buffer(self, seeds_and_strategies):
-        # A 50-vehicle fleet: its curve arrays are small, as the bound leaves them no room.
+    def test_a_day_traces_under_four_bool_arrays_and_a_cast_buffer(self, population, seeds_and_strategies):
+        # A fleet of 0.1 %: its curve arrays are small, as the bound leaves them no room.
         configs = [
-            ScenarioConfig(base_population=50000, cav_share=0.001, strategy=strategy, seed=seed,
+            ScenarioConfig(base_population=population, cav_share=0.001, strategy=strategy, seed=seed,
                            phase_lengths=(1, 1, 2, 0))
             for seed, strategy in seeds_and_strategies
         ]
         state = SimulationState(*configs)
         for _ in range(state.m_day + 1):
             step_day(state)
+        # Wider than the cap, so the day steps in ranges; rows of a seed share its generator.
+        assert state.width > engine.MAX_DRIVER_ROWS and len(state.ranges) > 1
+        assert len(state.rngs) == len({seed for seed, _ in seeds_and_strategies})
         # The day's bool arrays: the (3, width) routes taken and explorers, one byte
         # each per driver-row; rows that share a generator copy its float draws in
         # place and allocate nothing.  Then numpy's cast buffer (getbufsize() int64
@@ -1344,14 +1349,22 @@ class TestDayScratch:
         for name in names:  # bytes: the draw buffer ends a day holding bit patterns, not floats
             assert getattr(prefix, name).tobytes() == before[name].tobytes()
 
-    @pytest.mark.parametrize("days", [1, 3, 4])  # before, at and after the hand-over on day 4
-    def test_a_deep_copy_steps_as_its_original(self, days):
+    # Before, at and after the hand-over on day 4; in one range, and wider than the cap: in
+    # ranges of row pieces, then of whole rows.
+    @pytest.mark.parametrize("days,population", [
+        *(pytest.param(days, 40, id=f"{days}") for days in (1, 3, 4)),
+        *(pytest.param(days, 40000, id=f"wide-{days}") for days in (1, 3, 4)),
+    ])
+    def test_a_deep_copy_steps_as_its_original(self, days, population):
         configs = [dataclasses.replace(c, seed=seed) for seed in (1, 2)
-                   for c in _group((2, 1, 3, 0), [("Social", 0.5), ("Selfish", 0.5)], 40)]
+                   for c in _group((2, 1, 3, 0), [("Social", 0.5), ("Selfish", 0.5)], population)]
         state = SimulationState(*configs)
         for _ in range(days):
             step_day(state)
+        # After the hand-over the Social and Selfish runs of a seed share its generator.
+        assert len(state.rngs) == 2 and (len(state.ranges) > 1) == (population > engine.MAX_DRIVER_ROWS)
         twin = copy.deepcopy(state)
+        assert twin.ranges == state.ranges
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             while state.day <= state.total_days:
@@ -1360,6 +1373,88 @@ class TestDayScratch:
         for name in ("flows", "times", "perceived"):
             assert getattr(twin, name).tobytes() == getattr(state, name).tobytes()
         assert not np.shares_memory(twin.draws, state.draws)
+
+
+def assert_ranges_tile_the_axis(state):
+    """``state.ranges`` cover its flat axis end to end in ranges of at most the cap, made of tiles of its rows.
+
+    A tile is whole consecutive rows of a block, at most ``MAX_DRIVER_ROWS // n`` of
+    them, or, in a block of rows longer than the cap, one of a row's
+    ``ceil(n / MAX_DRIVER_ROWS)`` pieces, which differ in length by at most one.
+    """
+    cap = engine.MAX_DRIVER_ROWS
+    ends = [0] + [b for _, b, _ in state.ranges]
+    assert [a for a, _, _ in state.ranges] == ends[:-1] and ends[-1] == state.width
+    pieces: dict[int, list[int]] = {}
+    for a, b, tiles in state.ranges:
+        assert 0 < b - a <= cap and tiles
+        assert [tile[2] for tile in tiles] == [a] + [tile[3] for tile in tiles[:-1]] and tiles[-1][3] == b
+        for first, rows, start, stop, n in tiles:
+            block = next(block for block in state.blocks if block.first <= first < block.first + block.rows)
+            assert first + rows <= block.first + block.rows and stop - start == rows * n
+            row_start = block.start + (first - block.first) * block.n
+            if block.n > cap:
+                assert rows == 1
+                pieces.setdefault(first, []).append(n)
+                assert row_start <= start and stop <= row_start + block.n
+            else:
+                assert n == block.n and 1 <= rows <= cap // n and start == row_start
+    for row, lengths in pieces.items():
+        n = state.spans[row].stop - state.spans[row].start
+        assert len(lengths) == -(-n // cap) and sum(lengths) == n and max(lengths) - min(lengths) <= 1
+
+
+class TestDayRanges:
+    """A day steps a state wider than ``MAX_DRIVER_ROWS`` in ranges: a change of time, never of bits."""
+
+    # Rows of 3, 40 and 300 drivers; Social and Selfish at 0.5 keep equal survivor counts, so
+    # their rows share a generator; share 1.0 leaves a row of no drivers.
+    CONFIGS = [
+        ScenarioConfig(base_population=population, cav_share=share, strategy=strategy, seed=seed,
+                       explore_rate=explore, phase_lengths=(3, 2, 3, 2))
+        for explore in (0.1, 0.3)
+        for population in (3, 40, 300)
+        for seed in (1, 2)
+        for strategy, share in (("Selfish", 0.0), ("Social", 0.5), ("Selfish", 0.5), ("Malicious", 1.0))
+    ]
+
+    def test_the_range_size_changes_no_bit(self, monkeypatch):
+        groups = list(engine.group_by(self.CONFIGS, prefix_key).values())
+        assert len(groups) == 2
+        runs = {}
+        for cap in (2**40, 1, 7, 250, 2**15):
+            monkeypatch.setattr(engine, "MAX_DRIVER_ROWS", cap)
+            runs[cap] = [tuple(column.view(np.int64).tolist() for column in (log.flows, log.times, log.perceived))
+                         for group in groups for log in engine.run_state(group)]
+        (reference, *others) = runs.values()
+        assert all(logs == reference for logs in others)
+
+    @pytest.mark.parametrize("cap", [1, 7, 250, 2**15])
+    def test_ranges_cover_the_axis_in_tiles_of_rows(self, monkeypatch, cap):
+        monkeypatch.setattr(engine, "MAX_DRIVER_ROWS", cap)
+        state = SimulationState(*self.CONFIGS[:24])
+        for handed_over in (False, True):
+            if handed_over:
+                state._hand_over()
+            assert_ranges_tile_the_axis(state)
+            assert (len(state.ranges) == 1) == (state.width <= cap)
+        assert any(block.n == 0 for block in state.blocks)
+
+    def test_a_state_no_wider_than_the_cap_has_one_range_of_its_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_DRIVER_ROWS", 1000)
+        for configs in engine.plan(self.CONFIGS):
+            state = SimulationState(*configs)
+            for handed_over in (False, True):
+                if handed_over:
+                    state._hand_over()
+                assert state.width <= engine.MAX_DRIVER_ROWS
+                assert state.ranges == ((0, state.width, tuple(block[:5] for block in state.blocks if block.n)),)
+
+    def test_a_row_longer_than_the_cap_is_cut_into_equal_pieces(self):
+        state = SimulationState(ScenarioConfig(base_population=100_000, cav_share=0.1))
+        assert [tiles for _, _, tiles in state.ranges] == [((0, 1, a, a + 25000, 25000),) for a in range(0, 10**5, 25000)]
+        state._hand_over()
+        assert [tiles for _, _, tiles in state.ranges] == [((0, 1, a, a + 30000, 30000),) for a in range(0, 90000, 30000)]
 
 
 def _buffer_sizes_seen(monkeypatch):

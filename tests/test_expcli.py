@@ -711,6 +711,31 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("field", ["seeds", "beta", "cav_share", "strategy", "schema", "out_dir"])
+    def test_a_value_nested_as_deep_as_json_allows_names_its_field(self, tmp_path, capsys, field):
+        config = tmp_path / "config.json"
+
+        def run(depth):
+            """``run``'s exit code and error on the field's value as ``depth`` arrays nested around null."""
+            config.write_text(f'{{"{field}": {"[" * depth}null{"]" * depth}}}')
+            code = main(["run", str(config), "--out", str(tmp_path / "out")])
+            return code, capsys.readouterr().err
+
+        def too_deep(depth):
+            return "malformed JSON" in run(depth)[1]
+
+        # The deepest nesting that the decoder accepts on this call path: the value's
+        # repr in the error message then runs deeper than the decoder did.
+        low, high = 1, 100_000
+        assert not too_deep(low) and too_deep(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if too_deep(middle) else (middle, high)
+        code, err = run(low)
+        assert (code, err.count("\n")) == (1, 1)
+        assert err.startswith(f"error: {field}: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_invalid_field_is_a_validation_error(self, tmp_path):
         config = write_config(tmp_path, {"beta": -2})
         assert main(["run", str(config)]) == 1
