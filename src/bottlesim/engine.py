@@ -170,15 +170,11 @@ class ScenarioConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {quoted(self.seed)}")
         if not isinstance(self.network, TwoRouteNetwork):
             raise ValueError(f"network must be a TwoRouteNetwork, got {quoted(self.network)}")
-        if not is_finite_number(self.base_population * self.congestion):
+        finite = is_finite_number(self.base_population * self.congestion)
+        if not (finite and 1 <= self.total_population <= MAX_POPULATION):
             raise ValueError(
-                f"congestion {self.congestion!r} with base_population {self.base_population!r} "
-                "yields an infinite population"
-            )
-        if not 1 <= self.total_population <= MAX_POPULATION:
-            raise ValueError(
-                f"congestion {self.congestion!r} with base_population {self.base_population!r} "
-                f"yields {self.total_population} drivers; expected 1 to {MAX_POPULATION}"
+                f"congestion {quoted(self.congestion)} with base_population {quoted(self.base_population)} yields "
+                f"{self.total_population if finite else 'infinitely many'} drivers; expected 1 to {MAX_POPULATION}"
             )
         for name in ("route_a", "route_b"):
             if not math.isfinite(bpr_travel_time(getattr(self.network, name), self.total_population)):
@@ -583,9 +579,8 @@ def _driver_rows(configs: Sequence[ScenarioConfig]) -> tuple[int, int]:
 
 def driver_row_days(configs: Sequence[ScenarioConfig]) -> int:
     """Driver-row-days of stepping ``configs`` as one state: the work that grows with its arrays."""
-    shared = min(configs[0].m_day, configs[0].total_days)
     before, after = _driver_rows(configs)
-    return before * shared + after * (configs[0].total_days - shared)
+    return before * configs[0].m_day + after * (configs[0].total_days - configs[0].m_day)
 
 
 # The most driver-rows one state holds, and one range of a day's passes.  A
@@ -636,14 +631,13 @@ def _split(group: list[ScenarioConfig], parts: int) -> list[list[ScenarioConfig]
     if len(group_by(group, block_of)) < parts:
         block_of = lambda config: (_row_key(config), config.survivor_count)
     blocks = group_by(group, block_of)
-    shared = min(group[0].m_day, group[0].total_days)
     loads = [0] * min(parts, len(blocks))
     stepped: list[set] = [set() for _ in loads]  # the prefix rows of each chunk
     chunk_of = {}
     for key, members in sorted(blocks.items(), key=lambda item: driver_row_days(item[1]), reverse=True):
         chunk_of[key] = least = min(range(len(loads)), key=loads.__getitem__)
         _, _, population = row = _row_key(members[0])
-        loads[least] += driver_row_days(members) - (row in stepped[least]) * population * shared
+        loads[least] += driver_row_days(members) - (row in stepped[least]) * population * group[0].m_day
         stepped[least].add(row)
     chunks: list[list[ScenarioConfig]] = [[] for _ in loads]
     for config in group:

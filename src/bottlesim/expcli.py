@@ -70,7 +70,7 @@ def __getattr__(name: str):
 
         globals()[name] = ProcessPoolExecutor
         return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    raise AttributeError(f"module {quoted(__name__)} has no attribute {quoted(name)}")
 
 
 def _field_names(cls) -> tuple[str, ...]:
@@ -274,7 +274,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
         try:
             seeds = [int(env_seed)]
         except ValueError:
-            raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {env_seed!r}") from None
+            raise ConfigError("BOTTLESIM_SEED", f"expected an integer, got {quoted(env_seed)}") from None
         axes["seeds"] = _axis_values("BOTTLESIM_SEED", "seed", base, seeds)
 
     out_dir = doc.get("out_dir", "results")
@@ -465,7 +465,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"jobs must be at least 1, got {quoted(jobs)}")
     out_dir = Path(spec.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -513,10 +513,10 @@ def replicate_and_test(
     """
     for metric in (metric_a, metric_b):
         if metric not in WINDOW_METRICS:
-            raise ValueError(f"unknown metric {metric!r}; expected one of {WINDOW_METRICS}")
+            raise ValueError(f"unknown metric {quoted(metric)}; expected one of {WINDOW_METRICS}")
     seeds = list(seeds)
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
-        raise ValueError(f"need at least 2 distinct seeds, got {seeds}")
+        raise ValueError(f"need at least 2 distinct seeds, got {quoted(seeds)}")
     pairs = [
         (dataclasses.replace(config_a, seed=seed), dataclasses.replace(config_b, seed=seed))
         for seed in seeds
@@ -548,16 +548,17 @@ def _read_summary(path: Path) -> dict[int, dict]:
 def _column_values(rows: dict[int, dict], column: str, parse=float) -> list:
     """``parse`` of each row's ``column`` cell, which must be present, parsable and finite."""
     if column not in SUMMARY_COLUMNS:
-        raise ConfigError("column", f"unknown summary column {column!r}")
+        raise ConfigError("column", f"unknown summary column {quoted(column)}")
     values = []
     for line, row in rows.items():
-        raw = row[column] or "missing"  # a short row holds None
+        raw = row[column]  # a short row holds None
         try:
             value = parse(raw)
             if not math.isfinite(value):
                 raise ValueError
-        except (ValueError, OverflowError):
-            raise ConfigError("column", f"{column} is {raw} on line {line}; cannot pair") from None
+        except (TypeError, ValueError, OverflowError):
+            cell = quoted(raw) if raw else "missing"
+            raise ConfigError("column", f"{column} is {cell} on line {line}; cannot pair") from None
         values.append(value)
     return values
 
@@ -624,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "sweep"):
             if args.jobs is not None and args.jobs < 1:
-                raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
+                raise ConfigError("--jobs", f"must be at least 1, got {quoted(args.jobs)}")
             spec = load_config(args.config)
             if args.out is not None:
                 spec.out_dir = Path(args.out)
@@ -642,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.pair is not None:
                 parts = args.pair.split(",")
                 if len(parts) != 2:
-                    raise ConfigError("pair", f"expected colA,colB, got {args.pair!r}")
+                    raise ConfigError("pair", f"expected colA,colB, got {quoted(args.pair)}")
                 col_a, col_b = (part.strip() for part in parts)
                 result = _checked("pair", paired_t_test, _column_values(rows, col_a), _column_values(rows, col_b))
             else:

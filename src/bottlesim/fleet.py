@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import quoted
+
 # Strategy name -> (lambda_cav, lambda_hdv).
 STRATEGY_TABLE: dict[str, tuple[float, float]] = {
     "Selfish": (1.0, 0.0),
@@ -64,10 +66,8 @@ def fleet_optimize(
     global minimizer; among equal objective values the smallest number of
     fleet vehicles on A wins.
     """
-    if q_cav < 0:
-        raise ValueError(f"q_cav must be nonnegative, got {q_cav}")
-    if q_hdv_a < 0 or q_hdv_b < 0:
-        raise ValueError("HDV counts must be nonnegative")
+    if min(q_hdv_a, q_hdv_b, q_cav) < 0:
+        raise ValueError(f"vehicle counts must be nonnegative, got {quoted((q_hdv_a, q_hdv_b, q_cav))}")
     curve_a, curve_b = curves
     if max(q_hdv_a, q_hdv_b) + q_cav >= min(len(curve_a), len(curve_b)):
         raise ValueError(f"route curves end before {max(q_hdv_a, q_hdv_b) + q_cav} vehicles")

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .fleet import STRATEGY_TABLE, fleet_optimize
-from .network import TwoRouteNetwork, network_travel_times
+from .network import TwoRouteNetwork, network_travel_times, quoted
 
 if TYPE_CHECKING:
     from .engine import SimulationLog
@@ -113,7 +113,7 @@ def system_optimum(network: TwoRouteNetwork, q_total: int) -> tuple[int, float]:
     minimal mean time), ties resolving to the smallest q_a.
     """
     if q_total < 1:
-        raise ValueError(f"q_total must be >= 1, got {q_total}")
+        raise ValueError(f"q_total must be >= 1, got {quoted(q_total)}")
     x = np.arange(q_total + 1.0)
     decision = fleet_optimize(STRATEGY_TABLE["Social"], 0, 0, q_total, network_travel_times(network, x, x))
     return decision.cav_on_a, decision.objective_value / q_total
@@ -169,8 +169,8 @@ def compute_window_averages(log: "SimulationLog") -> WindowAverages:
     q = flows[:, :2] + flows[:, 2:]  # every vehicle, per route
     s = flow_mean(q, times)
     totals = q.sum(axis=1).tolist()
-    optima = {total: system_optimum(config.network, total)[1] for total in set(totals)}
     with np.errstate(all="ignore"):  # as in flow_mean
+        optima = {total: system_optimum(config.network, total)[1] for total in set(totals)}
         gaps = s - [optima[total] for total in totals]
         deviations = times - s[:, None]
         squares = deviations * deviations

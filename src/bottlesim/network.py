@@ -15,6 +15,7 @@ cap.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +29,23 @@ def is_finite_number(x) -> bool:
         return False
 
 
-def quoted(value) -> str:
-    """``repr(value)`` for an error message, or its type's name where Python refuses the repr.
+_REPR = reprlib.Repr()
+_REPR.repr_int = lambda x, level: repr(x)
 
-    Python 3.11 refuses to format an int of more than 4,300 digits, and a
-    list nested almost as deep as ``json.loads`` accepts exceeds the recursion
-    limit in its repr, so a message that quoted either with ``!r`` would raise
-    in place of naming its field.
+
+def quoted(value) -> str:
+    """``value`` for an error message: its ``reprlib`` repr, cut to 200 characters.
+
+    reprlib shows six items and six levels of a list, so a value nested as
+    deep as ``json.loads`` accepts prints in a few characters.  Its ints keep
+    Python's repr, which refuses one past the 4,300-digit limit on every
+    version; the value then prints as its type: ``<int too long to print>``.
     """
     try:
-        return repr(value)
+        text = _REPR.repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
-    except RecursionError:
-        return f"<{type(value).__name__} nested too deep to print>"
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 @dataclass(frozen=True)

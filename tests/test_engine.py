@@ -168,6 +168,7 @@ class TestScenarioConfig:
             {"base_population": 2**62},
             {"base_population": 2**62 - 1, "congestion": 4.0},  # a total of 2**64
             {"base_population": 2**58, "congestion": 2.0},  # 2**59: numpy's limit for 16 bytes each
+            {"congestion": 1e308},  # infinitely many
         ],
     )
     def test_population_beyond_numpy_array_limit_rejected(self, kwargs):

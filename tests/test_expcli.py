@@ -732,7 +732,7 @@ class TestCli:
             middle = (low + high) // 2
             low, high = (low, middle) if too_deep(middle) else (middle, high)
         code, err = run(low)
-        assert (code, err.count("\n")) == (1, 1)
+        assert (code, err.count("\n")) == (1, 1) and len(err) <= 500
         assert err.startswith(f"error: {field}: ")
         assert list(tmp_path.iterdir()) == [config]
 
@@ -936,6 +936,58 @@ class TestCli:
         assert (
             main(["ttest", str(out / "summary.csv"), "--metric", "tau", "--pair", "tau,tau_b"]) == 1
         )
+
+
+def _summary(path, cells=None):
+    """Write a two-row summary.csv at ``path``, one row per seed, with ``cells`` set on the first row."""
+    rows = [dict.fromkeys(SUMMARY_COLUMNS, "1.0") | {"strategy": "Selfish", "seed": seed} for seed in ("1", "2")]
+    rows[0].update(cells or {})
+    path.write_text("\n".join([SUMMARY_HEADER, *(",".join(row.values()) for row in rows), ""]), encoding="utf-8")
+    return path
+
+
+class TestQuotedValues:
+    """An error line quotes the value it names in at most 200 characters, and an ordinary value in full."""
+
+    LONG = "x" * 100_000
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"alpha": "0.2"}, "alpha: learning_rate must be in [0, 1], got '0.2'"),
+        ({"alpha": [1, 2, 3]}, "alpha: learning_rate must be in [0, 1], got [1, 2, 3]"),
+        ({"strategy": "Selfishh"},
+         "strategy: expected one of Selfish, Altruistic, Malicious, Disruptive, Social, got 'Selfishh'"),
+    ])
+    def test_an_ordinary_value_prints_in_full(self, tmp_path, capsys, doc, message):
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def check(self, capsys, argv, field):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1 and len(err.encode()) <= 200, err
+
+    def test_a_long_environment_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BOTTLESIM_SEED", self.LONG)
+        self.check(capsys, ["run", str(write_config(tmp_path, {})), "--out", str(tmp_path / "out")], "BOTTLESIM_SEED")
+
+    @pytest.mark.parametrize("pair, field", [(f"tau_b,tau,{LONG}", "pair"), (f"tau_b,{LONG}", "column")],
+                             ids=["three_columns", "unknown_column"])
+    def test_a_long_pair_of_columns(self, tmp_path, capsys, pair, field):
+        self.check(capsys, ["ttest", str(_summary(tmp_path / "summary.csv")), "--pair", pair], field)
+
+    def test_a_long_summary_cell(self, tmp_path, capsys):
+        summary = _summary(tmp_path / "summary.csv", {"tau": self.LONG})
+        self.check(capsys, ["ttest", str(summary), "--pair", "tau_b,tau"], "column")
+
+    @pytest.mark.parametrize("metric, seeds, message", [
+        (LONG, [1, 2], "unknown metric 'xxxxxxxxxxxx...xxxxxxxxxxxxx'; expected one of "),
+        ("tau", [1] * 100_000, "need at least 2 distinct seeds, got [1, 1, 1, 1, 1, 1, ...]"),
+    ], ids=["metric", "seeds"])
+    def test_a_long_argument_of_replicate_and_test(self, metric, seeds, message):
+        config = ScenarioConfig(base_population=60, phase_lengths=(5, 5, 5, 5))
+        with pytest.raises(ValueError) as caught:
+            replicate_and_test(config, metric, config, "tau", seeds=seeds)
+        assert str(caught.value).startswith(message) and len(str(caught.value)) <= 200
 
 
 class TestNonFiniteNumbers:
@@ -1307,11 +1359,31 @@ class TestOverflowingTTest:
             assert result.t_statistic == pytest.approx(exact, rel=1e-12)
 
 
+class TestWarningFilter:
+    """A run's outputs do not depend on the warning filter: numpy's warnings are off while its statistics are computed."""
+
+    def test_an_overflowing_system_optimum_sweeps_alike_under_every_filter(self, tmp_path):
+        # A fleet of every vehicle on route A overflows there, on the way to the system optimum.
+        doc = dict(FAST, base_population=1000, seeds=[1], network=_huge_network(1e300, 15))
+        doc["network"]["route_a"]["capacity"] = 1
+        config = write_config(tmp_path, doc)
+        outputs = []
+        for action in ("default", "error"):
+            out = tmp_path / action
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter(action)
+                assert main(["sweep", str(config), "--out", str(out), "--jobs", "1"]) == 0
+            assert caught == []
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+
+
 # Config values for the format's property test: valid values seven times in eight, else boundary
 # values, wrong types, NaN/inf and 10**400.  An accepted config runs at most 1000 * 10.0 drivers
 # for 12 days: phase_lengths is always given, and a larger base_population or congestion fails.
 _BAD_NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
-_WRONG_TYPES = st.sampled_from(["0.2", None, True, [], {}])
+# A long string and a long list: an error quotes either in at most 200 characters.
+_WRONG_TYPES = st.sampled_from(["0.2", None, True, [], {}, "x" * 1000, [None] * 200])
 
 
 def _weighted(common, rare):
@@ -1436,5 +1508,6 @@ class TestConfigFormat:
                 cells = [value for row in rows for name, value in row.items() if name != "strategy"]
                 assert all(math.isfinite(float(cell)) for cell in cells if cell != "NA")
             elif status == 1:
+                assert err.count("\n") == 1 and len(err) <= 500, err
                 field = re.match(r"error: ([^:]+): ", err).group(1)
                 assert field in self.KNOWN or re.fullmatch(r"network\.route_[ab](\.\w+)?", field), err

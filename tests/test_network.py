@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bottlesim import RouteParams, TwoRouteNetwork, bpr_travel_time, network_travel_times
+from bottlesim.network import quoted
 
 
 @pytest.fixture
@@ -45,6 +46,37 @@ class TestRouteParams:
         net = TwoRouteNetwork.default()
         assert net.route_a == RouteParams(5.0, 500.0, 2.0)
         assert net.route_b == RouteParams(15.0, 800.0, 2.0)
+
+
+def _nested(depth):
+    """``None`` inside ``depth`` one-item lists."""
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestQuoted:
+    @pytest.mark.parametrize("value", [0.2, -0.0, 2**64, "0.2", "Selfishh", [1, 2, 3], (100, 100, 100), None, True])
+    def test_an_ordinary_value_prints_as_its_repr(self, value):
+        assert quoted(value) == repr(value)
+
+    @pytest.mark.parametrize("value, text", [
+        (10**5000, "<int too long to print>"),
+        (-(10**5000), "<int too long to print>"),
+        ([1, 10**5000], "<list too long to print>"),
+        (_nested(900), "[[[[[[[...]]]]]]]"),
+        ("x" * 100_000, "'" + "x" * 12 + "..." + "x" * 13 + "'"),
+        (list(range(100_000)), "[0, 1, 2, 3, 4, 5, ...]"),
+    ], ids=["huge_int", "huge_negative_int", "huge_int_in_a_list", "nested_900_deep", "long_string", "long_list"])
+    def test_a_value_too_large_to_print_prints_short(self, value, text):
+        assert quoted(value) == text
+
+    def test_no_quote_is_longer_than_200_characters(self):
+        wide = [[[[[list(range(10**6, 10**6 + 6))] * 6] * 6] * 6] * 6] * 6
+        text = quoted(wide)
+        assert len(text) == 200 and text.startswith("[[[[[[1000000, 1000001") and text.endswith("...")
+        assert quoted(10**199) == str(10**199) and quoted(10**200) == str(10**200)[:197] + "..."
 
 
 class TestBprTravelTime:
