@@ -219,6 +219,11 @@ def _grid(base: ScenarioConfig, axes: dict[str, tuple]) -> tuple[ScenarioConfig,
     return tuple(sorted(points, key=_point_key))
 
 
+def _cannot_read(name: str, exc: Exception) -> str:
+    """``cannot read NAME: REASON``, NAME cut to 200 characters; REASON is ``strerror`` where the error has one."""
+    return f"cannot read {name if len(name) <= 200 else name[:197] + '...'}: {getattr(exc, 'strerror', None) or exc}"
+
+
 def load_config(path: str | Path) -> ExperimentSpec:
     """Parse and fully validate a JSON experiment config.
 
@@ -229,7 +234,7 @@ def load_config(path: str | Path) -> ExperimentSpec:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from None
+        raise ConfigError("config", _cannot_read(str(path), exc)) from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a too-long integer, deep nesting
@@ -494,6 +499,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[dict]:
     return write_outputs([result for chunk in chunks for result in chunk], out_dir)
 
 
+def _paired(field: str, a: dict, b: dict) -> TTestResult:
+    """Paired t-test of ``a``'s values against ``b``'s, in the order of their keys (seeds, or summary lines)."""
+    if list(a) != list(b):
+        raise ConfigError(field, "the two config points carry different seed sets")
+    for key in (key for key in a if a[key] is None or b[key] is None):
+        raise ValueError(f"metric absent at seed {quoted(key)}; cannot pair")
+    return _checked(field, paired_t_test, list(a.values()), list(b.values()))
+
+
 def replicate_and_test(
     config_a: ScenarioConfig,
     metric_a: str,
@@ -517,20 +531,12 @@ def replicate_and_test(
     seeds = list(seeds)
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
         raise ValueError(f"need at least 2 distinct seeds, got {quoted(seeds)}")
-    pairs = [
-        (dataclasses.replace(config_a, seed=seed), dataclasses.replace(config_b, seed=seed))
-        for seed in seeds
-    ]
+    pairs = {seed: (dataclasses.replace(config_a, seed=seed), dataclasses.replace(config_b, seed=seed)) for seed in seeds}
     # The t-test reads only the window averages, so no daily CSV is formatted.
-    states = plan(dict.fromkeys(config for pair in pairs for config in pair))
+    states = plan(dict.fromkeys(config for pair in pairs.values() for config in pair))
     averages = dict(item for state in states for item in _checked_runs(state, _checked_averages))
-
-    values = []
-    for seed, (run_a, run_b) in zip(seeds, pairs):
-        values.append((getattr(averages[run_a], metric_a), getattr(averages[run_b], metric_b)))
-        if None in values[-1]:
-            raise ValueError(f"metric absent at seed {seed}; cannot pair")
-    return paired_t_test(*zip(*values))
+    return _paired("metric", *({seed: getattr(averages[pair[side]], metric) for seed, pair in pairs.items()}
+                               for side, metric in enumerate((metric_a, metric_b))))
 
 
 def _read_summary(path: Path) -> dict[int, dict]:
@@ -542,14 +548,14 @@ def _read_summary(path: Path) -> dict[int, dict]:
                 raise ConfigError("summary", f"{path} does not look like a summary.csv")
             return {reader.line_num: row for row in reader}
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # not ValueError: ConfigError is one
-        raise ConfigError("summary", f"cannot read {path}: {exc}") from None
+        raise ConfigError("summary", _cannot_read(str(path), exc)) from None
 
 
-def _column_values(rows: dict[int, dict], column: str, parse=float) -> list:
-    """``parse`` of each row's ``column`` cell, which must be present, parsable and finite."""
+def _column_values(rows: dict[int, dict], column: str, parse=float) -> dict:
+    """``parse`` of each row's ``column`` cell, by line; the cell must be present, parsable and finite."""
     if column not in SUMMARY_COLUMNS:
         raise ConfigError("column", f"unknown summary column {quoted(column)}")
-    values = []
+    values = {}
     for line, row in rows.items():
         raw = row[column]  # a short row holds None
         try:
@@ -559,26 +565,24 @@ def _column_values(rows: dict[int, dict], column: str, parse=float) -> list:
         except (TypeError, ValueError, OverflowError):
             cell = quoted(raw) if raw else "missing"
             raise ConfigError("column", f"{column} is {cell} on line {line}; cannot pair") from None
-        values.append(value)
+        values[line] = value
     return values
 
 
 def _ttest_metric(rows: dict[int, dict], metric: str) -> TTestResult:
     *point_columns, seed_column = POINT_COLUMNS
     # A row with a seed cell has every point column, which comes before it.
-    seeds = dict(zip(rows, _column_values(rows, seed_column, int)))
-    groups: dict[tuple, dict[int, dict]] = {}
+    seeds = _column_values(rows, seed_column, int)
+    groups: dict[tuple, dict[int, int]] = {}  # each point's lines by seed, in ascending seed order
     for line in sorted(rows, key=seeds.get):
-        point = tuple(rows[line][column] for column in point_columns)
-        groups.setdefault(point, {})[line] = rows[line]
+        group = groups.setdefault(tuple(rows[line][column] for column in point_columns), {})
+        if seeds[line] in group:
+            raise ConfigError("metric", f"seed {quoted(seeds[line])} repeats at a config point, on line {line}")
+        group[seeds[line]] = line
     if len(groups) != 2:
-        raise ConfigError(
-            "metric", f"summary must contain exactly two config points, found {len(groups)}"
-        )
-    (_, rows_a), (_, rows_b) = sorted(groups.items())
-    if list(map(seeds.get, rows_a)) != list(map(seeds.get, rows_b)):
-        raise ConfigError("metric", "the two config points carry different seed sets")
-    return _checked("metric", paired_t_test, _column_values(rows_a, metric), _column_values(rows_b, metric))
+        raise ConfigError("metric", f"summary must contain exactly two config points, found {len(groups)}")
+    values = _column_values(rows, metric)
+    return _paired("metric", *({seed: values[line] for seed, line in group.items()} for _, group in sorted(groups.items())))
 
 
 def _print_ttest(result: TTestResult) -> None:
@@ -641,11 +645,10 @@ def main(argv: list[str] | None = None) -> int:
             if (args.metric is None) == (args.pair is None):
                 raise ConfigError("ttest", "give exactly one of --metric or --pair")
             if args.pair is not None:
-                parts = args.pair.split(",")
-                if len(parts) != 2:
+                columns = [part.strip() for part in args.pair.split(",")]
+                if len(columns) != 2:
                     raise ConfigError("pair", f"expected colA,colB, got {quoted(args.pair)}")
-                col_a, col_b = (part.strip() for part in parts)
-                result = _checked("pair", paired_t_test, _column_values(rows, col_a), _column_values(rows, col_b))
+                result = _paired("pair", *(_column_values(rows, column) for column in columns))
             else:
                 result = _ttest_metric(rows, args.metric)
             _print_ttest(result)

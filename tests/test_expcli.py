@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -42,6 +43,7 @@ from bottlesim.expcli import (
     _FIELDS,
     _daily_rows,
     _fmt,
+    _print_ttest,
     _run_group,
     _write_text,
     load_config,
@@ -857,6 +859,23 @@ class TestCli:
         assert main(["ttest", str(out / "summary.csv"), "--metric", "tau_b"]) == 0
         assert "df=2" in capsys.readouterr().out
 
+    def test_ttest_metric_prints_the_line_of_replicate_and_test(self, tmp_path, capsys):
+        # --metric pairs by ascending seed, whatever the order of the summary's rows.
+        config = write_config(tmp_path, dict(FAST, cav_share=[0.1, 0.4], seeds=[1, 2, 3]))
+        out = tmp_path / "out"
+        assert main(["sweep", str(config), "--out", str(out), "--jobs", "1"]) == 0
+        points = load_config(config).points
+        capsys.readouterr()
+        _print_ttest(replicate_and_test(points[0], "tau", points[3], "tau", seeds=[1, 2, 3]))
+        expected = capsys.readouterr().out
+        assert expected.startswith("t=") and "df=2" in expected
+        header, *rows = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        reversed_rows = tmp_path / "reversed.csv"
+        reversed_rows.write_text("\n".join([header, *rows[::-1], ""]), encoding="utf-8")
+        for summary in (out / "summary.csv", reversed_rows):
+            assert main(["ttest", str(summary), "--metric", "tau"]) == 0
+            assert capsys.readouterr().out == expected
+
     def test_ttest_degenerate_pair_reported(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(FAST, seeds=[1, 2, 3]))
         out = tmp_path / "out"
@@ -899,6 +918,8 @@ class TestCli:
          "metric: the two config points carry different seed sets"),
         ([(0.0, 1), (0.0, 2)], ["--pair", "tau_b,taub"], "column: unknown summary column 'taub'"),
         ([(0.0, 1), (0.0, 2)], ["--pair", "tau_b,tau,rho"], "pair: expected colA,colB, got 'tau_b,tau,rho'"),
+        ([(0.0, 1), (0.0, 1), (0.0, 2), (0.5, 1), (0.5, 1), (0.5, 2)], ["--metric", "tau"],
+         "metric: seed 1 repeats at a config point, on line 3"),
     ])
     def test_ttest_summary_of_the_wrong_shape_exits_one(self, tmp_path, points, args, message):
         # One row per (cav_share, seed) point; every statistic differs by seed.
@@ -927,6 +948,21 @@ class TestCli:
         assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (1, "", 1)
         assert proc.stderr.startswith("error: summary: " + message.format(path=summary))
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "{path}"], "config"),
+        (["ttest", "{path}", "--pair", "tau_b,tau"], "summary"),
+    ], ids=["run", "ttest"])
+    @pytest.mark.parametrize("length", [10, 100_000])
+    def test_a_path_prints_once_and_at_most_200_characters_of_it(self, tmp_path, capsys, argv, field, length):
+        path = tmp_path / ("x" * length)
+        assert main([arg.format(path=path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) <= 500, err
+        if length == 10:
+            assert err == f"error: {field}: cannot read {path}: {os.strerror(errno.ENOENT)}\n"
+        else:
+            assert err.startswith(f"error: {field}: cannot read {str(path)[:197]}...: ")
 
     def test_ttest_requires_exactly_one_mode(self, tmp_path):
         config = write_config(tmp_path, dict(FAST))
